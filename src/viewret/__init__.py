@@ -20,7 +20,7 @@ from .geometry import (CameraFrame, NormalizationTransform, TriangleMesh, camera
 from .render import (density, eight_connected_count, quantity, render_mesh,
                      render_point_cloud, to_binary)
 from .scansim import (ScannerConfig, ScanResult, make_box, make_cone, make_cylinder,
-                      make_sphere, ray_triangle_intersect, simulate_scan)
+                      make_sphere, simulate_scan)
 from .select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,
                      normalize_quantity, ransac_viewpoint, score_grid, select_resolution,
                      select_viewpoint)

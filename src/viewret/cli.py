@@ -15,10 +15,10 @@ import numpy as np
 
 from . import io as vio
 from .config import PipelineConfig
-from .encode import build_db, fisher_vector, fit_gmm, pool_database_features, query_db
+from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
+                     view_features)
 from .errors import ViewretError
 from .evaluate import ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case, run_benchmark
-from .features import extract_features
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
                        normalize_pose)
 from .render import render_mesh, render_point_cloud
@@ -62,6 +62,13 @@ def _viewpoint_index(text):
     if not 0 <= index < NUM_VIEWPOINTS:
         raise argparse.ArgumentTypeError(f"viewpoint index must be in 0..{NUM_VIEWPOINTS - 1}")
     return index
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_resolutions(text):
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--db", required=True)
     p.add_argument("--gmm", required=True)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=_positive_int, default=None)
     p.add_argument("--multiview", action="store_true",
                    help="query with the 13-view ring instead of a single view")
     p.add_argument("--resolutions", type=_parse_resolutions, default=None)
@@ -300,12 +307,8 @@ def cmd_query(args, config: PipelineConfig):
     viewpoint = select_viewpoint(grid, points)
     resolution = select_resolution(grid, viewpoint)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
-    descriptors = []
-    for i, v in enumerate(views):
-        img = render_point_cloud(points, v, resolution)
-        feats = extract_features(img, config.n_keypoints, config.keypoint_decay,
-                                 seed=[config.seed, i])
-        descriptors.append(fisher_vector(feats, gmm))
+    images = (render_point_cloud(points, v, resolution) for v in views)
+    descriptors = [fisher_vector(f, gmm) for f in view_features(images, config, [config.seed])]
     with _out(args) as fh:
         for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
             fh.write(f"{model_id} {distance:.10f}\n")

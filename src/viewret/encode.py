@@ -223,7 +223,6 @@ class DescriptorDb:
     """All per-view descriptors of the database models, sharing one mixture."""
 
     entries: list
-    gmm: GmmParams = None
 
 
 def database_views(geometry, config: PipelineConfig) -> list:
@@ -243,25 +242,46 @@ def database_views(geometry, config: PipelineConfig) -> list:
     return [render_point_cloud(pts, v, r_best) for v in views]
 
 
+def view_features(images, config: PipelineConfig, seed_prefix):
+    """Yield the features of each view image, lazily; view ``i`` uses seed ``[*seed_prefix, i]``.
+
+    A caller that encodes or pools each view as it arrives holds one view's
+    float64 features at a time.
+    """
+    for v_idx, img in enumerate(images):
+        yield extract_features(img, config.n_keypoints, config.keypoint_decay,
+                               seed=[*seed_prefix, v_idx])
+
+
+def pool_features(chunks, cap: int, seed) -> np.ndarray:
+    """Concatenate feature chunks as float32, keeping a seeded sample of ``cap`` rows at most.
+
+    The sample keeps the pooled row order.
+    """
+    pooled = np.concatenate([np.asarray(c, dtype=np.float32) for c in chunks], axis=0)
+    if len(pooled) > cap:
+        rng = np.random.default_rng(seed)
+        keep = rng.choice(len(pooled), size=cap, replace=False)
+        pooled = pooled[np.sort(keep)]
+    return pooled
+
+
+def encode_views(model_id: str, class_id: int, features, gmm: GmmParams) -> list:
+    """One float32 Fisher-vector `DbEntry` per view feature set of one model."""
+    return [DbEntry(model_id, int(class_id), v_idx, fisher_vector(f, gmm).astype(np.float32))
+            for v_idx, f in enumerate(features)]
+
+
 def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
     """Features of every database view of every model, optionally subsampled.
 
     Uses the same per-image seeds as `build_db`, so the pooled features match
     the ones later encoded into descriptors.
     """
-    chunks = []
-    for m_idx, (_, _, geometry) in enumerate(models):
-        for v_idx, img in enumerate(database_views(geometry, config)):
-            chunks.append(np.asarray(
-                extract_features(img, config.n_keypoints, config.keypoint_decay,
-                                 seed=[config.seed, m_idx, v_idx]),
-                dtype=np.float32))
-    pooled = np.concatenate(chunks, axis=0)
-    if len(pooled) > config.gmm_sample_cap:
-        rng = np.random.default_rng([config.seed, 0x9001])
-        keep = rng.choice(len(pooled), size=config.gmm_sample_cap, replace=False)
-        pooled = pooled[np.sort(keep)]
-    return pooled
+    chunks = (f for m_idx, (_, _, geometry) in enumerate(models)
+              for f in view_features(database_views(geometry, config), config,
+                                     [config.seed, m_idx]))
+    return pool_features(chunks, config.gmm_sample_cap, [config.seed, 0x9001])
 
 
 def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
@@ -273,20 +293,20 @@ def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
         raise ValueError("model ids must be unique")
     entries = []
     for m_idx, (model_id, class_id, geometry) in enumerate(models):
-        for v_idx, img in enumerate(database_views(geometry, config)):
-            feats = extract_features(img, config.n_keypoints, config.keypoint_decay,
-                                     seed=[config.seed, m_idx, v_idx])
-            descriptor = fisher_vector(feats, gmm).astype(np.float32)
-            entries.append(DbEntry(model_id, int(class_id), v_idx, descriptor))
-    return DescriptorDb(entries=entries, gmm=gmm)
+        feats = view_features(database_views(geometry, config), config, [config.seed, m_idx])
+        entries.extend(encode_views(model_id, class_id, feats, gmm))
+    return DescriptorDb(entries=entries)
 
 
 def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
     """Rank database models by their minimum view-pair distance to the query.
 
     Returns ``(model_id, distance)`` pairs sorted ascending; ties keep the
-    database's model order. ``top_k`` truncates the ranking when given.
+    database's model order. ``top_k`` (at least 1) truncates the ranking when
+    given.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     if not db.entries:
         raise EmptyDb("descriptor database is empty")
     queries = np.atleast_2d(np.asarray(query_descriptors, dtype=np.float64))
@@ -298,17 +318,13 @@ def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
         raise ZeroVector("query descriptor has zero norm")
     qn = queries / qnorm[:, None]
 
-    order = []
     grouped = {}
     for entry in db.entries:
-        if entry.model_id not in grouped:
-            grouped[entry.model_id] = []
-            order.append(entry.model_id)
-        grouped[entry.model_id].append(entry.descriptor)
+        grouped.setdefault(entry.model_id, []).append(entry.descriptor)
 
     ranking = []
-    for model_id in order:
-        mat = np.asarray(grouped[model_id], dtype=np.float64)
+    for model_id, descriptors in grouped.items():
+        mat = np.asarray(descriptors, dtype=np.float64)
         norms = np.linalg.norm(mat, axis=1)
         if np.any(norms == 0):
             raise ZeroVector(f"database descriptor for {model_id} has zero norm")

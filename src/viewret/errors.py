@@ -75,3 +75,7 @@ class NoRelevant(ViewretError):
 
 class MissingGroundTruth(ViewretError):
     pass
+
+
+class CorruptFile(ViewretError):
+    """A binary file is truncated, oversized or holds invalid values."""

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .encode import fisher_vector, fit_gmm
+from .encode import (DescriptorDb, database_views, encode_views, fisher_vector, fit_gmm,
+                     pool_features, query_db, view_features)
 from .errors import MissingGroundTruth, NoRelevant
 from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
@@ -214,12 +215,9 @@ def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, fov_deg: float
 @dataclass
 class _ScanState:
     points: np.ndarray
-    grid: object
     v_proposed: np.ndarray
     r_proposed: int
     v_ransac: np.ndarray
-    gt_viewpoint: np.ndarray
-    db_descriptors: np.ndarray = None
 
 
 @dataclass
@@ -246,8 +244,7 @@ def _prepare_scan(entry: ScanEntry, index: int, config: PipelineConfig, seed: in
     r_prop = select_resolution(grid, v_prop)
     v_ransac = ransac_viewpoint(points, config.ransac_iterations, config.ransac_tolerance,
                                 seed=[seed, 11, index])
-    return _ScanState(points=points, grid=grid, v_proposed=v_prop, r_proposed=r_prop,
-                      v_ransac=v_ransac, gt_viewpoint=entry.gt_viewpoint)
+    return _ScanState(points=points, v_proposed=v_prop, r_proposed=r_prop, v_ransac=v_ransac)
 
 
 def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -> dict:
@@ -270,8 +267,8 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
 DB_SURFACE_POINTS = 15000
 
 
-def _database_images(entry: ScanEntry, state: _ScanState, index: int, views,
-                     config: PipelineConfig, seed: int):
+def _database_images(entry: ScanEntry, state: _ScanState, index: int,
+                     config: PipelineConfig, seed: int) -> list:
     """Database-side depth images for one instance.
 
     An instance carrying its complete source mesh contributes a full surface
@@ -282,13 +279,9 @@ def _database_images(entry: ScanEntry, state: _ScanState, index: int, views,
     """
     if entry.mesh is not None:
         cloud = sample_mesh_surface(entry.mesh, DB_SURFACE_POINTS, seed=[seed, 29, index])
-        points, _ = normalize_pose(cloud)
-        grid = score_grid(points, views, config.resolutions)
-        v_best = select_viewpoint(grid, points)
-        r_best = select_resolution(grid, v_best)
-    else:
-        points, r_best = state.points, state.r_proposed
-    return [render_point_cloud(points, v, r_best) for v in views]
+        return database_views(cloud, config)
+    return [render_point_cloud(state.points, v, state.r_proposed)
+            for v in dodecahedron_viewpoints()]
 
 
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
@@ -297,13 +290,17 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
 
     Each instance queries a database built from all other instances. The
     database side always follows the standard pipeline (20 views per
-    instance); the case only controls how the query view and query
-    resolution are chosen. Deterministic for a fixed seed and any thread
-    count.
+    instance), through the same feature, pooling, encoding and ranking code
+    as `build_db` and `query_db`; the case only controls how the query view
+    and query resolution are chosen. Model ids must be unique. Deterministic
+    for a fixed seed and any thread count.
     """
     cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
     if not dataset:
         raise ValueError("dataset is empty")
+    classes = {entry.model_id: entry.class_id for entry in dataset}
+    if len(classes) != len(dataset):
+        raise ValueError("model ids must be unique")
     for case in cases:
         if case.viewpoint_source == "ground_truth":
             for entry in dataset:
@@ -311,7 +308,6 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                     raise MissingGroundTruth(
                         f"case {case.name} needs ground truth, but {entry.model_id} has none")
 
-    views = dodecahedron_viewpoints()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             states = list(pool.map(
@@ -320,25 +316,20 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     else:
         states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
 
-    all_feats = []
+    # every view's features are held until the mixture is fit, so they are
+    # kept as float32 to halve that memory; build_db, which holds one view at
+    # a time, encodes them at full precision instead
     per_instance_feats = []
     for index, (entry, state) in enumerate(zip(dataset, states)):
-        images = _database_images(entry, state, index, views, config, seed)
-        feats = [np.asarray(extract_features(img, config.n_keypoints, config.keypoint_decay,
-                                             seed=[seed, 13, index, view_id]), dtype=np.float32)
-                 for view_id, img in enumerate(images)]
-        per_instance_feats.append(feats)
-        all_feats.extend(feats)
-    pooled = np.concatenate(all_feats, axis=0)
-    if len(pooled) > config.gmm_sample_cap:
-        rng = np.random.default_rng([seed, 17])
-        keep = rng.choice(len(pooled), size=config.gmm_sample_cap, replace=False)
-        pooled = pooled[np.sort(keep)]
-    gmm = fit_gmm(pooled, config.gaussians, seed=[seed, 19])
-
-    for state, feats in zip(states, per_instance_feats):
-        state.db_descriptors = np.stack([fisher_vector(f, gmm) for f in feats])
-    del per_instance_feats, all_feats, pooled
+        images = _database_images(entry, state, index, config, seed)
+        per_instance_feats.append([f.astype(np.float32)
+                                   for f in view_features(images, config, [seed, 13, index])])
+    gmm = fit_gmm(pool_features((f for feats in per_instance_feats for f in feats),
+                                config.gmm_sample_cap, [seed, 17]),
+                  config.gaussians, seed=[seed, 19])
+    db = DescriptorDb(entries=[e for entry, feats in zip(dataset, per_instance_feats)
+                               for e in encode_views(entry.model_id, entry.class_id, feats, gmm)])
+    del per_instance_feats
 
     report = BenchmarkReport()
     for case in cases:
@@ -360,17 +351,9 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
             img = render_point_cloud(state.points, v_query, r_query)
             feats = extract_features(img, config.n_keypoints, config.keypoint_decay,
                                      seed=[seed, 23, case.tag, index])
-            q_desc = fisher_vector(feats, gmm)
-            items = []
-            for other_idx, (other, other_state) in enumerate(zip(dataset, states)):
-                if other_idx == index:
-                    continue
-                mat = other_state.db_descriptors
-                cos = np.clip((mat @ q_desc)
-                              / (np.linalg.norm(mat, axis=1) * np.linalg.norm(q_desc)),
-                              -1.0, 1.0)
-                items.append((other.model_id, other.class_id, float((1.0 - cos).min())))
-            items.sort(key=lambda it: it[2])
+            others = DescriptorDb(entries=[e for e in db.entries if e.model_id != entry.model_id])
+            items = [(model_id, classes[model_id], distance)
+                     for model_id, distance in query_db(others, fisher_vector(feats, gmm))]
             retrieval = RankedRetrieval(query_class=entry.class_id, items=items)
             retrievals.append(retrieval)
             pr_points[entry.model_id] = precision_recall_curve(retrieval)

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 
 from .encode import DbEntry, DescriptorDb, GmmParams
+from .errors import CorruptFile
 from .features import DESCRIPTOR_SIZE
 from .geometry import TriangleMesh
 
@@ -128,6 +129,40 @@ def read_pbm(path) -> np.ndarray:
 
 # --- binary dumps -------------------------------------------------------------
 
+class _BinaryReader:
+    """Reads the fields of an open binary file, raising `CorruptFile` on a short read.
+
+    Sizes are checked against the bytes left before reading, so a corrupt
+    count never becomes a huge allocation; `finish` rejects leftover bytes.
+    """
+
+    def __init__(self, fh, path, magic: bytes):
+        self.fh = fh
+        self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+        self.pos = 0
+        if self.take(len(magic), "magic") != magic:
+            raise CorruptFile(f"{path}: bad magic, not a {magic.decode()} file")
+
+    def take(self, size: int, field: str) -> bytes:
+        if size > self.size - self.pos:
+            raise CorruptFile(f"{self.path}: truncated in {field}: needs {size} bytes at offset "
+                              f"{self.pos}, file has {self.size}")
+        self.pos += size
+        return self.fh.read(size)
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def floats(self, count: int, field: str) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count, field), dtype="<f4")
+
+    def finish(self):
+        if self.pos != self.size:
+            raise CorruptFile(f"{self.path}: {self.size - self.pos} unexpected bytes "
+                              f"after offset {self.pos}")
+
+
 def write_features(features, path):
     feats = np.asarray(features, dtype=np.float32).reshape(-1, DESCRIPTOR_SIZE)
     with open(path, "wb") as fh:
@@ -138,11 +173,10 @@ def write_features(features, path):
 
 def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURES_MAGIC:
-            raise ValueError(f"{path}: bad feature-dump magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(count * DESCRIPTOR_SIZE * 4), dtype="<f4")
+        reader = _BinaryReader(fh, path, FEATURES_MAGIC)
+        (count,) = reader.unpack("<I", "header")
+        data = reader.floats(count * DESCRIPTOR_SIZE, "features")
+        reader.finish()
     return data.reshape(count, DESCRIPTOR_SIZE).astype(np.float64)
 
 
@@ -156,14 +190,21 @@ def write_gmm(gmm: GmmParams, path):
 
 
 def read_gmm(path) -> GmmParams:
+    """Read a mixture; rejects empty shapes, non-finite values, non-positive weights or sigmas."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != GMM_MAGIC:
-            raise ValueError(f"{path}: bad GMM magic {magic!r}")
-        k, d = struct.unpack("<II", fh.read(8))
-        weights = np.frombuffer(fh.read(4 * k), dtype="<f4").astype(np.float64)
-        means = np.frombuffer(fh.read(4 * k * d), dtype="<f4").astype(np.float64).reshape(k, d)
-        sigmas = np.frombuffer(fh.read(4 * k * d), dtype="<f4").astype(np.float64).reshape(k, d)
+        reader = _BinaryReader(fh, path, GMM_MAGIC)
+        k, d = reader.unpack("<II", "header")
+        if k < 1 or d < 1:
+            raise CorruptFile(f"{path}: mixture shape K={k}, D={d} is empty")
+        weights = reader.floats(k, "weights").astype(np.float64)
+        means = reader.floats(k * d, "means").astype(np.float64).reshape(k, d)
+        sigmas = reader.floats(k * d, "sigmas").astype(np.float64).reshape(k, d)
+        reader.finish()
+    for name, values in (("weights", weights), ("sigmas", sigmas)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise CorruptFile(f"{path}: mixture {name} must be finite and positive")
+    if not np.all(np.isfinite(means)):
+        raise CorruptFile(f"{path}: mixture means must be finite")
     return GmmParams(weights=weights, means=means, sigmas=sigmas)
 
 
@@ -185,20 +226,23 @@ def write_descriptor_db(db: DescriptorDb, path):
 
 def read_descriptor_db(path) -> DescriptorDb:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != DB_MAGIC:
-            raise ValueError(f"{path}: bad database magic {magic!r}")
-        version, k, d, count = struct.unpack("<IIII", fh.read(16))
+        reader = _BinaryReader(fh, path, DB_MAGIC)
+        version, k, d, count = reader.unpack("<IIII", "header")
         if version != DB_VERSION:
-            raise ValueError(f"{path}: unsupported database version {version}")
+            raise CorruptFile(f"{path}: unsupported database version {version}")
         dim = 2 * d * k
         entries = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            model_id = fh.read(name_len).decode("utf-8")
-            class_id, viewpoint_id = struct.unpack("<II", fh.read(8))
-            desc = np.frombuffer(fh.read(4 * dim), dtype="<f4").copy()
+        for index in range(count):
+            field = f"entry {index}"
+            (name_len,) = reader.unpack("<H", field)
+            try:
+                model_id = reader.take(name_len, field).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptFile(f"{path}: {field} model id is not UTF-8") from exc
+            class_id, viewpoint_id = reader.unpack("<II", field)
+            desc = reader.floats(dim, field).copy()
             entries.append(DbEntry(model_id, class_id, viewpoint_id, desc))
+        reader.finish()
     return DescriptorDb(entries=entries)
 
 

@@ -45,34 +45,6 @@ class ScanResult:
     config: ScannerConfig = field(default=None, repr=False)
 
 
-def ray_triangle_intersect(origin, direction, triangle):
-    """Distance to the intersection of a ray with a triangle, or None.
-
-    Edges count as hits; degenerate (zero-area) triangles and rays parallel
-    to the plane yield None. Only strictly positive distances count.
-    """
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(direction, dtype=np.float64)
-    tri = np.asarray(triangle, dtype=np.float64)
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    pvec = np.cross(d, e2)
-    det = float(e1 @ pvec)
-    if abs(det) < _PARALLEL_EPS:
-        return None
-    inv = 1.0 / det
-    tvec = o - tri[0]
-    u = float(tvec @ pvec) * inv
-    if u < -_EDGE_EPS or u > 1.0 + _EDGE_EPS:
-        return None
-    qvec = np.cross(tvec, e1)
-    v = float(d @ qvec) * inv
-    if v < -_EDGE_EPS or u + v > 1.0 + _EDGE_EPS:
-        return None
-    t = float(e2 @ qvec) * inv
-    return t if t > 0.0 else None
-
-
 def _ray_lattice(cfg: ScannerConfig):
     forward = cfg.target - cfg.position
     forward /= np.linalg.norm(forward)

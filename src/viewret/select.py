@@ -181,15 +181,12 @@ def select_resolution(grid: ScoreGrid, best_viewpoint) -> int:
 
 
 def best_resolution_for_viewpoint(cloud, viewpoint, resolutions=None) -> int:
-    """Density-argmax resolution for an arbitrary (off-lattice) viewpoint."""
-    pts = as_points(cloud)
-    res = tuple(DEFAULT_RESOLUTIONS if resolutions is None else resolutions)
-    dens = []
-    for r in res:
-        img = render_point_cloud(pts, viewpoint, r)
-        dens.append(density(img) if foreground_count(img) else 0.0)
-    top = max(dens)
-    return max(r for r, d in zip(res, dens) if d == top)
+    """Density-argmax resolution for an arbitrary (off-lattice) viewpoint.
+
+    Scores a one-viewpoint grid, so densities and tie-breaking follow
+    `score_grid` and `select_resolution` exactly.
+    """
+    return select_resolution(score_grid(cloud, [viewpoint], resolutions), viewpoint)
 
 
 def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.01, seed=0) -> np.ndarray:

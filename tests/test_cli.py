@@ -213,6 +213,57 @@ class TestPipelineEndToEnd:
         assert lines[0].split()[0] == "ball"
 
 
+def desk_pipeline(tmp_path):
+    """fit-gmm and build-db over a one-model manifest; returns (query cloud, gmm, db, config)."""
+    rng = np.random.default_rng(66)
+    vio.save_xyz(rng.normal(size=(500, 3)), tmp_path / "m.xyz")
+    (tmp_path / "models.txt").write_text("m 0 m.xyz\n")
+    config = tmp_path / "desk.cfg"
+    config.write_text("n_keypoints=30\ngaussians=2\nresolutions=32\ngmm_sample_cap=2000\n")
+    gmm_path, db_path = tmp_path / "mixture.gmm", tmp_path / "models.fvdb"
+    assert run(["fit-gmm", "--input", str(tmp_path / "models.txt"), "--config", str(config),
+                "--output", str(gmm_path)]) == 0
+    assert run(["build-db", "--input", str(tmp_path / "models.txt"), "--gmm", str(gmm_path),
+                "--config", str(config), "--output", str(db_path)]) == 0
+    return tmp_path / "m.xyz", gmm_path, db_path, config
+
+
+class TestCorruptInputs:
+    def test_truncated_db_and_gmm_are_data_errors(self, tmp_path, capsys):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        query = ["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                 "--config", str(config)]
+        # header sizes: FVDB 20 bytes, GMM1 12 bytes
+        for path, header in ((db_path, 20), (gmm_path, 12)):
+            data = path.read_bytes()
+            for cut in (header - 3, len(data) - 25):
+                path.write_bytes(data[:cut])
+                capsys.readouterr()
+                assert run(query) == 2
+                err = capsys.readouterr().err
+                assert "Traceback" not in err and str(path) in err
+            path.write_bytes(data)
+        assert run(query) == 0
+
+    def test_truncated_feature_dump_is_data_error(self, tmp_path, capsys):
+        dump = tmp_path / "feats.bin"
+        vio.write_features(np.random.default_rng(67).random((80, 128)).astype(np.float32), dump)
+        data = dump.read_bytes()
+        for cut in (6, len(data) - 25):
+            dump.write_bytes(data[:cut])
+            capsys.readouterr()
+            assert run(["fit-gmm", "--input", str(dump), "--gaussians", "2",
+                        "--output", str(tmp_path / "mixture.gmm")]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_top_k_below_one_is_usage_error(self, tmp_path, capsys):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        for top_k in ("0", "-1"):
+            assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm",
+                        str(gmm_path), "--config", str(config), "--top-k", top_k]) == 1
+            assert "--top-k" in capsys.readouterr().err
+
+
 class TestGridDump:
     def test_writes_csv(self, cloud_file, tmp_path):
         out = tmp_path / "grid.csv"

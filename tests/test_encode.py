@@ -226,6 +226,15 @@ class TestBuildAndQueryDb:
                                    for i in range(4)])
         assert len(query_db(db, rng.normal(size=(1, 16)), top_k=100)) == 4
 
+    def test_top_k_below_one_rejected(self):
+        rng = np.random.default_rng(38)
+        from viewret.encode import DbEntry
+        db = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, rng.normal(size=16).astype(np.float32))
+                                   for i in range(4)])
+        for top_k in (0, -1):
+            with pytest.raises(ValueError):
+                query_db(db, rng.normal(size=(1, 16)), top_k=top_k)
+
     def test_matches_exhaustive_pairwise_oracle(self):
         rng = np.random.default_rng(39)
         from viewret.encode import DbEntry

@@ -176,6 +176,61 @@ def micro_config(seed=0):
                           resolutions=(32, 64), gmm_sample_cap=4000, seed=seed)
 
 
+def loo_reference(dataset, case, config, seed):
+    """The former leave-one-out loop, with its own pooling, encoding and cosine ranking.
+
+    Returns one ``[(model_id, distance), ...]`` ranking per query.
+    """
+    from viewret.encode import fisher_vector, fit_gmm
+    from viewret.evaluate import FIXED_RESOLUTION, _database_images, _prepare_scan
+    from viewret.features import extract_features
+    from viewret.render import render_point_cloud
+    from viewret.select import best_resolution_for_viewpoint
+
+    states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
+    per_instance = []
+    for index, (entry, state) in enumerate(zip(dataset, states)):
+        images = _database_images(entry, state, index, config, seed)
+        per_instance.append([np.asarray(extract_features(img, config.n_keypoints,
+                                                         config.keypoint_decay,
+                                                         seed=[seed, 13, index, view_id]),
+                                        dtype=np.float32)
+                             for view_id, img in enumerate(images)])
+    pooled = np.concatenate([f for feats in per_instance for f in feats], axis=0)
+    if len(pooled) > config.gmm_sample_cap:
+        keep = np.random.default_rng([seed, 17]).choice(len(pooled), size=config.gmm_sample_cap,
+                                                        replace=False)
+        pooled = pooled[np.sort(keep)]
+    gmm = fit_gmm(pooled, config.gaussians, seed=[seed, 19])
+    db = [np.stack([fisher_vector(f, gmm) for f in feats]) for feats in per_instance]
+
+    rankings = []
+    for index, (entry, state) in enumerate(zip(dataset, states)):
+        v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
+                   "ransac": state.v_ransac}[case.viewpoint_source]
+        if case.resolution_source == "fixed_256":
+            r_query = FIXED_RESOLUTION
+        elif case.viewpoint_source == "proposed":
+            r_query = state.r_proposed
+        else:
+            r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
+        feats = extract_features(render_point_cloud(state.points, v_query, r_query),
+                                 config.n_keypoints, config.keypoint_decay,
+                                 seed=[seed, 23, case.tag, index])
+        q_desc = fisher_vector(feats, gmm)
+        items = []
+        for other_idx, other in enumerate(dataset):
+            if other_idx == index:
+                continue
+            mat = db[other_idx]
+            cos = np.clip((mat @ q_desc) / (np.linalg.norm(mat, axis=1) * np.linalg.norm(q_desc)),
+                          -1.0, 1.0)
+            items.append((other.model_id, float((1.0 - cos).min())))
+        items.sort(key=lambda it: it[1])
+        rankings.append(items)
+    return rankings
+
+
 class TestRunBenchmark:
     def test_report_structure_and_determinism(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=3, step_deg=0.8)
@@ -195,6 +250,29 @@ class TestRunBenchmark:
         a = run_benchmark(ds, ["prop-prop"], micro_config(), seed=4, threads=1)
         b = run_benchmark(ds, ["prop-prop"], micro_config(), seed=4, threads=4)
         assert list(a.rows()) == list(b.rows())
+
+    def test_matches_former_leave_one_out_loop(self):
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=3, seed=9, step_deg=0.8)
+        config = micro_config().override(gmm_sample_cap=1500, ransac_iterations=200)
+        cases = [parse_case(name) for name in ("gt-prop", "prop-prop", "ransac-fixed")]
+        report = run_benchmark(ds, cases, config, seed=9)
+        classes = {e.model_id: e.class_id for e in ds}
+        for case in cases:
+            want = loo_reference(ds, case, config, seed=9)
+            got = report.cases[case.name].retrievals
+            assert len(got) == len(want) == len(ds)
+            for retrieval, reference, entry in zip(got, want, ds):
+                assert retrieval.query_class == entry.class_id
+                assert [m for m, _, _ in retrieval.items] == [m for m, _ in reference]
+                assert all(cls == classes[m] for m, cls, _ in retrieval.items)
+                np.testing.assert_allclose([d for _, _, d in retrieval.items],
+                                           [d for _, d in reference], rtol=0, atol=1e-6)
+
+    def test_duplicate_model_ids_rejected(self):
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=10, step_deg=1.0)
+        ds[2].model_id = ds[0].model_id
+        with pytest.raises(ValueError, match="unique"):
+            run_benchmark(ds, ["prop-prop"], micro_config(), seed=10)
 
     def test_missing_ground_truth(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=5, step_deg=1.0)

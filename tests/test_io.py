@@ -3,6 +3,7 @@ import pytest
 
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
+from viewret.errors import CorruptFile
 from viewret.geometry import TriangleMesh
 from viewret.scansim import ScannerConfig, simulate_scan
 from viewret.select import ScoreGrid
@@ -117,6 +118,61 @@ class TestBinaryDumps:
             vio.read_descriptor_db(path)
         with pytest.raises(ValueError):
             vio.read_features(path)
+
+
+def write_small_binaries(tmp_path):
+    """One valid feature dump, mixture and descriptor db; returns path -> (reader, header size)."""
+    rng = np.random.default_rng(57)
+    features = tmp_path / "features.bin"
+    vio.write_features(rng.random((3, 128)).astype(np.float32), features)
+    gmm = tmp_path / "mixture.gmm"
+    vio.write_gmm(GmmParams(weights=np.array([0.5, 0.5]), means=rng.normal(size=(2, 128)),
+                            sigmas=rng.uniform(0.1, 1.0, size=(2, 128))), gmm)
+    db = tmp_path / "models.fvdb"
+    entries = [DbEntry(f"model-{i}", i, i, rng.normal(size=2 * 128 * 2).astype(np.float32))
+               for i in range(2)]
+    vio.write_descriptor_db(DescriptorDb(entries=entries), db)
+    return {features: (vio.read_features, 8), gmm: (vio.read_gmm, 12),
+            db: (vio.read_descriptor_db, 20)}
+
+
+class TestCorruptBinaries:
+    def test_truncation_in_header_and_body_raises(self, tmp_path):
+        for path, (reader, header) in write_small_binaries(tmp_path).items():
+            data = path.read_bytes()
+            reader(path)
+            # inside the magic, inside the header, one byte into the body,
+            # and one byte short of the end
+            for cut in (2, header - 1, header + 1, len(data) - 1):
+                path.write_bytes(data[:cut])
+                with pytest.raises(CorruptFile):
+                    reader(path)
+            path.write_bytes(data)
+
+    def test_trailing_bytes_raise(self, tmp_path):
+        for path, (reader, _) in write_small_binaries(tmp_path).items():
+            path.write_bytes(path.read_bytes() + b"\0" * 4)
+            with pytest.raises(CorruptFile):
+                reader(path)
+
+    def test_huge_count_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "features.bin"
+        path.write_bytes(b"SFT1" + (2 ** 32 - 1).to_bytes(4, "little"))
+        with pytest.raises(CorruptFile):
+            vio.read_features(path)
+
+    @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
+                                             ("sigmas", np.nan), ("weights", 0.0),
+                                             ("weights", np.inf), ("means", np.nan)])
+    def test_gmm_rejects_invalid_values(self, tmp_path, field, value):
+        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 4)),
+                  "sigmas": np.ones((2, 4))}
+        params[field] = params[field].copy()
+        params[field].flat[1] = value
+        path = tmp_path / "mixture.gmm"
+        vio.write_gmm(GmmParams(**params), path)
+        with pytest.raises(CorruptFile):
+            vio.read_gmm(path)
 
 
 class TestScanMetadata:

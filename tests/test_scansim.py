@@ -3,8 +3,37 @@ import pytest
 
 from viewret.errors import EmptyMesh, NoHits
 from viewret.geometry import TriangleMesh
-from viewret.scansim import (ScannerConfig, make_box, make_cone, make_cylinder, make_sphere,
-                             ray_triangle_intersect, sample_mesh_surface, simulate_scan)
+from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, ScannerConfig, make_box, make_cone,
+                             make_cylinder, make_sphere, sample_mesh_surface, simulate_scan)
+
+
+def ray_triangle_intersect(origin, direction, triangle):
+    """Scalar Moller-Trumbore: distance to the ray's hit on one triangle, or None.
+
+    The reference for `simulate_scan`'s vectorized kernel. Edges count as
+    hits; degenerate (zero-area) triangles and rays parallel to the plane
+    yield None. Only strictly positive distances count.
+    """
+    o = np.asarray(origin, dtype=np.float64)
+    d = np.asarray(direction, dtype=np.float64)
+    tri = np.asarray(triangle, dtype=np.float64)
+    e1 = tri[1] - tri[0]
+    e2 = tri[2] - tri[0]
+    pvec = np.cross(d, e2)
+    det = float(e1 @ pvec)
+    if abs(det) < _PARALLEL_EPS:
+        return None
+    inv = 1.0 / det
+    tvec = o - tri[0]
+    u = float(tvec @ pvec) * inv
+    if u < -_EDGE_EPS or u > 1.0 + _EDGE_EPS:
+        return None
+    qvec = np.cross(tvec, e1)
+    v = float(d @ qvec) * inv
+    if v < -_EDGE_EPS or u + v > 1.0 + _EDGE_EPS:
+        return None
+    t = float(e2 @ qvec) * inv
+    return t if t > 0.0 else None
 
 
 def plane_barycentric_oracle(origin, direction, tri):

@@ -242,7 +242,31 @@ class TestRansacViewpoint:
         assert np.array_equal(a, b)
 
 
+def best_resolution_loop(cloud, viewpoint, resolutions):
+    """The former render/density/argmax loop, kept as the reference."""
+    from viewret.render import density, foreground_count, render_point_cloud
+
+    dens = []
+    for r in resolutions:
+        img = render_point_cloud(cloud, viewpoint, r)
+        dens.append(density(img) if foreground_count(img) else 0.0)
+    top = max(dens)
+    return max(r for r, d in zip(resolutions, dens) if d == top)
+
+
 class TestBestResolutionForViewpoint:
+    def test_matches_reference_loop_off_lattice(self):
+        rng = np.random.default_rng(29)
+        ladders = ((32, 64, 128), (32, 64, 128, 256), (64, 32), (128,))
+        for trial in range(24):
+            n = int(rng.choice([4, 30, 300, 2000]))
+            points, _ = normalize_pose(rng.normal(size=(n, 3)) * rng.uniform(0.2, 2.0, size=3))
+            view = rng.normal(size=3)
+            view /= np.linalg.norm(view)
+            res = ladders[trial % len(ladders)]
+            assert best_resolution_for_viewpoint(points, view, res) == \
+                best_resolution_loop(points, view, res)
+
     def test_prefers_denser_image(self):
         rng = np.random.default_rng(23)
         points, _ = normalize_pose(rng.normal(size=(800, 3)))
