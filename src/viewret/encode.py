@@ -43,20 +43,35 @@ class GmmParams:
 
 
 def _log_joint(x: np.ndarray, gmm: GmmParams) -> np.ndarray:
-    """log(w_k * N(x | mu_k, diag sigma_k^2)) for every row of x, shape (n, K)."""
-    n, d = x.shape
-    out = np.empty((n, gmm.n_components))
-    log_w = np.log(gmm.weights)
-    for k in range(gmm.n_components):
-        z = (x - gmm.means[k]) / gmm.sigmas[k]
-        log_norm = -0.5 * d * _LOG_2PI - np.log(gmm.sigmas[k]).sum()
-        out[:, k] = log_w[k] + log_norm - 0.5 * (z * z).sum(axis=1)
+    """log(w_k N(x | mu_k, diag sigma_k^2)), (n, K): c_k - x^2 P^T/2 + x (mu P)^T, P = 1/sigma^2."""
+    prec = 1.0 / (gmm.sigmas * gmm.sigmas)
+    out = (x * x) @ (-0.5 * prec).T
+    out += x @ (gmm.means * prec).T
+    out += (np.log(gmm.weights) - 0.5 * gmm.dim * _LOG_2PI - np.log(gmm.sigmas).sum(axis=1)
+            - 0.5 * (gmm.means * gmm.means * prec).sum(axis=1))
     return out
 
 
-def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
-    m = rows.max(axis=1)
-    return m + np.log(np.exp(rows - m[:, None]).sum(axis=1))
+def _posteriors(x: np.ndarray, gmm: GmmParams):
+    """Responsibilities (n, K), normalized in place over the log-joint, and log p(x) per row."""
+    resp = _log_joint(x, gmm)
+    peak = resp.max(axis=1, keepdims=True)
+    resp -= peak
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=1, keepdims=True)
+    resp /= total
+    return resp, (peak + np.log(total))[:, 0]
+
+
+def _moments(x: np.ndarray, resp: np.ndarray):
+    """Zeroth- to second-order statistics s0 = sum q (K,), s1 = q^T x, s2 = q^T x^2 (K, D)."""
+    return resp.sum(axis=0), resp.T @ x, resp.T @ (x * x)
+
+
+def _means_sigmas(s0, s1, s2):
+    """Per-component means and floored standard deviations from the statistics."""
+    means = s1 / s0[:, None]
+    return means, np.sqrt(np.maximum(s2 / s0[:, None] - means * means, VARIANCE_FLOOR))
 
 
 def gmm_posteriors(x, gmm: GmmParams) -> np.ndarray:
@@ -68,8 +83,7 @@ def gmm_posteriors(x, gmm: GmmParams) -> np.ndarray:
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
-    logj = _log_joint(arr, gmm)
-    post = np.exp(logj - _log_sum_exp(logj)[:, None])
+    post = _posteriors(arr, gmm)[0]
     return post[0] if single else post
 
 
@@ -102,64 +116,49 @@ def fit_gmm(features, n_components: int, seed=0,
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D array")
-    n, d = x.shape
+    n = len(x)
     if n_components < 1:
         raise ValueError("n_components must be at least 1")
     if n < 10 * n_components:
         raise TooFewFeatures(f"need at least {10 * n_components} features for K={n_components}, got {n}")
 
     rng = np.random.default_rng(seed)
-    means = _kmeans_plus_plus(x, n_components, rng)
-    dist2 = np.stack([((x - means[k]) ** 2).sum(axis=1) for k in range(n_components)], axis=1)
-    assign = dist2.argmin(axis=1)
-    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
-    weights = np.empty(n_components)
-    variances = np.empty((n_components, d))
-    for k in range(n_components):
-        members = x[assign == k]
-        if len(members) == 0:
-            weights[k] = 1.0
-            variances[k] = global_var
-        else:
-            weights[k] = len(members)
-            means[k] = members.mean(axis=0)
-            variances[k] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-    weights /= weights.sum()
-    sigmas = np.sqrt(variances)
+    centers = _kmeans_plus_plus(x, n_components, rng)
+    # nearest centre by |c|^2 - 2 x.c (|x|^2 is common to all); an empty
+    # cluster keeps its centre, weight 1 before normalization and the global variance
+    assign = ((centers * centers).sum(axis=1) - 2.0 * (x @ centers.T)).argmin(axis=1)
+    s0, s1, s2 = _moments(x, np.eye(n_components)[assign])
+    empty = s0 == 0
+    counts = np.maximum(s0, 1.0)
+    means, sigmas = _means_sigmas(counts, s1, s2)
+    global_sigma = np.sqrt(np.maximum(x.var(axis=0), VARIANCE_FLOOR))
+    means[empty] = centers[empty]
+    sigmas[empty] = global_sigma
 
-    gmm = GmmParams(weights=weights, means=means, sigmas=sigmas)
+    gmm = GmmParams(weights=counts / counts.sum(), means=means, sigmas=sigmas)
     trace = gmm.log_likelihoods
     previous = None
     reinitialized = False
     for _ in range(max_iterations):
-        logj = _log_joint(x, gmm)
-        lse = _log_sum_exp(logj)
-        ll = float(lse.sum())
+        resp, log_px = _posteriors(x, gmm)
+        ll = float(log_px.sum())
         trace.append(ll)
         if previous is not None and abs(ll - previous) < tol * abs(previous):
             break
         previous = ll
-        resp = np.exp(logj - lse[:, None])
-        mass = resp.sum(axis=0)
-        dead = mass < n * 1e-12
+        s0, s1, s2 = _moments(x, resp)
+        dead = s0 < n * 1e-12
         if dead.any():
             if reinitialized:
                 raise DegenerateComponent("component responsibility mass underflowed twice")
             reinitialized = True
-            worst = int(np.argmin(lse))
-            for k in np.nonzero(dead)[0]:
-                gmm.means[k] = x[worst]
-                gmm.sigmas[k] = np.sqrt(global_var)
-                gmm.weights[k] = 1.0 / n
+            gmm.means[dead] = x[np.argmin(log_px)]
+            gmm.sigmas[dead] = global_sigma
+            gmm.weights[dead] = 1.0 / n
             gmm.weights /= gmm.weights.sum()
             continue
-        gmm.weights = mass / n
-        for k in range(n_components):
-            q = resp[:, k:k + 1]
-            mu = (q * x).sum(axis=0) / mass[k]
-            var = (q * (x - mu) ** 2).sum(axis=0) / mass[k]
-            gmm.means[k] = mu
-            gmm.sigmas[k] = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+        gmm.weights = s0 / n
+        gmm.means, gmm.sigmas = _means_sigmas(s0, s1, s2)
     return gmm
 
 
@@ -178,16 +177,13 @@ def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarra
     if x.shape[1] != gmm.dim:
         raise DimensionMismatch(f"features have dim {x.shape[1]}, mixture expects {gmm.dim}")
     n = len(x)
-    resp = gmm_posteriors(x, gmm)
-    parts = []
-    for k in range(gmm.n_components):
-        z = (x - gmm.means[k]) / gmm.sigmas[k]
-        q = resp[:, k:k + 1]
-        u = (q * z).sum(axis=0) / (n * np.sqrt(gmm.weights[k]))
-        v = (q * (z * z - 1.0)).sum(axis=0) / (n * np.sqrt(2.0 * gmm.weights[k]))
-        parts.append(u)
-        parts.append(v)
-    descriptor = np.concatenate(parts)
+    s0, s1, s2 = _moments(x, gmm_posteriors(x, gmm))
+    mu, sigma, s0 = gmm.means, gmm.sigmas, s0[:, None]
+    u = (s1 - s0 * mu) / sigma
+    v = (s2 - 2.0 * mu * s1 + s0 * mu * mu) / (sigma * sigma) - s0
+    u /= n * np.sqrt(gmm.weights)[:, None]
+    v /= n * np.sqrt(2.0 * gmm.weights)[:, None]
+    descriptor = np.stack([u, v], axis=1).ravel()
     if normalize:
         descriptor = np.sign(descriptor) * np.sqrt(np.abs(descriptor))
         norm = np.linalg.norm(descriptor)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from viewret.config import PipelineConfig
-from viewret.encode import (DescriptorDb, GmmParams, build_db, cosine_distance, fisher_vector,
-                            fit_gmm, gmm_posteriors, query_db)
-from viewret.errors import (DimensionMismatch, EmptyDb, EmptyFeatureSet, TooFewFeatures,
-                            ZeroVector)
+from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _kmeans_plus_plus,
+                            _log_joint, build_db, cosine_distance, fisher_vector, fit_gmm,
+                            gmm_posteriors, query_db)
+from viewret.errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
+                            TooFewFeatures, ZeroVector)
 from viewret.scansim import make_box
 
 
@@ -15,17 +19,37 @@ def random_gmm(rng, k, dim):
                      sigmas=rng.uniform(0.5, 2.0, size=(k, dim)))
 
 
+def log_joint_oracle(x, gmm):
+    """Per-component log(w_k * N(x | mu_k, diag sigma_k^2)), shape (n, K)."""
+    n, d = x.shape
+    out = np.empty((n, gmm.n_components))
+    for k in range(gmm.n_components):
+        z = (x - gmm.means[k]) / gmm.sigmas[k]
+        out[:, k] = (np.log(gmm.weights[k]) - 0.5 * d * np.log(2.0 * np.pi)
+                     - np.log(gmm.sigmas[k]).sum() - 0.5 * (z * z).sum(axis=1))
+    return out
+
+
+def posteriors_oracle(x, gmm):
+    """Per-component posteriors (n, K) and log p(x) per row, in log space."""
+    logj = log_joint_oracle(x, gmm)
+    m = logj.max(axis=1)
+    lse = m + np.log(np.exp(logj - m[:, None]).sum(axis=1))
+    return np.exp(logj - lse[:, None]), lse
+
+
 def fisher_oracle(features, gmm):
     """Literal per-feature, per-component accumulation of the gradient formulas."""
     x = np.asarray(features, dtype=np.float64)
     n = len(x)
     k = gmm.n_components
+    post = posteriors_oracle(x, gmm)[0]
     parts = []
     for kk in range(k):
         u = np.zeros(gmm.dim)
         v = np.zeros(gmm.dim)
         for i in range(n):
-            q = gmm_posteriors(x[i], gmm)[kk]
+            q = post[i, kk]
             z = (x[i] - gmm.means[kk]) / gmm.sigmas[kk]
             u += q * z
             v += q * (1.0 / np.sqrt(2.0)) * (z * z - 1.0)
@@ -34,7 +58,97 @@ def fisher_oracle(features, gmm):
     return np.concatenate(parts)
 
 
+def fit_gmm_oracle(features, n_components, seed=0, max_iterations=25, tol=1e-5):
+    """EM with a loop over the components in the start, the E-step, the M-step and the re-seed."""
+    x = np.asarray(features, dtype=np.float64)
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    means = _kmeans_plus_plus(x, n_components, rng)
+    dist2 = np.stack([((x - means[k]) ** 2).sum(axis=1) for k in range(n_components)], axis=1)
+    assign = dist2.argmin(axis=1)
+    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+    weights = np.empty(n_components)
+    variances = np.empty((n_components, d))
+    for k in range(n_components):
+        members = x[assign == k]
+        if len(members) == 0:
+            weights[k] = 1.0
+            variances[k] = global_var
+        else:
+            weights[k] = len(members)
+            means[k] = members.mean(axis=0)
+            variances[k] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+    gmm = GmmParams(weights=weights / weights.sum(), means=means, sigmas=np.sqrt(variances))
+    trace = gmm.log_likelihoods
+    previous = None
+    reinitialized = False
+    for _ in range(max_iterations):
+        resp, lse = posteriors_oracle(x, gmm)
+        ll = float(lse.sum())
+        trace.append(ll)
+        if previous is not None and abs(ll - previous) < tol * abs(previous):
+            break
+        previous = ll
+        mass = resp.sum(axis=0)
+        dead = mass < n * 1e-12
+        if dead.any():
+            if reinitialized:
+                raise DegenerateComponent("component responsibility mass underflowed twice")
+            reinitialized = True
+            worst = int(np.argmin(lse))
+            for k in np.nonzero(dead)[0]:
+                gmm.means[k] = x[worst]
+                gmm.sigmas[k] = np.sqrt(global_var)
+                gmm.weights[k] = 1.0 / n
+            gmm.weights /= gmm.weights.sum()
+            continue
+        gmm.weights = mass / n
+        for k in range(n_components):
+            q = resp[:, k:k + 1]
+            mu = (q * x).sum(axis=0) / mass[k]
+            var = (q * (x - mu) ** 2).sum(axis=0) / mass[k]
+            gmm.means[k] = mu
+            gmm.sigmas[k] = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    return gmm
+
+
+def assert_same_fit(got, want):
+    assert len(got.log_likelihoods) == len(want.log_likelihoods)
+    np.testing.assert_allclose(got.log_likelihoods, want.log_likelihoods, rtol=1e-8)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=1e-8)
+    np.testing.assert_allclose(got.means, want.means, rtol=1e-8)
+    np.testing.assert_allclose(got.sigmas, want.sigmas, rtol=1e-8)
+
+
+def blobs(rng, k, dim, spread):
+    """k Gaussian blobs with centres in [0, 1]^dim and standard deviation ``spread``."""
+    return np.concatenate([rng.normal(rng.uniform(0.0, 1.0, size=dim), spread,
+                                      size=(int(rng.integers(15, 40)), dim))
+                           for _ in range(k)])
+
+
 class TestFitGmm:
+    @pytest.mark.parametrize("spread", [0.02, 0.5], ids=["separated", "overlapping"])
+    @pytest.mark.parametrize("dim", [4, 16, 128])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_per_component_oracle(self, k, dim, spread):
+        rng = np.random.default_rng([k, dim, int(spread * 100)])
+        x = blobs(rng, k, dim, spread)
+        assert_same_fit(fit_gmm(x, k, seed=k), fit_gmm_oracle(x, k, seed=k))
+
+    def test_dead_component_is_reseeded(self):
+        # k-means++ draws a duplicate centre, whose cluster stays empty and
+        # whose responsibility mass then underflows
+        x = np.concatenate([np.zeros((100, 4)), np.full((100, 4), 5.0)])
+        gmm = fit_gmm(x, 3, seed=0)
+        assert len(gmm.log_likelihoods) == 2
+        # start weights (100, 100, 1) / 201; the re-seed sets the dead one to
+        # 1/n and renormalizes
+        reseeded = (1.0 / len(x)) / (200.0 / 201.0 + 1.0 / len(x))
+        assert gmm.weights.min() == pytest.approx(reseeded, rel=1e-12)
+        np.testing.assert_allclose(gmm.sigmas[np.argmin(gmm.weights)], 2.5, rtol=1e-12)
+        assert_same_fit(gmm, fit_gmm_oracle(x, 3, seed=0))
+
     def test_two_separated_clusters(self):
         rng = np.random.default_rng(25)
         a = rng.normal(0.0, 0.05, size=(120, 4))
@@ -152,6 +266,83 @@ class TestFisherVector:
         gmm = random_gmm(np.random.default_rng(34), 2, 8)
         with pytest.raises(EmptyFeatureSet):
             fisher_vector(np.zeros((0, 8)), gmm)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def features_and_mixture(draw):
+    """Features in [0, 1] and a mixture with means in [0, 1] and sigmas of at least 1e-3."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    x = draw(hnp.arrays(np.float64, (n, dim), elements=unit))
+    weights = draw(hnp.arrays(np.float64, k, elements=st.floats(1e-3, 1.0)))
+    return x, GmmParams(weights=weights / weights.sum(),
+                        means=draw(hnp.arrays(np.float64, (k, dim), elements=unit)),
+                        sigmas=draw(hnp.arrays(np.float64, (k, dim),
+                                               elements=st.floats(1e-3, 2.0))))
+
+
+# one feature between two narrow components: a near-one-hot posterior
+NEAR_ONE_HOT = (np.array([[0.4, 0.5]]),
+                GmmParams(weights=np.array([0.3, 0.7]),
+                          means=np.array([[0.4, 0.5], [0.41, 0.5]]),
+                          sigmas=np.full((2, 2), 1e-3)))
+
+
+class TestAgainstPerComponentForms:
+    """The statistics forms agree with the per-component loops within a rounding bound.
+
+    The expanded forms cancel terms as large as ((|x| + |mu|) / sigma)^2, so
+    every bound is a multiple of the double-precision epsilon times that size.
+    """
+
+    @staticmethod
+    def reach(x, gmm):
+        """(|x| + |mu_k|) / sigma_k, shape (n, K, D)."""
+        return (np.abs(x)[:, None, :] + np.abs(gmm.means)) / gmm.sigmas
+
+    def bounds(self, x, gmm):
+        """Oracle log-joint and posteriors with their absolute and relative error bounds.
+
+        A log-joint error moves posterior k by its own error plus the
+        posterior-weighted mean error of its row.
+        """
+        logj = log_joint_oracle(x, gmm)
+        logj_bound = 4 * (gmm.dim + 4) * EPS * ((self.reach(x, gmm) ** 2).sum(axis=2)
+                                                + np.abs(logj))
+        q = posteriors_oracle(x, gmm)[0]
+        q_rtol = logj_bound + (q * logj_bound).sum(axis=1, keepdims=True) + 8 * EPS
+        return logj, logj_bound, q, q_rtol
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(features_and_mixture())
+    @example(NEAR_ONE_HOT)
+    def test_log_joint_and_posteriors(self, case):
+        x, gmm = case
+        logj, logj_bound, q, q_rtol = self.bounds(x, gmm)
+        assert np.all(np.abs(_log_joint(x, gmm) - logj) <= logj_bound)
+        assert np.all(np.abs(gmm_posteriors(x, gmm) - q) <= q_rtol * q + 1e-300)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(features_and_mixture())
+    @example(NEAR_ONE_HOT)
+    def test_fisher_vector(self, case):
+        x, gmm = case
+        n = len(x)
+        _, _, q, q_rtol = self.bounds(x, gmm)
+        # posterior error plus rounding of the n-term sums
+        weight = (q * (q_rtol + (2 * n + 8) * EPS))[:, :, None]
+        reach = self.reach(x, gmm)
+        u_bound = (weight * reach).sum(axis=0) / (n * np.sqrt(gmm.weights))[:, None]
+        v_bound = ((weight * (reach * reach + 1.0)).sum(axis=0)
+                   / (n * np.sqrt(2 * gmm.weights))[:, None])
+        bound = np.stack([u_bound, v_bound], axis=1).ravel()
+        got = fisher_vector(x, gmm, normalize=False)
+        assert np.all(np.abs(got - fisher_oracle(x, gmm)) <= bound + 1e-300)
 
 
 class TestCosineDistance:
