@@ -237,7 +237,7 @@ def cmd_select(args, config: PipelineConfig):
     points, _ = normalize_pose(cloud)
     resolutions = args.resolutions or config.resolutions
     views = dodecahedron_viewpoints()
-    grid = score_grid(points, views, resolutions, threads=config.threads)
+    grid = score_grid(points, views, resolutions)
     if args.dump_grid:
         with open(args.dump_grid, "w", encoding="utf-8") as fh:
             vio.write_score_grid_csv(grid, fh)
@@ -303,7 +303,7 @@ def cmd_query(args, config: PipelineConfig):
     gmm = vio.read_gmm(_require(args.gmm, "gmm"))
     points, _ = normalize_pose(cloud)
     resolutions = args.resolutions or config.resolutions
-    grid = score_grid(points, None, resolutions, threads=config.threads)
+    grid = score_grid(points, None, resolutions)
     viewpoint = select_viewpoint(grid, points)
     resolution = select_resolution(grid, viewpoint)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
@@ -343,7 +343,7 @@ def cmd_grid_dump(args, config: PipelineConfig):
     cloud = vio.load_xyz(_require(args.input))
     points, _ = normalize_pose(cloud)
     resolutions = args.resolutions or config.resolutions
-    grid = score_grid(points, None, resolutions, threads=config.threads)
+    grid = score_grid(points, None, resolutions)
     with _out(args) as fh:
         vio.write_score_grid_csv(grid, fh)
     return 0

@@ -232,7 +232,7 @@ def database_views(geometry, config: PipelineConfig) -> list:
         mesh, _ = normalize_mesh(geometry)
         return [render_mesh(mesh, v, config.db_resolution) for v in views]
     pts, _ = normalize_pose(geometry)
-    grid = score_grid(pts, views, config.resolutions, threads=config.threads)
+    grid = score_grid(pts, views, config.resolutions)
     v_best = select_viewpoint(grid, pts)
     r_best = select_resolution(grid, v_best)
     return [render_point_cloud(pts, v, r_best) for v in views]

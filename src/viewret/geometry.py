@@ -20,6 +20,15 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 _UP_FALLBACK_DOT = 0.999
 
 MIN_RESOLUTION = 8
+# an r x r image must stay allocatable; 8192 is twice the paper's top rung
+MAX_RESOLUTION = 8192
+
+
+def check_resolution(resolution) -> None:
+    """Raise BadResolution unless MIN_RESOLUTION <= resolution <= MAX_RESOLUTION."""
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise BadResolution(f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
+                            f"got {resolution}")
 
 
 def as_points(cloud) -> np.ndarray:
@@ -164,6 +173,19 @@ def camera_frame(viewpoint) -> CameraFrame:
     return CameraFrame(eye=eye, forward=forward, right=right, up=up)
 
 
+def _pixel_indices(x, y, resolution: int):
+    """Clamped ``(rows, cols)`` of camera-plane coordinates on an r x r grid.
+
+    The one pixel-assignment formula: rendering and the score grid both go
+    through it, so a cloud occupies the same pixels in either.
+    """
+    cols = np.floor((x + 1.0) / 2.0 * resolution).astype(np.int64)
+    rows = np.floor((1.0 - (y + 1.0) / 2.0) * resolution).astype(np.int64)
+    np.clip(cols, 0, resolution - 1, out=cols)
+    np.clip(rows, 0, resolution - 1, out=rows)
+    return rows, cols
+
+
 def project_points(points, frame: CameraFrame, resolution: int):
     """Vectorized orthographic projection onto an r x r pixel grid.
 
@@ -171,15 +193,9 @@ def project_points(points, frame: CameraFrame, resolution: int):
     image; depth is measured from the eye along ``forward`` and divided by
     the sphere diameter, so points inside the unit sphere land in [0, 1].
     """
-    if resolution < MIN_RESOLUTION:
-        raise BadResolution(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    check_resolution(resolution)
     pts = as_points(points)
-    x = pts @ frame.right
-    y = pts @ frame.up
-    cols = np.floor((x + 1.0) / 2.0 * resolution).astype(np.int64)
-    rows = np.floor((1.0 - (y + 1.0) / 2.0) * resolution).astype(np.int64)
-    np.clip(cols, 0, resolution - 1, out=cols)
-    np.clip(rows, 0, resolution - 1, out=rows)
+    rows, cols = _pixel_indices(pts @ frame.right, pts @ frame.up, resolution)
     depths = ((pts - frame.eye) @ frame.forward) / 2.0
     return rows, cols, depths
 

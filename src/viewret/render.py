@@ -8,7 +8,7 @@ geometry can never disappear into the background value.
 import numpy as np
 
 from .errors import BadResolution, EmptyMesh, NoForeground, ZeroCardinality
-from .geometry import MIN_RESOLUTION, TriangleMesh, as_points, camera_frame, project_points
+from .geometry import TriangleMesh, as_points, camera_frame, check_resolution, project_points
 
 BACKGROUND = 0
 
@@ -49,8 +49,7 @@ def render_mesh(mesh: TriangleMesh, viewpoint, resolution: int) -> np.ndarray:
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise EmptyMesh("mesh has no renderable triangles")
-    if resolution < MIN_RESOLUTION:
-        raise BadResolution(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    check_resolution(resolution)
     frame = camera_frame(viewpoint)
     r = resolution
     v = mesh.vertices

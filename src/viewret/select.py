@@ -1,9 +1,11 @@
 """Viewpoint and resolution selection over the sampled grid.
 
-The selector renders the cloud from every candidate viewpoint at every
+The selector projects the cloud from every candidate viewpoint at every
 candidate resolution, normalizes the per-resolution acquisition rates and
 picks the viewpoint with the largest normalized sum; the resolution is then
-the density argmax along that viewpoint's row.
+the density argmax along that viewpoint's row. Both measures are counted on
+the sorted set of occupied pixels, so no image is rendered and a cell costs
+O(N log N) in the cloud size N, whatever the resolution.
 
 Orthographic projection makes the acquisition rate blind to the sign of the
 view axis: a cloud occupies exactly the same number of pixels seen from v
@@ -11,15 +13,15 @@ and from -v. When given the cloud, the selector therefore fixes the axis
 first and then orients it with the depth-based test in `orient_axis`.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_RESOLUTIONS
 from .errors import AllCollinear, TooFewPoints
-from .geometry import as_points, dodecahedron_viewpoints, orthonormal_basis
-from .render import density, foreground_count, quantity, render_point_cloud
+from .geometry import (_pixel_indices, as_points, camera_frame, check_resolution,
+                       dodecahedron_viewpoints, orthonormal_basis)
+from .render import render_point_cloud
 
 ORIENTATION_RESOLUTION = 256
 RING_STEP_DEG = 30.0
@@ -35,32 +37,69 @@ class ScoreGrid:
     density: np.ndarray         # (N_v, N_r)
 
 
-def _score_cell(points, n_points, viewpoint, resolution):
-    img = render_point_cloud(points, viewpoint, resolution)
-    q = quantity(img, n_points)
-    d = density(img) if foreground_count(img) else 0.0
-    return q, d
+def _occupied_pixels(x, y, resolution: int) -> np.ndarray:
+    """Sorted flat indices of the pixels hit by camera-plane coordinates x, y.
+
+    These are exactly the foreground pixels of `render_point_cloud`'s image.
+    """
+    rows, cols = _pixel_indices(x, y, resolution)
+    flat = np.sort(rows * resolution + cols)
+    # same result as np.unique, which measured about 7x slower here (numpy 2.4)
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
 
 
-def score_grid(cloud, viewpoints=None, resolutions=None, threads: int = 1) -> ScoreGrid:
-    """Evaluate quantity and density for every (viewpoint, resolution) cell."""
+def _surrounded_count(occupied, resolution: int) -> int:
+    """Occupied pixels off the image border whose 8 neighbours are all occupied.
+
+    Equals `render.eight_connected_count` of the rendered foreground mask.
+    In the sorted set, pixel f has both row neighbours f - 1 and f + 1 when
+    its predecessor and successor are exactly those; its 3x3 block is full
+    when f and the pixels f - r and f + r above and below it (found by binary
+    search) all have both row neighbours. A border pixel has a neighbour
+    outside the image, which counts as empty: in the top and bottom rows
+    f -+ r falls outside [0, r*r) and is never occupied; in the first and
+    last columns f -+ 1 would wrap onto the adjacent row, so those columns
+    are excluded explicitly.
+    """
+    r = resolution
+    n = len(occupied)
+    sides = np.zeros(n, dtype=bool)
+    sides[1:-1] = (occupied[1:-1] - occupied[:-2] == 1) & (occupied[2:] - occupied[1:-1] == 1)
+    cols = occupied % r
+    centre = occupied[sides & (cols > 0) & (cols < r - 1)]
+    full = np.ones(len(centre), dtype=bool)
+    for step in (-r, r):
+        at = np.minimum(np.searchsorted(occupied, centre + step), n - 1)
+        full &= (occupied[at] == centre + step) & sides[at]
+    return int(full.sum())
+
+
+def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
+    """Evaluate quantity and density for every (viewpoint, resolution) cell.
+
+    Q is the number of occupied pixels over the number of points and D the
+    number of fully surrounded occupied pixels over the occupied ones: the
+    same integer ratios `render.quantity` and `render.density` take of the
+    rendered image, counted without rendering it.
+    """
     pts = as_points(cloud)
     views = dodecahedron_viewpoints() if viewpoints is None else np.asarray(viewpoints, dtype=np.float64)
     res = tuple(DEFAULT_RESOLUTIONS if resolutions is None else resolutions)
     if len(views) == 0 or len(res) == 0:
         raise ValueError("viewpoint and resolution sets must be non-empty")
+    for r in res:
+        check_resolution(r)
     n = len(pts)
     q = np.zeros((len(views), len(res)))
     d = np.zeros((len(views), len(res)))
-    cells = [(i, j) for i in range(len(views)) for j in range(len(res))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _score_cell(pts, n, views[c[0]], res[c[1]]), cells))
-    else:
-        results = [_score_cell(pts, n, views[i], res[j]) for i, j in cells]
-    for (i, j), (qv, dv) in zip(cells, results):
-        q[i, j] = qv
-        d[i, j] = dv
+    for i, viewpoint in enumerate(views):
+        frame = camera_frame(viewpoint)
+        x = pts @ frame.right
+        y = pts @ frame.up
+        for j, r in enumerate(res):
+            occupied = _occupied_pixels(x, y, r)
+            q[i, j] = len(occupied) / n
+            d[i, j] = _surrounded_count(occupied, r) / len(occupied)
     return ScoreGrid(viewpoints=views, resolutions=res, quantity=q, density=d)
 
 
@@ -194,8 +233,9 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
 
     Each iteration fits a plane through three random points and counts the
     points within the inlier tolerance of it; the normal of the best plane
-    wins. The sign keeps whichever of the two normal directions renders the
-    higher acquisition rate; exact ties keep the normal as computed. Note
+    wins. The sign keeps whichever of the two normal directions has the
+    higher acquisition rate at ORIENTATION_RESOLUTION; exact ties keep the
+    normal as computed. Note
     that a plane normal carries no information about which side the scanner
     stood on, so the sign is effectively arbitrary. Deterministic for a
     fixed seed.
@@ -225,8 +265,8 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
             best_normal = normal
     if best_normal is None:
         raise AllCollinear("no valid plane found in any iteration")
-    q_pos = quantity(render_point_cloud(pts, best_normal, ORIENTATION_RESOLUTION), n)
-    q_neg = quantity(render_point_cloud(pts, -best_normal, ORIENTATION_RESOLUTION), n)
+    signs = score_grid(pts, [best_normal, -best_normal], (ORIENTATION_RESOLUTION,))
+    q_pos, q_neg = signs.quantity[:, 0]
     return -best_normal if q_neg > q_pos else best_normal
 
 

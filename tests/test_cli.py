@@ -111,6 +111,20 @@ class TestSelect:
         run(["select", "--input", str(cloud_file), "--resolutions", "32,64"])
         assert capsys.readouterr().out == first
 
+    def test_threads_do_not_change_output(self, cloud_file, tmp_path, capsys):
+        outputs = []
+        for threads in ("1", "4"):
+            grid_path = tmp_path / f"grid{threads}.csv"
+            assert run(["select", "--input", str(cloud_file), "--resolutions", "8,32,64",
+                        "--threads", threads, "--dump-grid", str(grid_path)]) == 0
+            outputs.append((capsys.readouterr().out, grid_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_absurd_resolution_is_data_error(self, cloud_file, capsys):
+        assert run(["select", "--input", str(cloud_file), "--resolutions", "32,99999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "99999999" in err
+
 
 class TestScanSim:
     def test_writes_cloud_and_metadata(self, mesh_file, tmp_path):
@@ -255,6 +269,26 @@ class TestCorruptInputs:
             assert run(["fit-gmm", "--input", str(dump), "--gaussians", "2",
                         "--output", str(tmp_path / "mixture.gmm")]) == 2
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_absurd_query_resolution_is_data_error(self, tmp_path, capsys):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        capsys.readouterr()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                    "--config", str(config), "--resolutions", "32,99999999"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "99999999" in err
+
+    def test_absurd_db_resolution_is_data_error(self, tmp_path, mesh_file, capsys):
+        _, gmm_path, _, _ = desk_pipeline(tmp_path)
+        manifest = tmp_path / "meshes.txt"
+        manifest.write_text(f"sphere 0 {mesh_file.name}\n")
+        config = tmp_path / "huge.cfg"
+        config.write_text("n_keypoints=30\ngaussians=2\ndb_resolution=99999999\n")
+        capsys.readouterr()
+        assert run(["build-db", "--input", str(manifest), "--gmm", str(gmm_path),
+                    "--config", str(config), "--output", str(tmp_path / "db.fvdb")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "99999999" in err
 
     def test_top_k_below_one_is_usage_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)

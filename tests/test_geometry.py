@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from viewret.errors import BadResolution, DegenerateCloud, EmptyCloud
-from viewret.geometry import (camera_frame, dodecahedron_viewpoints, normalize_pose,
-                              project, project_points)
+from viewret.geometry import (MAX_RESOLUTION, MIN_RESOLUTION, camera_frame,
+                              dodecahedron_viewpoints, normalize_pose, project, project_points)
 
 
 def random_ball_points(rng, n):
@@ -137,5 +137,9 @@ class TestProject:
             assert depth.min() >= 0.0 and depth.max() <= 1.0
 
     def test_bad_resolution(self):
-        with pytest.raises(BadResolution):
-            project((0, 0, 0), camera_frame((0.0, 0.0, 1.0)), 7)
+        frame = camera_frame((0.0, 0.0, 1.0))
+        for resolution in (MIN_RESOLUTION - 1, MAX_RESOLUTION + 1, 99999999):
+            with pytest.raises(BadResolution):
+                project((0, 0, 0), frame, resolution)
+        for resolution in (MIN_RESOLUTION, MAX_RESOLUTION):
+            assert project((1, 1, 0), frame, resolution)[1] == resolution - 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground, ZeroCardinality
-from viewret.geometry import TriangleMesh, camera_frame
+from viewret.geometry import MAX_RESOLUTION, TriangleMesh, camera_frame
 from viewret.render import (density, eight_connected_count, quantity, render_mesh,
                             render_point_cloud, to_binary)
 
@@ -60,6 +60,8 @@ class TestRenderPointCloud:
             render_point_cloud(np.zeros((0, 3)), VIEW_Z, 16)
         with pytest.raises(BadResolution):
             render_point_cloud([(0, 0, 0)], VIEW_Z, 4)
+        with pytest.raises(BadResolution):
+            render_point_cloud([(0, 0, 0)], VIEW_Z, MAX_RESOLUTION + 1)
 
 
 def full_plane_triangle(depth_z):
@@ -115,6 +117,8 @@ class TestRenderMesh:
             render_mesh(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), VIEW_Z, 16)
         with pytest.raises(BadResolution):
             render_mesh(full_plane_triangle(0.0), VIEW_Z, 4)
+        with pytest.raises(BadResolution):
+            render_mesh(full_plane_triangle(0.0), VIEW_Z, MAX_RESOLUTION + 1)
 
 
 class TestToBinary:

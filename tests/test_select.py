@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewret.errors import AllCollinear, TooFewPoints
 from viewret.evaluate import angular_error
-from viewret.geometry import dodecahedron_viewpoints, normalize_pose
+from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_pose
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
 from viewret.select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,
                             normalize_quantity, orient_axis, ransac_viewpoint, score_grid,
@@ -171,14 +173,6 @@ class TestScoreGrid:
         assert np.all(np.isfinite(grid.quantity)) and np.all(np.isfinite(grid.density))
         assert np.all(grid.quantity > 0) and np.all(grid.quantity <= 1)
 
-    def test_threaded_equals_sequential(self):
-        rng = np.random.default_rng(19)
-        points, _ = normalize_pose(rng.normal(size=(500, 3)))
-        a = score_grid(points, None, (32, 64, 128), threads=1)
-        b = score_grid(points, None, (32, 64, 128), threads=4)
-        assert np.array_equal(a.quantity, b.quantity)
-        assert np.array_equal(a.density, b.density)
-
     def test_full_default_grid_has_160_cells(self):
         rng = np.random.default_rng(20)
         points, _ = normalize_pose(rng.normal(size=(150, 3)))
@@ -194,6 +188,92 @@ class TestScoreGrid:
         points, _ = normalize_pose(rng.normal(size=(50, 3)))
         with pytest.raises(BadResolution):
             score_grid(points, None, (4,))
+        with pytest.raises(BadResolution):
+            score_grid(points, None, (32, MAX_RESOLUTION + 1))
+
+    def test_empty_sets_rejected(self):
+        points = np.zeros((3, 3))
+        with pytest.raises(ValueError):
+            score_grid(points, np.zeros((0, 3)), (32,))
+        with pytest.raises(ValueError):
+            score_grid(points, None, ())
+
+
+def score_grid_dense_oracle(cloud, viewpoints, resolutions):
+    """The former per-cell render/measure loop of `score_grid`, kept as the reference."""
+    from viewret.render import density, foreground_count, quantity, render_point_cloud
+
+    q = np.zeros((len(viewpoints), len(resolutions)))
+    d = np.zeros((len(viewpoints), len(resolutions)))
+    for i, viewpoint in enumerate(viewpoints):
+        for j, r in enumerate(resolutions):
+            img = render_point_cloud(cloud, viewpoint, r)
+            q[i, j] = quantity(img, len(cloud))
+            d[i, j] = density(img) if foreground_count(img) else 0.0
+    return q, d
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def clouds_views_ladders(draw):
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["blob", "sheet", "one_pixel", "border"]))
+    if shape == "blob":
+        points = rng.normal(size=(n, 3)) * rng.uniform(0.05, 0.6, size=3)
+    elif shape == "sheet":
+        # a dense patch fills whole 3x3 neighbourhoods, so D is rarely 0
+        points = rng.uniform(-1.0, 1.0, size=(n, 3)) * [1.0, 1.0, 0.02]
+    elif shape == "one_pixel":
+        points = rng.uniform(-0.9, 0.9, size=3) + rng.uniform(-1e-9, 1e-9, size=(n, 3))
+    else:
+        # exact +-1 coordinates (and beyond) clamp onto the image border
+        points = np.where(rng.random((n, 3)) < 0.5, rng.choice([-1.0, 1.0], size=(n, 3)),
+                          rng.uniform(-1.2, 1.2, size=(n, 3)))
+    views = []
+    for kind in draw(st.lists(st.sampled_from(["axis", "near_pole", "random"]),
+                              min_size=1, max_size=3)):
+        if kind == "axis":
+            views.append(np.eye(3)[draw(st.integers(0, 2))] * draw(st.sampled_from([-1.0, 1.0])))
+        elif kind == "near_pole":
+            # straddles the |forward . z| > 0.999 switch of the up hint
+            tilt = draw(st.floats(0.0, 0.1))
+            views.append(_unit([tilt, draw(st.floats(-0.05, 0.05)),
+                                draw(st.sampled_from([-1.0, 1.0]))]))
+        else:
+            views.append(_unit(rng.normal(size=3)))
+    ladder = draw(st.lists(st.sampled_from([8, 9, 13, 32, 64, 100, 128, 256]),
+                           min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        ladder = [8] + [r for r in ladder if r != 8]
+    return points, np.asarray(views), tuple(ladder)
+
+
+class TestScoreGridAgainstDenseOracle:
+    @settings(derandomize=True, deadline=None, max_examples=250)
+    @given(clouds_views_ladders())
+    def test_bit_identical_to_rendered_grid(self, case):
+        points, views, ladder = case
+        grid = score_grid(points, views, ladder)
+        q, d = score_grid_dense_oracle(points, views, ladder)
+        assert np.array_equal(grid.quantity, q)
+        assert np.array_equal(grid.density, d)
+
+    def test_default_ladder_on_a_scan(self):
+        scan = simulate_scan(make_sphere(radius=1.0, rings=24, segments=36),
+                             ScannerConfig(position=(1.2, -2.0, 2.0), target=(0.0, 0.0, 0.0),
+                                           fov_deg=40.0, angular_step_deg=0.5, max_range=12.0))
+        points, _ = normalize_pose(scan.cloud)
+        views = dodecahedron_viewpoints()[::7]
+        grid = score_grid(points, views)
+        q, d = score_grid_dense_oracle(points, views, grid.resolutions)
+        assert np.array_equal(grid.quantity, q)
+        assert np.array_equal(grid.density, d)
+        assert d.max() > 0
 
 
 class TestRansacViewpoint:
@@ -232,6 +312,16 @@ class TestRansacViewpoint:
         pts = np.stack([t, 2 * t, -t], axis=1)
         with pytest.raises(AllCollinear):
             ransac_viewpoint(pts, iterations=50, seed=2)
+
+    def test_sign_keeps_the_larger_rendered_quantity(self):
+        from viewret.render import quantity, render_point_cloud
+
+        rng = np.random.default_rng(25)
+        for trial in range(6):
+            points, _ = normalize_pose(rng.normal(size=(300, 3)) * rng.uniform(0.1, 1.0, size=3))
+            axis = ransac_viewpoint(points, iterations=50, seed=trial)
+            q = {s: quantity(render_point_cloud(points, s * axis, 256), len(points)) for s in (1, -1)}
+            assert q[1] >= q[-1]
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(22)
