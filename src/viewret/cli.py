@@ -24,7 +24,7 @@ from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, no
 from .render import render_mesh, render_point_cloud
 from .scansim import ScannerConfig, simulate_scan
 from .select import (best_resolution_for_viewpoint, multiview_ring, ransac_viewpoint,
-                     score_grid, select_resolution, select_viewpoint)
+                     score_grid, select_resolution, select_viewpoint, viewpoint_index)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -103,18 +103,16 @@ def _effective_config(args, base: PipelineConfig = None) -> PipelineConfig:
     return config.override(**overrides) if overrides else config
 
 
-def _load_geometry(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
-    if path.lower().endswith(".obj"):
-        return vio.load_obj(path)
-    return vio.load_xyz(path)
-
-
 def _require(path, what="input"):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} file not found: {path}")
     return path
+
+
+def _load_geometry(path):
+    if _require(path).lower().endswith(".obj"):
+        return vio.load_obj(path)
+    return vio.load_xyz(path)
 
 
 def _out(args):
@@ -130,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, output="optional"):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored; every command runs serially")
         if output == "required":
             p.add_argument("--output", required=True)
         elif output == "optional":
@@ -216,7 +215,11 @@ def cmd_normalize(args):
 def _resolve_viewpoint(args):
     if args.viewpoint_index is not None:
         return dodecahedron_viewpoints()[args.viewpoint_index]
-    return args.viewpoint / np.linalg.norm(args.viewpoint)
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(args.viewpoint)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError("--viewpoint must be a non-zero vector of finite length")
+    return args.viewpoint / norm
 
 
 def cmd_render(args):
@@ -235,24 +238,19 @@ def cmd_render(args):
 def cmd_select(args, config: PipelineConfig):
     cloud = vio.load_xyz(_require(args.input))
     points, _ = normalize_pose(cloud)
-    resolutions = args.resolutions or config.resolutions
     views = dodecahedron_viewpoints()
-    grid = score_grid(points, views, resolutions)
+    grid = score_grid(points, views, config.resolutions)
     if args.dump_grid:
         with open(args.dump_grid, "w", encoding="utf-8") as fh:
             vio.write_score_grid_csv(grid, fh)
     if args.method == "ransac":
         viewpoint = ransac_viewpoint(points, config.ransac_iterations,
                                      config.ransac_tolerance, seed=config.seed)
-        resolution = best_resolution_for_viewpoint(points, viewpoint, resolutions)
-        index = -1
-        match = np.abs(views - viewpoint).sum(axis=1)
-        if match.min() < 1e-9:
-            index = int(match.argmin())
+        resolution = best_resolution_for_viewpoint(points, viewpoint, config.resolutions)
     else:
         viewpoint = select_viewpoint(grid, points)
         resolution = select_resolution(grid, viewpoint)
-        index = int(np.abs(views - viewpoint).sum(axis=1).argmin())
+    index = viewpoint_index(views, viewpoint)
     sys.stdout.write(f"viewpoint_index {index}\n")
     sys.stdout.write(f"viewpoint {viewpoint[0]:.17g} {viewpoint[1]:.17g} {viewpoint[2]:.17g}\n")
     sys.stdout.write(f"resolution {resolution}\n")
@@ -302,8 +300,7 @@ def cmd_query(args, config: PipelineConfig):
     db = vio.read_descriptor_db(_require(args.db, "database"))
     gmm = vio.read_gmm(_require(args.gmm, "gmm"))
     points, _ = normalize_pose(cloud)
-    resolutions = args.resolutions or config.resolutions
-    grid = score_grid(points, None, resolutions)
+    grid = score_grid(points, None, config.resolutions)
     viewpoint = select_viewpoint(grid, points)
     resolution = select_resolution(grid, viewpoint)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
@@ -320,8 +317,7 @@ def cmd_bench(args, config: PipelineConfig):
     dataset = make_synthetic_dataset(n_classes=args.classes,
                                      scans_per_class=args.scans_per_class,
                                      seed=config.seed)
-    report = run_benchmark(dataset, cases, config, seed=config.seed,
-                           threads=config.threads)
+    report = run_benchmark(dataset, cases, config, seed=config.seed)
     lines = ["case,metric,value\n"]
     lines += [f"{case},{metric},{value:.6f}\n" for case, metric, value in report.rows()]
     if args.report:
@@ -342,8 +338,7 @@ def cmd_bench(args, config: PipelineConfig):
 def cmd_grid_dump(args, config: PipelineConfig):
     cloud = vio.load_xyz(_require(args.input))
     points, _ = normalize_pose(cloud)
-    resolutions = args.resolutions or config.resolutions
-    grid = score_grid(points, None, resolutions)
+    grid = score_grid(points, None, config.resolutions)
     with _out(args) as fh:
         vio.write_score_grid_csv(grid, fh)
     return 0

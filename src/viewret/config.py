@@ -10,7 +10,9 @@ class PipelineConfig:
     """Knobs shared by the offline and online pipeline stages.
 
     The viewpoint search space is always the fixed 20-vertex set, so only
-    the resolution ladder is configurable here.
+    the resolution ladder is configurable here. ``threads`` is accepted so
+    existing config files and callers keep working, and is ignored: every
+    stage runs serially.
     """
 
     n_keypoints: int = 1000

@@ -5,20 +5,18 @@ shares the query's class. The benchmark follows a leave-one-out protocol in
 which every scan queries a database built from all other scans.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import PipelineConfig
-from .encode import (DescriptorDb, database_views, encode_views, fisher_vector, fit_gmm,
-                     pool_features, query_db, view_features)
+from .encode import (DescriptorDb, encode_views, fisher_vector, fit_gmm, pool_features,
+                     query_db, view_features)
 from .errors import MissingGroundTruth, NoRelevant
 from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
-from .scansim import (ScannerConfig, make_box, make_cone, make_cylinder, make_sphere,
-                      sample_mesh_surface, simulate_scan)
+from .scansim import ScannerConfig, make_box, make_cone, make_cylinder, make_sphere, simulate_scan
 from .select import (best_resolution_for_viewpoint, ransac_viewpoint, score_grid,
                      select_resolution, select_viewpoint)
 
@@ -139,13 +137,12 @@ def angular_error(v_est, v_gt) -> float:
 
 @dataclass
 class ScanEntry:
-    """One dataset instance: a partial scan plus, optionally, its source mesh."""
+    """One dataset instance: a partial scan and, when known, its true viewpoint."""
 
     model_id: str
     class_id: int
     cloud: np.ndarray
     gt_viewpoint: np.ndarray = None
-    mesh: object = None
 
 
 _CLASS_MAKERS = (
@@ -264,26 +261,6 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
-DB_SURFACE_POINTS = 15000
-
-
-def _database_images(entry: ScanEntry, state: _ScanState, index: int,
-                     config: PipelineConfig, seed: int) -> list:
-    """Database-side depth images for one instance.
-
-    An instance carrying its complete source mesh contributes a full surface
-    point sample, so the database covers the whole model while staying in
-    the same imaging domain as the scan queries; scan-only instances fall
-    back to their partial cloud. Either way the cloud renders at its own
-    proposed resolution from all 20 viewpoints.
-    """
-    if entry.mesh is not None:
-        cloud = sample_mesh_surface(entry.mesh, DB_SURFACE_POINTS, seed=[seed, 29, index])
-        return database_views(cloud, config)
-    return [render_point_cloud(state.points, v, state.r_proposed)
-            for v in dodecahedron_viewpoints()]
-
-
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                   threads: int = 1) -> BenchmarkReport:
     """Leave-one-out retrieval over the dataset for every requested case.
@@ -293,7 +270,8 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     instance), through the same feature, pooling, encoding and ranking code
     as `build_db` and `query_db`; the case only controls how the query view
     and query resolution are chosen. Model ids must be unique. Deterministic
-    for a fixed seed and any thread count.
+    for a fixed seed. ``threads`` is accepted for compatibility and ignored:
+    the scans are prepared one after another.
     """
     cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
     if not dataset:
@@ -308,20 +286,15 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                     raise MissingGroundTruth(
                         f"case {case.name} needs ground truth, but {entry.model_id} has none")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(
-                lambda pair: _prepare_scan(pair[1], pair[0], config, seed),
-                enumerate(dataset)))
-    else:
-        states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
+    states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
 
     # every view's features are held until the mixture is fit, so they are
     # kept as float32 to halve that memory; build_db, which holds one view at
     # a time, encodes them at full precision instead
     per_instance_feats = []
-    for index, (entry, state) in enumerate(zip(dataset, states)):
-        images = _database_images(entry, state, index, config, seed)
+    for index, state in enumerate(states):
+        images = [render_point_cloud(state.points, v, state.r_proposed)
+                  for v in dodecahedron_viewpoints()]
         per_instance_feats.append([f.astype(np.float32)
                                    for f in view_features(images, config, [seed, 13, index])])
     gmm = fit_gmm(pool_features((f for feats in per_instance_feats for f in feats),
@@ -366,8 +339,8 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     return report
 
 
-def desk_benchmark_config(seed: int = 42, threads: int = 1) -> PipelineConfig:
+def desk_benchmark_config(seed: int = 42) -> PipelineConfig:
     """Scaled-down parameters for the synthetic desk-size benchmark."""
     return PipelineConfig(n_keypoints=350, keypoint_decay=2.0, gaussians=32,
                           resolutions=(32, 64, 128, 256), gmm_sample_cap=20000,
-                          seed=seed, threads=threads)
+                          seed=seed)

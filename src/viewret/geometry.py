@@ -166,7 +166,7 @@ def orthonormal_basis(forward):
 def camera_frame(viewpoint) -> CameraFrame:
     """Camera positioned at ``viewpoint`` on the unit sphere, aimed at the origin."""
     eye = np.asarray(viewpoint, dtype=np.float64)
-    if abs(np.linalg.norm(eye) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(eye) - 1.0) <= 1e-9:   # also rejects NaN
         raise ValueError("viewpoint must be a unit vector")
     forward = -eye
     right, up = orthonormal_basis(forward)

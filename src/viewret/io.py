@@ -17,6 +17,9 @@ FEATURES_MAGIC = b"SFT1"
 GMM_MAGIC = b"GMM1"
 DB_MAGIC = b"FVDB"
 DB_VERSION = 1
+# the widths of an FVDB entry's "<H" model-id length and "<I" class id
+MAX_MODEL_ID_BYTES = 0xFFFF
+MAX_CLASS_ID = 0xFFFFFFFF
 
 
 # --- text geometry -----------------------------------------------------------
@@ -288,7 +291,8 @@ def load_manifest(path) -> list:
     """Model list: one `model_id class_id path` per line; `#` comments.
 
     Geometry files resolve relative to the manifest. `.obj` loads as a mesh,
-    anything else as an XYZ cloud.
+    anything else as an XYZ cloud. Class ids must lie in [0, 2**32) and model
+    ids fit in 65535 UTF-8 bytes, the ranges a descriptor database stores.
     """
     base = os.path.dirname(os.path.abspath(path))
     models = []
@@ -300,8 +304,17 @@ def load_manifest(path) -> list:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected `model_id class_id path`")
-            model_id, class_id, rel = parts
+            model_id, class_text, rel = parts
+            try:
+                class_id = int(class_text)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: class id {class_text!r} is not an integer") from None
+            if not 0 <= class_id <= MAX_CLASS_ID:
+                raise ValueError(f"{path}:{line_no}: class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+            if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
+                raise ValueError(f"{path}:{line_no}: model id is longer than "
+                                 f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
             full = rel if os.path.isabs(rel) else os.path.join(base, rel)
             geometry = load_obj(full) if full.lower().endswith(".obj") else load_xyz(full)
-            models.append((model_id, int(class_id), geometry))
+            models.append((model_id, class_id, geometry))
     return models

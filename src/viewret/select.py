@@ -174,10 +174,15 @@ def orient_axis(cloud, axis, resolution: int = ORIENTATION_RESOLUTION) -> np.nda
     return a.copy() if score >= 0 else -a
 
 
-def _antipode_index(viewpoints, idx):
-    diff = np.abs(viewpoints + viewpoints[idx]).sum(axis=1)
-    j = int(np.argmin(diff))
-    return j if diff[j] < 1e-9 else -1
+def viewpoint_index(viewpoints, viewpoint) -> int:
+    """Index of the set member within L1 distance 1e-9 of ``viewpoint``, else -1.
+
+    The nearest member wins; among equally near ones, the lowest index.
+    """
+    diff = np.abs(np.asarray(viewpoints, dtype=np.float64)
+                  - np.asarray(viewpoint, dtype=np.float64)).sum(axis=1)
+    index = int(np.argmin(diff))
+    return index if diff[index] <= 1e-9 else -1
 
 
 def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
@@ -191,7 +196,7 @@ def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
     sums = normalize_quantity(grid).sum(axis=1)
     best = int(np.argmax(sums))
     if cloud is not None:
-        anti = _antipode_index(grid.viewpoints, best)
+        anti = viewpoint_index(grid.viewpoints, -grid.viewpoints[best])
         if anti >= 0:
             oriented = orient_axis(cloud, grid.viewpoints[best])
             if oriented @ grid.viewpoints[best] < 0:
@@ -200,10 +205,8 @@ def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
 
 
 def _viewpoint_row(grid: ScoreGrid, viewpoint) -> int:
-    v = np.asarray(viewpoint, dtype=np.float64)
-    diff = np.abs(grid.viewpoints - v).sum(axis=1)
-    row = int(np.argmin(diff))
-    if diff[row] > 1e-9:
+    row = viewpoint_index(grid.viewpoints, viewpoint)
+    if row < 0:
         raise ValueError("viewpoint is not a member of the grid's search set")
     return row
 
@@ -277,7 +280,7 @@ def multiview_ring(center, delta_deg: float = 40.0) -> np.ndarray:
     direction; all 13 results are unit vectors.
     """
     c = np.asarray(center, dtype=np.float64)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(c) - 1.0) <= 1e-9:   # also rejects NaN
         raise ValueError("center must be a unit vector")
     e1, e2 = orthonormal_basis(c)
     delta = np.radians(delta_deg)

@@ -83,6 +83,17 @@ class TestRender:
         assert run(["render", "--input", str(cloud_file), "--resolution", "32",
                     "--viewpoint-index", "0"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vector", ["0,0,0", "nan,0,1", "inf,0,0", "1e300,1e300,0"])
+    def test_zero_or_non_finite_viewpoint_is_data_error(self, cloud_file, tmp_path, capsys,
+                                                         vector):
+        out = tmp_path / "img.pgm"
+        assert run(["render", "--input", str(cloud_file), "--resolution", "32",
+                    "--viewpoint", vector, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "--viewpoint" in err
+        assert not out.exists()
+
 
 class TestSelect:
     def test_reports_choice(self, cloud_file, tmp_path, capsys):
@@ -289,6 +300,21 @@ class TestCorruptInputs:
                     "--config", str(config), "--output", str(tmp_path / "db.fvdb")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err and "99999999" in err
+
+    @pytest.mark.parametrize("line", ["m -1 m.xyz", "m 4294967296 m.xyz",
+                                      "é" * 32768 + " 0 m.xyz"])
+    def test_manifest_id_a_database_cannot_store_is_data_error(self, tmp_path, capsys, line):
+        _, gmm_path, _, config = desk_pipeline(tmp_path)
+        manifest = tmp_path / "bad.txt"
+        manifest.write_text(f"{line}\n", encoding="utf-8")
+        for command, flags, out in (("fit-gmm", [], tmp_path / "bad.gmm"),
+                                    ("build-db", ["--gmm", str(gmm_path)], tmp_path / "bad.fvdb")):
+            capsys.readouterr()
+            assert run([command, "--input", str(manifest), *flags, "--config", str(config),
+                        "--output", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err and f"{manifest}:1" in err
+            assert not out.exists()
 
     def test_top_k_below_one_is_usage_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)

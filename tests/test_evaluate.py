@@ -182,15 +182,17 @@ def loo_reference(dataset, case, config, seed):
     Returns one ``[(model_id, distance), ...]`` ranking per query.
     """
     from viewret.encode import fisher_vector, fit_gmm
-    from viewret.evaluate import FIXED_RESOLUTION, _database_images, _prepare_scan
+    from viewret.evaluate import FIXED_RESOLUTION, _prepare_scan
     from viewret.features import extract_features
+    from viewret.geometry import dodecahedron_viewpoints
     from viewret.render import render_point_cloud
     from viewret.select import best_resolution_for_viewpoint
 
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     per_instance = []
-    for index, (entry, state) in enumerate(zip(dataset, states)):
-        images = _database_images(entry, state, index, config, seed)
+    for index, state in enumerate(states):
+        images = [render_point_cloud(state.points, v, state.r_proposed)
+                  for v in dodecahedron_viewpoints()]
         per_instance.append([np.asarray(extract_features(img, config.n_keypoints,
                                                          config.keypoint_decay,
                                                          seed=[seed, 13, index, view_id]),
@@ -251,6 +253,17 @@ class TestRunBenchmark:
         b = run_benchmark(ds, ["prop-prop"], micro_config(), seed=4, threads=4)
         assert list(a.rows()) == list(b.rows())
 
+    def test_threads_start_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("run_benchmark started a thread")
+
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=4, step_deg=0.8)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run_benchmark(ds, ["prop-prop"], micro_config(), seed=4, threads=4)
+        assert set(report.cases) == {"prop-prop"}
+
     def test_matches_former_leave_one_out_loop(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=3, seed=9, step_deg=0.8)
         config = micro_config().override(gmm_sample_cap=1500, ransac_iterations=200)
@@ -279,15 +292,6 @@ class TestRunBenchmark:
         ds[1].gt_viewpoint = None
         with pytest.raises(MissingGroundTruth):
             run_benchmark(ds, ["gt-prop"], micro_config(), seed=5)
-
-    def test_complete_model_database_branch(self):
-        from viewret.scansim import make_sphere
-
-        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=6, step_deg=1.0)
-        for e in ds:
-            e.mesh = make_sphere(radius=1.0, rings=6, segments=8)
-        report = run_benchmark(ds, ["prop-prop"], micro_config(), seed=6)
-        assert "prop-prop" in report.cases
 
 
 class TestViewpointErrorExperiment:

@@ -98,8 +98,9 @@ class TestCameraFrame:
             np.testing.assert_allclose(np.cross(frame.right, frame.up), v, atol=1e-9)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            camera_frame((1.0, 1.0, 0.0))
+        for bad in ((1.0, 1.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="unit vector"):
+                camera_frame(bad)
 
 
 class TestProject:

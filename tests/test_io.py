@@ -214,3 +214,30 @@ class TestManifest:
         models = vio.load_manifest(manifest)
         assert models[0][0] == "cloudy" and models[0][1] == 0
         assert isinstance(models[1][2], TriangleMesh)
+
+    def test_extreme_ids_that_a_database_stores_load_and_round_trip(self, tmp_path):
+        vio.save_xyz(np.random.default_rng(57).normal(size=(10, 3)), tmp_path / "m.xyz")
+        longest = "é" * 32767 + "a"   # 65535 UTF-8 bytes
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"{longest} 4294967295 m.xyz\nzero 0 m.xyz\n", encoding="utf-8")
+        models = vio.load_manifest(manifest)
+        assert [(m[0], m[1]) for m in models] == [(longest, 4294967295), ("zero", 0)]
+        entries = [DbEntry(model_id, class_id, 0, np.zeros(2 * 128, dtype=np.float32))
+                   for model_id, class_id, _ in models]
+        path = tmp_path / "db.fvdb"
+        vio.write_descriptor_db(DescriptorDb(entries=entries), path)
+        loaded = vio.read_descriptor_db(path).entries
+        assert [(e.model_id, e.class_id) for e in loaded] == [(longest, 4294967295), ("zero", 0)]
+
+    @pytest.mark.parametrize("line, message", [
+        ("m -1 m.xyz", "class id -1 is outside"),
+        ("m 4294967296 m.xyz", "class id 4294967296 is outside"),
+        ("m one m.xyz", "class id 'one' is not an integer"),
+        ("é" * 32768 + " 0 m.xyz", "model id is longer than 65535 UTF-8 bytes"),
+    ])
+    def test_ids_a_database_cannot_store_rejected_with_line(self, tmp_path, line, message):
+        vio.save_xyz(np.random.default_rng(58).normal(size=(10, 3)), tmp_path / "m.xyz")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"ok 0 m.xyz\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{manifest}:2: {message}"):
+            vio.load_manifest(manifest)

@@ -9,7 +9,7 @@ from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
 from viewret.select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,
                             normalize_quantity, orient_axis, ransac_viewpoint, score_grid,
-                            select_resolution, select_viewpoint)
+                            select_resolution, select_viewpoint, viewpoint_index)
 
 
 def grid_from(q, d=None, viewpoints=None, resolutions=None):
@@ -151,6 +151,25 @@ class TestSelectResolution:
         grid = grid_from([[0.5]], viewpoints=[[0.0, 0.0, 1.0]], resolutions=(64,))
         with pytest.raises(ValueError):
             select_resolution(grid, [1.0, 0.0, 0.0])
+
+
+class TestViewpointIndex:
+    def test_every_member_and_its_antipode(self):
+        views = dodecahedron_viewpoints()
+        for i, v in enumerate(views):
+            assert viewpoint_index(views, v) == i
+            anti = viewpoint_index(views, -v)
+            assert anti >= 0 and np.array_equal(views[anti], -v)
+
+    def test_tolerance_is_l1_within_1e_9(self):
+        views = np.eye(3)
+        assert viewpoint_index(views, [1.0, 4e-10, 4e-10]) == 0
+        assert viewpoint_index(views, [1.0, 6e-10, 6e-10]) == -1
+
+    def test_non_member_is_minus_one(self):
+        views = np.eye(3)
+        assert viewpoint_index(views, [-1.0, 0.0, 0.0]) == -1
+        assert viewpoint_index(views, [np.nan, 0.0, 0.0]) == -1
 
 
 class TestScoreGrid:
@@ -384,6 +403,11 @@ class TestMultiviewRing:
         for v in ring[1:]:
             assert abs(angular_error(v, center) - np.radians(40.0)) <= 1e-6
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
+    def test_rejects_non_unit_and_nan_center(self, bad):
+        with pytest.raises(ValueError, match="unit vector"):
+            multiview_ring(np.array(bad))
 
     def test_polar_center_ring_height(self):
         ring = multiview_ring(np.array([0.0, 0.0, 1.0]), delta_deg=40.0)
