@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,19 +29,6 @@ from .select import (best_resolution_for_viewpoint, multiview_ring, ransac_viewp
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-_CONFIG_KEYS = {
-    "n_keypoints": int,
-    "keypoint_decay": float,
-    "gaussians": int,
-    "resolutions": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
-    "ransac_iterations": int,
-    "ransac_tolerance": float,
-    "db_resolution": int,
-    "seed": int,
-    "gmm_sample_cap": int,
-    "threads": int,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +60,16 @@ def _positive_int(text):
 
 
 def _parse_resolutions(text):
-    return tuple(int(v) for v in text.split(","))
+    """A resolution ladder: integers separated by commas and/or whitespace."""
+    values = tuple(int(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("expected at least one resolution")
+    return values
+
+
+# the config file's keys are PipelineConfig's fields, each parsed as its default's type
+_CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions" else type(f.default)
+                for f in fields(PipelineConfig)}
 
 
 def _load_config_file(path) -> dict:
@@ -86,21 +83,18 @@ def _load_config_file(path) -> dict:
             key = key.strip()
             if not sep or key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
 
 
-def _effective_config(args, base: PipelineConfig = None) -> PipelineConfig:
-    """Defaults, overridden by --config file values, overridden by flags."""
-    config = base if base is not None else PipelineConfig()
-    if getattr(args, "config", None):
-        config = config.override(**_load_config_file(args.config))
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = flag
-    return config.override(**overrides) if overrides else config
+def _effective_config(args, base: PipelineConfig) -> PipelineConfig:
+    """The command's base config, overridden by --config file values, overridden by flags."""
+    config = base.override(**_load_config_file(args.config)) if args.config else base
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    return config.override(**{key: flag for key, flag in flags.items() if flag is not None})
 
 
 def _require(path, what="input"):
@@ -109,10 +103,10 @@ def _require(path, what="input"):
     return path
 
 
-def _load_geometry(path):
-    if _require(path).lower().endswith(".obj"):
-        return vio.load_obj(path)
-    return vio.load_xyz(path)
+def _load_points(path):
+    """The XYZ cloud at ``path``, pose-normalized."""
+    points, _ = normalize_pose(vio.load_xyz(_require(path)))
+    return points
 
 
 def _out(args):
@@ -125,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="viewret", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p, output="optional"):
+    def common(p, func, output="optional", base=PipelineConfig):
+        p.set_defaults(func=func, base_config=base)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None)
         p.add_argument("--threads", type=int, default=None,
@@ -137,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="pose-normalize a point cloud")
     p.add_argument("--input", required=True)
-    common(p)
+    common(p, cmd_normalize)
 
     p = sub.add_parser("render", help="render a depth image to PGM")
     p.add_argument("--input", required=True)
@@ -145,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument("--viewpoint-index", type=_viewpoint_index, default=None)
     where.add_argument("--viewpoint", type=_parse_vector, default=None)
     p.add_argument("--resolution", type=int, required=True)
-    common(p, output="required")
+    common(p, cmd_render, output="required")
 
     p = sub.add_parser("select", help="select viewpoint and resolution for a cloud")
     p.add_argument("--input", required=True)
     p.add_argument("--resolutions", type=_parse_resolutions, default=None)
     p.add_argument("--method", choices=("proposed", "ransac"), default="proposed")
     p.add_argument("--dump-grid", default=None)
-    common(p, output=None)
+    common(p, cmd_select, output=None)
 
     p = sub.add_parser("scan-sim", help="simulate a partial scan of a mesh")
     p.add_argument("--mesh", required=True)
@@ -162,18 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--max-range", type=float, default=100.0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    common(p, output="required")
+    common(p, cmd_scan_sim, output="required")
 
     p = sub.add_parser("fit-gmm", help="fit the mixture over pooled database features")
     p.add_argument("--input", required=True,
                    help="model manifest, or a binary feature dump")
     p.add_argument("--gaussians", type=int, default=None)
-    common(p, output="required")
+    common(p, cmd_fit_gmm, output="required")
 
     p = sub.add_parser("build-db", help="build the descriptor database from a manifest")
     p.add_argument("--input", required=True)
     p.add_argument("--gmm", required=True)
-    common(p, output="required")
+    common(p, cmd_build_db, output="required")
 
     p = sub.add_parser("query", help="rank database models against a query cloud")
     p.add_argument("--input", required=True)
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiview", action="store_true",
                    help="query with the 13-view ring instead of a single view")
     p.add_argument("--resolutions", type=_parse_resolutions, default=None)
-    common(p)
+    common(p, cmd_query)
 
     p = sub.add_parser("bench", help="run the synthetic retrieval benchmark")
     p.add_argument("--cases", default=",".join(c.name for c in ALL_CASES))
@@ -191,17 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pr-data", default=None)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--scans-per-class", type=int, default=5)
-    common(p, output=None)
+    common(p, cmd_bench, output=None, base=desk_benchmark_config)
 
     p = sub.add_parser("grid-dump", help="write the score grid as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--resolutions", type=_parse_resolutions, default=None)
-    common(p)
+    common(p, cmd_grid_dump)
 
     return parser
 
 
-def cmd_normalize(args):
+def cmd_normalize(args, config: PipelineConfig):
     cloud = vio.load_xyz(_require(args.input))
     points, transform = normalize_pose(cloud)
     if args.output:
@@ -222,8 +217,8 @@ def _resolve_viewpoint(args):
     return args.viewpoint / norm
 
 
-def cmd_render(args):
-    geometry = _load_geometry(args.input)
+def cmd_render(args, config: PipelineConfig):
+    geometry = vio.load_geometry(_require(args.input))
     viewpoint = _resolve_viewpoint(args)
     if isinstance(geometry, TriangleMesh):
         mesh, _ = normalize_mesh(geometry)
@@ -236,8 +231,7 @@ def cmd_render(args):
 
 
 def cmd_select(args, config: PipelineConfig):
-    cloud = vio.load_xyz(_require(args.input))
-    points, _ = normalize_pose(cloud)
+    points = _load_points(args.input)
     views = dodecahedron_viewpoints()
     grid = score_grid(points, views, config.resolutions)
     if args.dump_grid:
@@ -296,10 +290,9 @@ def cmd_build_db(args, config: PipelineConfig):
 
 
 def cmd_query(args, config: PipelineConfig):
-    cloud = vio.load_xyz(_require(args.input))
+    points = _load_points(args.input)
     db = vio.read_descriptor_db(_require(args.db, "database"))
     gmm = vio.read_gmm(_require(args.gmm, "gmm"))
-    points, _ = normalize_pose(cloud)
     grid = score_grid(points, None, config.resolutions)
     viewpoint = select_viewpoint(grid, points)
     resolution = select_resolution(grid, viewpoint)
@@ -336,9 +329,7 @@ def cmd_bench(args, config: PipelineConfig):
 
 
 def cmd_grid_dump(args, config: PipelineConfig):
-    cloud = vio.load_xyz(_require(args.input))
-    points, _ = normalize_pose(cloud)
-    grid = score_grid(points, None, config.resolutions)
+    grid = score_grid(_load_points(args.input), None, config.resolutions)
     with _out(args) as fh:
         vio.write_score_grid_csv(grid, fh)
     return 0
@@ -354,30 +345,7 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        if args.command == "bench":
-            config = _effective_config(args, desk_benchmark_config())
-        else:
-            config = _effective_config(args)
-        if args.command == "normalize":
-            return cmd_normalize(args)
-        if args.command == "render":
-            return cmd_render(args)
-        if args.command == "select":
-            return cmd_select(args, config)
-        if args.command == "scan-sim":
-            return cmd_scan_sim(args, config)
-        if args.command == "fit-gmm":
-            return cmd_fit_gmm(args, config)
-        if args.command == "build-db":
-            return cmd_build_db(args, config)
-        if args.command == "query":
-            return cmd_query(args, config)
-        if args.command == "bench":
-            return cmd_bench(args, config)
-        if args.command == "grid-dump":
-            return cmd_grid_dump(args, config)
-        parser.print_usage(sys.stderr)
-        return USAGE_ERROR
+        return args.func(args, _effective_config(args, args.base_config()))
     except (ViewretError, OSError, ValueError) as exc:
         sys.stderr.write(f"viewret {args.command}: error: {exc}\n")
         return DATA_ERROR

@@ -103,13 +103,11 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def fit_gmm(features, n_components: int, seed=0,
-            max_iterations: int = MAX_EM_ITERATIONS,
-            tol: float = EM_RELATIVE_TOL) -> GmmParams:
+def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     """Fit a diagonal-covariance mixture with EM from a k-means++ start.
 
-    Stops after ``max_iterations`` or when the relative log-likelihood change
-    drops below ``tol``. Variances are floored at 1e-6. The per-iteration
+    Stops after MAX_EM_ITERATIONS or when the relative log-likelihood change
+    drops below EM_RELATIVE_TOL. Variances are floored at 1e-6. The per-iteration
     log-likelihood trace is kept on the result for inspection. Deterministic
     for a fixed seed.
     """
@@ -139,11 +137,11 @@ def fit_gmm(features, n_components: int, seed=0,
     trace = gmm.log_likelihoods
     previous = None
     reinitialized = False
-    for _ in range(max_iterations):
+    for _ in range(MAX_EM_ITERATIONS):
         resp, log_px = _posteriors(x, gmm)
         ll = float(log_px.sum())
         trace.append(ll)
-        if previous is not None and abs(ll - previous) < tol * abs(previous):
+        if previous is not None and abs(ll - previous) < EM_RELATIVE_TOL * abs(previous):
             break
         previous = ll
         s0, s1, s2 = _moments(x, resp)

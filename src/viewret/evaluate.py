@@ -23,6 +23,10 @@ from .select import (best_resolution_for_viewpoint, ransac_viewpoint, score_grid
 VIEWPOINT_SOURCES = ("ground_truth", "proposed", "ransac")
 RESOLUTION_SOURCES = ("proposed", "fixed_256")
 FIXED_RESOLUTION = 256
+# the simulated scanner stands SCAN_DISTANCE from the origin, where each model sits
+SCAN_DISTANCE = 3.0
+SYNTHETIC_FOV_DEG = 40.0
+VIEWPOINT_SCAN_FOV_DEG = 45.0
 
 _VIEW_ABBREV = {"ground_truth": "gt", "proposed": "prop", "ransac": "ransac"}
 _RES_ABBREV = {"proposed": "prop", "fixed_256": "fixed"}
@@ -161,28 +165,24 @@ def _random_direction(rng) -> np.ndarray:
 
 
 def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: int = 0,
-                           fov_deg: float = 40.0, step_deg: float = 0.5,
-                           distance: float = 3.0, classes=None) -> list:
+                           step_deg: float = 0.5) -> list:
     """Simulated partial scans of jittered primitive meshes from random poses."""
-    makers = _CLASS_MAKERS if classes is None else [m for m in _CLASS_MAKERS if m[0] in classes]
-    makers = makers[:n_classes]
     rng = np.random.default_rng(seed)
     entries = []
-    for class_id, (name, make) in enumerate(makers):
+    for class_id, (name, make) in enumerate(_CLASS_MAKERS[:n_classes]):
         for index in range(scans_per_class):
             mesh = make(rng)
             direction = _random_direction(rng)
-            cfg = ScannerConfig(position=direction * distance, target=(0.0, 0.0, 0.0),
-                                fov_deg=fov_deg, angular_step_deg=step_deg,
-                                max_range=4.0 * distance)
+            cfg = ScannerConfig(position=direction * SCAN_DISTANCE, target=(0.0, 0.0, 0.0),
+                                fov_deg=SYNTHETIC_FOV_DEG, angular_step_deg=step_deg,
+                                max_range=4.0 * SCAN_DISTANCE)
             scan = simulate_scan(mesh, cfg)
             entries.append(ScanEntry(model_id=f"{name}-{index}", class_id=class_id,
                                      cloud=scan.cloud, gt_viewpoint=scan.ground_truth_viewpoint))
     return entries
 
 
-def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, fov_deg: float = 45.0,
-                                step_deg: float = 0.3, distance: float = 3.0) -> list:
+def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, step_deg: float = 0.3) -> list:
     """Curved-primitive scans for viewpoint-estimation experiments.
 
     Spheres and capped cylinders alternate; both expose enough curvature for
@@ -200,9 +200,9 @@ def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, fov_deg: float
                                  height=float(rng.uniform(1.0, 1.4)))
             name = "cylinder"
         direction = _random_direction(rng)
-        cfg = ScannerConfig(position=direction * distance, target=(0.0, 0.0, 0.0),
-                            fov_deg=fov_deg, angular_step_deg=step_deg,
-                            max_range=4.0 * distance)
+        cfg = ScannerConfig(position=direction * SCAN_DISTANCE, target=(0.0, 0.0, 0.0),
+                            fov_deg=VIEWPOINT_SCAN_FOV_DEG, angular_step_deg=step_deg,
+                            max_range=4.0 * SCAN_DISTANCE)
         scan = simulate_scan(mesh, cfg)
         entries.append(ScanEntry(model_id=f"{name}-{index}", class_id=index % 2,
                                  cloud=scan.cloud, gt_viewpoint=scan.ground_truth_viewpoint))

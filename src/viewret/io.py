@@ -17,7 +17,7 @@ FEATURES_MAGIC = b"SFT1"
 GMM_MAGIC = b"GMM1"
 DB_MAGIC = b"FVDB"
 DB_VERSION = 1
-# the widths of an FVDB entry's "<H" model-id length and "<I" class id
+# the widths of an FVDB entry's "<H" model-id length and "<I" class and viewpoint ids
 MAX_MODEL_ID_BYTES = 0xFFFF
 MAX_CLASS_ID = 0xFFFFFFFF
 
@@ -70,6 +70,11 @@ def load_obj(path) -> TriangleMesh:
                 faces.append(idx)
     return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
                         np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def load_geometry(path):
+    """`.obj` loads as a `TriangleMesh`, anything else as an XYZ cloud."""
+    return load_obj(path) if str(path).lower().endswith(".obj") else load_xyz(path)
 
 
 def save_obj(mesh: TriangleMesh, path):
@@ -212,18 +217,30 @@ def read_gmm(path) -> GmmParams:
 
 
 def write_descriptor_db(db: DescriptorDb, path):
+    """Write FVDB; every entry is checked before the file is opened, so none is left partial."""
     if not db.entries:
         raise ValueError("refusing to write an empty descriptor database")
-    dim = db.entries[0].descriptor.shape[0]
-    k = dim // (2 * DESCRIPTOR_SIZE)
+    lengths = {np.size(entry.descriptor) for entry in db.entries}
+    dim = lengths.pop()
+    if lengths or dim == 0 or dim % (2 * DESCRIPTOR_SIZE):
+        raise ValueError(f"descriptors must share one length, a positive multiple of "
+                         f"{2 * DESCRIPTOR_SIZE}")
+    heads = []
+    for index, entry in enumerate(db.entries):
+        name = entry.model_id.encode("utf-8")
+        if len(name) > MAX_MODEL_ID_BYTES:
+            raise ValueError(f"entry {index}: model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
+        for what, value in (("class", entry.class_id), ("viewpoint", entry.viewpoint_id)):
+            if not 0 <= value <= MAX_CLASS_ID:
+                raise ValueError(f"entry {index}: {what} id {value} is outside [0, {MAX_CLASS_ID}]")
+        heads.append(struct.pack("<H", len(name)) + name
+                     + struct.pack("<II", entry.class_id, entry.viewpoint_id))
     with open(path, "wb") as fh:
         fh.write(DB_MAGIC)
-        fh.write(struct.pack("<IIII", DB_VERSION, k, DESCRIPTOR_SIZE, len(db.entries)))
-        for entry in db.entries:
-            name = entry.model_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<II", entry.class_id, entry.viewpoint_id))
+        fh.write(struct.pack("<IIII", DB_VERSION, dim // (2 * DESCRIPTOR_SIZE), DESCRIPTOR_SIZE,
+                             len(db.entries)))
+        for head, entry in zip(heads, db.entries):
+            fh.write(head)
             fh.write(np.asarray(entry.descriptor, dtype="<f4").tobytes())
 
 
@@ -290,8 +307,8 @@ def write_score_grid_csv(grid, fh):
 def load_manifest(path) -> list:
     """Model list: one `model_id class_id path` per line; `#` comments.
 
-    Geometry files resolve relative to the manifest. `.obj` loads as a mesh,
-    anything else as an XYZ cloud. Class ids must lie in [0, 2**32) and model
+    Geometry files resolve relative to the manifest and load with
+    `load_geometry`. Class ids must lie in [0, 2**32) and model
     ids fit in 65535 UTF-8 bytes, the ranges a descriptor database stores.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -315,6 +332,5 @@ def load_manifest(path) -> list:
                 raise ValueError(f"{path}:{line_no}: model id is longer than "
                                  f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
             full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            geometry = load_obj(full) if full.lower().endswith(".obj") else load_xyz(full)
-            models.append((model_id, class_id, geometry))
+            models.append((model_id, class_id, load_geometry(full)))
     return models

@@ -24,6 +24,9 @@ from .geometry import (_pixel_indices, as_points, camera_frame, check_resolution
 from .render import render_point_cloud
 
 ORIENTATION_RESOLUTION = 256
+# the spacing cue: the distance to each of SPACING_SAMPLE points' SPACING_NEIGHBOR-th neighbour
+SPACING_SAMPLE = 1500
+SPACING_NEIGHBOR = 16
 RING_STEP_DEG = 30.0
 
 
@@ -133,16 +136,20 @@ def _intensity_centrality_covariance(points, axis, resolution):
     return float(np.mean((inten - inten.mean()) * (centrality - centrality.mean())))
 
 
-def _spacing_depth_correlation(points, axis, sample=1500, neighbor=16):
+def _spacing_depth_correlation(points, axis):
     # a range scanner samples near surfaces denser, so local point spacing
     # grows with depth only when viewed from the scanned side
     rng = np.random.default_rng(0)
-    take = min(sample, len(points))
+    take = min(SPACING_SAMPLE, len(points))
     sub = points[np.sort(rng.choice(len(points), size=take, replace=False))]
-    k = min(neighbor, take - 1)
+    k = min(SPACING_NEIGHBOR, take - 1)
     if k < 1:
         return 0.0
-    d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=2)
+    # x, y then z squared differences, added in that order: the sum over axis 2
+    # of an (n, n, 3) array, bit for bit, without building that array
+    d2 = np.zeros((take, take))
+    for c in sub.T:
+        d2 += (c[:, None] - c[None, :]) ** 2
     np.fill_diagonal(d2, np.inf)
     spacing = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
     depth = sub @ (-np.asarray(axis))
@@ -155,7 +162,7 @@ def _spacing_depth_correlation(points, axis, sample=1500, neighbor=16):
     return float(np.mean(rank_z(spacing) * rank_z(depth)))
 
 
-def orient_axis(cloud, axis, resolution: int = ORIENTATION_RESOLUTION) -> np.ndarray:
+def orient_axis(cloud, axis) -> np.ndarray:
     """Return +axis or -axis, whichever faces the scanned side of the cloud.
 
     Two depth cues vote. Primary: local point spacing grows with distance
@@ -169,8 +176,8 @@ def orient_axis(cloud, axis, resolution: int = ORIENTATION_RESOLUTION) -> np.nda
     a = np.asarray(axis, dtype=np.float64)
     score = _spacing_depth_correlation(pts, a)
     if abs(score) < 0.05:
-        score = (_intensity_centrality_covariance(pts, a, resolution)
-                 - _intensity_centrality_covariance(pts, -a, resolution))
+        score = (_intensity_centrality_covariance(pts, a, ORIENTATION_RESOLUTION)
+                 - _intensity_centrality_covariance(pts, -a, ORIENTATION_RESOLUTION))
     return a.copy() if score >= 0 else -a
 
 

@@ -1,8 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from viewret import io as vio
-from viewret.cli import run
+from viewret.cli import _load_config_file, run
+from viewret.config import PipelineConfig
 from viewret.geometry import normalize_pose
 from viewret.scansim import make_sphere
 
@@ -332,6 +335,54 @@ class TestGridDump:
         lines = out.read_text().splitlines()
         assert lines[0] == "viewpoint_index,resolution,Q,D"
         assert len(lines) == 1 + 20 * 2
+
+
+def write_every_field(config, path):
+    """Every PipelineConfig field as a `key = value` line, ladder joined by commas."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in asdict(config).items():
+            if key == "resolutions":
+                value = ",".join(str(r) for r in value)
+            fh.write(f"{key} = {value}\n")
+
+
+class TestConfigSchema:
+    def test_every_field_round_trips(self, cloud_file, tmp_path, capsys):
+        path = tmp_path / "every.cfg"
+        for config in (PipelineConfig(), PipelineConfig(keypoint_decay=2.5, resolutions=(8, 32),
+                                                         ransac_tolerance=0.125, seed=0)):
+            write_every_field(config, path)
+            assert PipelineConfig(**_load_config_file(path)) == config
+        write_every_field(PipelineConfig(), path)
+        assert run(["select", "--input", str(cloud_file), "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("viewpoint_index ")
+
+    def test_resolutions_flag_and_key_give_one_grid(self, cloud_file, tmp_path):
+        config = tmp_path / "ladder.cfg"
+        config.write_text("resolutions = 32 64\n")
+        grids = []
+        for index, flags in enumerate((["--resolutions", "32,64"], ["--resolutions", "32 64"],
+                                       ["--resolutions", "32, 64"], ["--config", str(config)])):
+            out = tmp_path / f"grid{index}.csv"
+            assert run(["grid-dump", "--input", str(cloud_file), *flags, "--output", str(out)]) == 0
+            grids.append(out.read_bytes())
+        assert grids[1:] == grids[:1] * 3
+        assert b"\n0,64," in grids[0]
+
+    @pytest.mark.parametrize("line", ["gaussians = abc", "ransac_tolerance = x",
+                                      "seed = 1.5", "resolutions = 32,x", "resolutions = ,"])
+    def test_bad_value_names_file_line_and_key(self, cloud_file, tmp_path, capsys, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# desk\nn_keypoints = 30\n{line}\n")
+        key = line.split("=")[0].strip()
+        assert run(["select", "--input", str(cloud_file), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{config}:3" in err and repr(key) in err
+
+    def test_empty_resolutions_flag_is_usage_error(self, cloud_file, capsys):
+        assert run(["select", "--input", str(cloud_file), "--resolutions", ""]) == 1
+        assert "--resolutions" in capsys.readouterr().err
 
 
 class TestBench:

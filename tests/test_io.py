@@ -109,6 +109,31 @@ class TestBinaryDumps:
             assert a.viewpoint_id == b.viewpoint_id
             np.testing.assert_array_equal(a.descriptor, b.descriptor)
 
+    @pytest.mark.parametrize("second, message", [
+        (dict(class_id=-1), "entry 1: class id -1 is outside"),
+        (dict(class_id=2 ** 32), "entry 1: class id 4294967296 is outside"),
+        (dict(viewpoint_id=-1), "entry 1: viewpoint id -1 is outside"),
+        (dict(viewpoint_id=2 ** 32), "entry 1: viewpoint id 4294967296 is outside"),
+        (dict(model_id="é" * 32768), "entry 1: model id is longer than 65535 UTF-8 bytes"),
+        (dict(descriptor=np.zeros(2 * 128 * 3, dtype=np.float32)), "share one length"),
+    ])
+    def test_unstorable_entry_raises_before_writing(self, tmp_path, second, message):
+        first = DbEntry("ok", 0, 0, np.zeros(2 * 128 * 2, dtype=np.float32))
+        fields = dict(model_id="m", class_id=1, viewpoint_id=1, descriptor=first.descriptor)
+        path = tmp_path / "db.fvdb"
+        with pytest.raises(ValueError, match=message):
+            vio.write_descriptor_db(DescriptorDb(entries=[first, DbEntry(**{**fields, **second})]),
+                                    path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dim", [0, 100, 2 * 128 + 1])
+    def test_descriptor_length_must_be_a_positive_multiple_of_256(self, tmp_path, dim):
+        entries = [DbEntry(f"m{i}", 0, i, np.zeros(dim, dtype=np.float32)) for i in range(2)]
+        path = tmp_path / "db.fvdb"
+        with pytest.raises(ValueError, match="positive multiple of 256"):
+            vio.write_descriptor_db(DescriptorDb(entries=entries), path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
@@ -214,6 +239,8 @@ class TestManifest:
         models = vio.load_manifest(manifest)
         assert models[0][0] == "cloudy" and models[0][1] == 0
         assert isinstance(models[1][2], TriangleMesh)
+        np.testing.assert_array_equal(models[0][2], vio.load_geometry(tmp_path / "cloud.xyz"))
+        assert isinstance(vio.load_geometry(str(tmp_path / "tri.obj")), TriangleMesh)
 
     def test_extreme_ids_that_a_database_stores_load_and_round_trip(self, tmp_path):
         vio.save_xyz(np.random.default_rng(57).normal(size=(10, 3)), tmp_path / "m.xyz")

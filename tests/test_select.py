@@ -7,9 +7,9 @@ from viewret.errors import AllCollinear, TooFewPoints
 from viewret.evaluate import angular_error
 from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_pose
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
-from viewret.select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,
-                            normalize_quantity, orient_axis, ransac_viewpoint, score_grid,
-                            select_resolution, select_viewpoint, viewpoint_index)
+from viewret.select import (ScoreGrid, _spacing_depth_correlation, best_resolution_for_viewpoint,
+                            multiview_ring, normalize_quantity, orient_axis, ransac_viewpoint,
+                            score_grid, select_resolution, select_viewpoint, viewpoint_index)
 
 
 def grid_from(q, d=None, viewpoints=None, resolutions=None):
@@ -216,6 +216,55 @@ class TestScoreGrid:
             score_grid(points, np.zeros((0, 3)), (32,))
         with pytest.raises(ValueError):
             score_grid(points, None, ())
+
+
+def spacing_depth_correlation_oracle(points, axis, sample=1500, neighbor=16):
+    """The former `_spacing_depth_correlation`, with its (n, n, 3) difference array."""
+    rng = np.random.default_rng(0)
+    take = min(sample, len(points))
+    sub = points[np.sort(rng.choice(len(points), size=take, replace=False))]
+    k = min(neighbor, take - 1)
+    if k < 1:
+        return 0.0
+    d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    spacing = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+    depth = sub @ (-np.asarray(axis))
+
+    def rank_z(values):
+        ranks = np.argsort(np.argsort(values)).astype(np.float64)
+        std = ranks.std()
+        return (ranks - ranks.mean()) / std if std > 0 else ranks * 0.0
+
+    return float(np.mean(rank_z(spacing) * rank_z(depth)))
+
+
+class TestSpacingDepthCorrelationAgainstOracle:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 2, 3, 17, 200, 1499, 1500, 1501, 2500]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(["normal", "grid", "repeats"]))
+    def test_score_is_exactly_equal(self, n, seed, shape):
+        rng = np.random.default_rng(seed)
+        if shape == "normal":
+            points = rng.normal(size=(n, 3)) * rng.uniform(0.01, 2.0, size=3)
+        elif shape == "grid":
+            # exactly representable coordinates with many equal distances
+            points = rng.integers(-8, 9, size=(n, 3)) / 8.0
+        else:
+            points = rng.normal(size=(max(1, n // 4), 3))[rng.integers(0, max(1, n // 4), size=n)]
+        axis = _unit(rng.normal(size=3))
+        want = spacing_depth_correlation_oracle(points, axis)
+        assert _spacing_depth_correlation(points, axis) == want
+
+    def test_scan(self):
+        scan = simulate_scan(make_sphere(radius=1.0, rings=24, segments=36),
+                             ScannerConfig(position=(1.2, -2.0, 2.0), target=(0.0, 0.0, 0.0),
+                                           fov_deg=40.0, angular_step_deg=0.5, max_range=12.0))
+        points, _ = normalize_pose(scan.cloud)
+        axis = _unit([1.2, -2.0, 2.0])
+        score = _spacing_depth_correlation(points, axis)
+        assert score == spacing_depth_correlation_oracle(points, axis)
+        assert score > 0.05
 
 
 def score_grid_dense_oracle(cloud, viewpoints, resolutions):
