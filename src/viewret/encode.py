@@ -240,7 +240,7 @@ def view_features(images, config: PipelineConfig, seed_prefix):
     """Yield the features of each view image, lazily; view ``i`` uses seed ``[*seed_prefix, i]``.
 
     A caller that encodes or pools each view as it arrives holds one view's
-    float64 features at a time.
+    float32 features at a time.
     """
     for v_idx, img in enumerate(images):
         yield extract_features(img, config.n_keypoints, config.keypoint_decay,
@@ -248,11 +248,11 @@ def view_features(images, config: PipelineConfig, seed_prefix):
 
 
 def pool_features(chunks, cap: int, seed) -> np.ndarray:
-    """Concatenate feature chunks as float32, keeping a seeded sample of ``cap`` rows at most.
+    """Concatenate feature chunks, keeping a seeded sample of ``cap`` rows at most.
 
     The sample keeps the pooled row order.
     """
-    pooled = np.concatenate([np.asarray(c, dtype=np.float32) for c in chunks], axis=0)
+    pooled = np.concatenate(list(chunks), axis=0)
     if len(pooled) > cap:
         rng = np.random.default_rng(seed)
         keep = rng.choice(len(pooled), size=cap, replace=False)

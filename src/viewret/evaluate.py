@@ -12,7 +12,7 @@ import numpy as np
 from .config import PipelineConfig
 from .encode import (DescriptorDb, encode_views, fisher_vector, fit_gmm, pool_features,
                      query_db, view_features)
-from .errors import MissingGroundTruth, NoRelevant
+from .errors import EmptyDb, MissingGroundTruth, NoRelevant
 from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
@@ -265,17 +265,18 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                   threads: int = 1) -> BenchmarkReport:
     """Leave-one-out retrieval over the dataset for every requested case.
 
-    Each instance queries a database built from all other instances. The
-    database side always follows the standard pipeline (20 views per
-    instance), through the same feature, pooling, encoding and ranking code
-    as `build_db` and `query_db`; the case only controls how the query view
-    and query resolution are chosen. Model ids must be unique. Deterministic
-    for a fixed seed. ``threads`` is accepted for compatibility and ignored:
-    the scans are prepared one after another.
+    Each instance queries the database of all instances, with its own model
+    dropped from the ranking. The database side always follows the standard
+    pipeline (20 views per instance), through the same feature, pooling,
+    encoding and ranking code as `build_db` and `query_db`; the case only
+    controls how the query view and query resolution are chosen. Needs at
+    least two scans with unique model ids. Deterministic for a fixed seed.
+    ``threads`` is accepted for compatibility and ignored: the scans are
+    prepared one after another.
     """
     cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
-    if not dataset:
-        raise ValueError("dataset is empty")
+    if len(dataset) < 2:
+        raise EmptyDb("leave-one-out needs at least two scans")
     classes = {entry.model_id: entry.class_id for entry in dataset}
     if len(classes) != len(dataset):
         raise ValueError("model ids must be unique")
@@ -288,15 +289,11 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
 
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
 
-    # every view's features are held until the mixture is fit, so they are
-    # kept as float32 to halve that memory; build_db, which holds one view at
-    # a time, encodes them at full precision instead
     per_instance_feats = []
     for index, state in enumerate(states):
         images = [render_point_cloud(state.points, v, state.r_proposed)
                   for v in dodecahedron_viewpoints()]
-        per_instance_feats.append([f.astype(np.float32)
-                                   for f in view_features(images, config, [seed, 13, index])])
+        per_instance_feats.append(list(view_features(images, config, [seed, 13, index])))
     gmm = fit_gmm(pool_features((f for feats in per_instance_feats for f in feats),
                                 config.gmm_sample_cap, [seed, 17]),
                   config.gaussians, seed=[seed, 19])
@@ -324,9 +321,9 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
             img = render_point_cloud(state.points, v_query, r_query)
             feats = extract_features(img, config.n_keypoints, config.keypoint_decay,
                                      seed=[seed, 23, case.tag, index])
-            others = DescriptorDb(entries=[e for e in db.entries if e.model_id != entry.model_id])
             items = [(model_id, classes[model_id], distance)
-                     for model_id, distance in query_db(others, fisher_vector(feats, gmm))]
+                     for model_id, distance in query_db(db, fisher_vector(feats, gmm))
+                     if model_id != entry.model_id]
             retrieval = RankedRetrieval(query_class=entry.class_id, items=items)
             retrievals.append(retrieval)
             pr_points[entry.model_id] = precision_recall_curve(retrieval)

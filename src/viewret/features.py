@@ -6,8 +6,6 @@ each keypoint. Depth images of pose-normalized objects need no rotation
 invariance, so no dominant orientation is estimated.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import BadResolution, NoForeground
@@ -19,12 +17,6 @@ ORIENTATION_BINS = 8
 GAUSS_SIGMA = 8.0
 COMPONENT_CLAMP = 0.2
 MIN_LEVEL = 32
-
-
-class Keypoint(NamedTuple):
-    level: int
-    row: int
-    col: int
 
 
 def build_pyramid(img) -> list:
@@ -53,32 +45,26 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     """Draw keypoints uniformly without replacement from each level's foreground.
 
     Level ``l`` receives ``round(n_keypoints / decay**l)`` samples, clamped to
-    the number of foreground pixels actually present. Deterministic for a
-    fixed seed.
+    the number of foreground pixels actually present. Returns one (2, n) int
+    array per level that unpacks as ``rows, cols``; n is 0 where the level
+    gets no keypoint. Deterministic for a fixed seed.
     """
     if n_keypoints < 1:
         raise ValueError("n_keypoints must be at least 1")
     if decay < 1:
         raise ValueError("decay must be at least 1")
     rng = np.random.default_rng(seed)
-    keypoints = []
+    per_level = []
     saw_foreground = False
     for level, img in enumerate(pyramid):
         foreground = np.argwhere(np.asarray(img) > 0)
-        if len(foreground) == 0:
-            continue
-        saw_foreground = True
-        want = int(np.rint(n_keypoints / decay ** level))
-        take = min(want, len(foreground))
-        if take < 1:
-            continue
-        chosen = rng.choice(len(foreground), size=take, replace=False)
-        for idx in chosen:
-            r, c = foreground[idx]
-            keypoints.append(Keypoint(level, int(r), int(c)))
+        saw_foreground = saw_foreground or len(foreground) > 0
+        take = min(int(np.rint(n_keypoints / decay ** level)), len(foreground))
+        chosen = rng.choice(len(foreground), size=take, replace=False) if take > 0 else []
+        per_level.append(foreground[chosen].T)
     if not saw_foreground:
         raise NoForeground("no pyramid level has any foreground pixel")
-    return keypoints
+    return per_level
 
 
 def _spatial_bins():
@@ -103,8 +89,6 @@ def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     n = len(rows)
-    if n == 0:
-        return np.zeros((0, DESCRIPTOR_SIZE))
 
     # 18x18 windows so central differences cover the full 16x16 patch
     span = np.arange(PATCH + 2)
@@ -120,30 +104,24 @@ def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
     obin0 = floor_bin % ORIENTATION_BINS
     obin1 = (obin0 + 1) % ORIENTATION_BINS
 
-    hist = np.zeros((n, CELLS, CELLS, ORIENTATION_BINS))
+    # spatial cells -1..CELLS land in a one-cell margin that is cropped below
+    grid = CELLS + 2
+    hist = np.zeros((n, grid, grid, ORIENTATION_BINS))
     flat = hist.reshape(-1)
-    kp_base = (np.arange(n) * CELLS * CELLS * ORIENTATION_BINS)[:, None, None]
+    kp_base = (np.arange(n) * grid * grid * ORIENTATION_BINS)[:, None, None]
     for dr in (0, 1):
-        cell_r = _CELL_LO + dr
         w_r = _CELL_HI_W if dr else 1.0 - _CELL_HI_W
-        ok_r = (cell_r >= 0) & (cell_r < CELLS)
         for dc in (0, 1):
-            cell_c = _CELL_LO + dc
             w_c = _CELL_HI_W if dc else 1.0 - _CELL_HI_W
-            ok_c = (cell_c >= 0) & (cell_c < CELLS)
-            ok = ok_r[:, None] & ok_c[None, :]
-            if not ok.any():
-                continue
-            spatial_w = (w_r[:, None] * w_c[None, :]) * ok
-            cell_base = (cell_r.clip(0, CELLS - 1)[:, None] * CELLS
-                         + cell_c.clip(0, CELLS - 1)[None, :]) * ORIENTATION_BINS
-            contrib = magnitude * spatial_w
-            idx0 = kp_base + cell_base + obin0
-            idx1 = kp_base + cell_base + obin1
-            np.add.at(flat, idx0.reshape(-1), (contrib * (1.0 - ofrac)).reshape(-1))
-            np.add.at(flat, idx1.reshape(-1), (contrib * ofrac).reshape(-1))
+            cell_base = ((_CELL_LO + 1 + dr)[:, None] * grid
+                         + (_CELL_LO + 1 + dc)[None, :]) * ORIENTATION_BINS
+            contrib = magnitude * (w_r[:, None] * w_c[None, :])
+            np.add.at(flat, (kp_base + cell_base + obin0).reshape(-1),
+                      (contrib * (1.0 - ofrac)).reshape(-1))
+            np.add.at(flat, (kp_base + cell_base + obin1).reshape(-1),
+                      (contrib * ofrac).reshape(-1))
 
-    desc = hist.reshape(n, DESCRIPTOR_SIZE)
+    desc = hist[:, 1:-1, 1:-1].reshape(n, DESCRIPTOR_SIZE)
     norms = np.linalg.norm(desc, axis=1)
     live = norms > 0
     desc[live] /= norms[live, None]
@@ -154,25 +132,14 @@ def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
     return desc
 
 
-def sift_descriptor(level_img, keypoint: Keypoint) -> np.ndarray:
-    """Descriptor at a single keypoint; a gradient-free patch yields zeros."""
-    return _batch_descriptors(level_img, [keypoint.row], [keypoint.col])[0]
-
-
 def extract_features(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
     """Pyramid, keypoint sampling and description in one call.
 
-    Returns an (n, 128) array whose row order follows the sampling order, so
+    Returns an (n, 128) float32 array, level by level in sampling order, so
     the result is deterministic for a fixed seed.
     """
     pyramid = build_pyramid(img)
-    keypoints = sample_keypoints(pyramid, n_keypoints, decay, seed)
-    out = np.zeros((len(keypoints), DESCRIPTOR_SIZE))
-    for level, level_img in enumerate(pyramid):
-        idx = [i for i, kp in enumerate(keypoints) if kp.level == level]
-        if not idx:
-            continue
-        rows = [keypoints[i].row for i in idx]
-        cols = [keypoints[i].col for i in idx]
-        out[idx] = _batch_descriptors(level_img, rows, cols)
-    return out
+    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
+    return np.concatenate([_batch_descriptors(level_img, rows, cols)
+                           for level_img, (rows, cols) in zip(pyramid, per_level)]
+                          ).astype(np.float32)

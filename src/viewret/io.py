@@ -1,4 +1,4 @@
-"""File formats: XYZ/OBJ geometry, PGM/PBM images, binary feature/GMM/DB dumps.
+"""File formats: XYZ/OBJ geometry, PGM images, binary feature/GMM/DB dumps.
 
 All binary layouts are little-endian with 32-bit IEEE floats.
 """
@@ -110,31 +110,6 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(data[pos:pos + w * h], dtype=np.uint8).reshape(h, w).copy()
 
 
-def write_pbm(binary, path):
-    """Binary PBM (P4); foreground pixels become set bits."""
-    arr = (np.asarray(binary) > 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P4\n{arr.shape[1]} {arr.shape[0]}\n".encode("ascii"))
-        fh.write(np.packbits(arr, axis=1).tobytes())
-
-
-def read_pbm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = []
-    pos = 0
-    while len(header) < 3:
-        end = data.index(b"\n", pos)
-        header.extend(data[pos:end].split())
-        pos = end + 1
-    if header[0] != b"P4":
-        raise ValueError(f"{path}: not a binary PBM")
-    w, h = int(header[1]), int(header[2])
-    row_bytes = (w + 7) // 8
-    packed = np.frombuffer(data[pos:pos + h * row_bytes], dtype=np.uint8).reshape(h, row_bytes)
-    return np.unpackbits(packed, axis=1)[:, :w].copy()
-
-
 # --- binary dumps -------------------------------------------------------------
 
 class _BinaryReader:
@@ -185,7 +160,7 @@ def read_features(path) -> np.ndarray:
         (count,) = reader.unpack("<I", "header")
         data = reader.floats(count * DESCRIPTOR_SIZE, "features")
         reader.finish()
-    return data.reshape(count, DESCRIPTOR_SIZE).astype(np.float64)
+    return data.reshape(count, DESCRIPTOR_SIZE).copy()
 
 
 def write_gmm(gmm: GmmParams, path):

@@ -15,6 +15,14 @@ from .geometry import TriangleMesh, orthonormal_basis
 
 _PARALLEL_EPS = 1e-12
 _EDGE_EPS = 1e-12
+# the ray-triangle test makes several (rays, 3) float64 temporaries, about
+# 100 MB each at 2048 x 2048 rays; the pipeline's scans stay under 300 x 300
+MAX_RAYS = 1 << 22
+
+
+def _rays_per_side(fov_deg: float, step_deg: float):
+    # a float, so an absurd ratio is compared rather than converted to int
+    return np.floor(fov_deg / step_deg + 1e-9) + 1
 
 
 @dataclass
@@ -32,6 +40,9 @@ class ScannerConfig:
         self.target = np.asarray(self.target, dtype=np.float64)
         if not (0.0 < self.angular_step_deg <= self.fov_deg):
             raise ValueError("need 0 < angular_step_deg <= fov_deg")
+        if _rays_per_side(self.fov_deg, self.angular_step_deg) > np.sqrt(MAX_RAYS):
+            raise ValueError(f"fov_deg / angular_step_deg gives more than {MAX_RAYS} rays; "
+                             f"use a larger step or a smaller field of view")
         if np.allclose(self.position, self.target):
             raise ValueError("scanner position must differ from the target")
         if self.max_range <= 0:
@@ -49,7 +60,7 @@ def _ray_lattice(cfg: ScannerConfig):
     forward = cfg.target - cfg.position
     forward /= np.linalg.norm(forward)
     right, up = orthonormal_basis(forward)
-    steps = int(np.floor(cfg.fov_deg / cfg.angular_step_deg + 1e-9)) + 1
+    steps = int(_rays_per_side(cfg.fov_deg, cfg.angular_step_deg))
     offsets = np.radians((np.arange(steps) - (steps - 1) / 2.0) * cfg.angular_step_deg)
     elevation, azimuth = np.meshgrid(offsets, offsets, indexing="ij")
     elevation = elevation.ravel()

@@ -151,6 +151,14 @@ class TestScanSim:
         meta = vio.read_scan_metadata(str(out) + ".meta")
         np.testing.assert_allclose(meta["ground_truth_viewpoint"], [0, 0, 1], atol=1e-9)
 
+    def test_absurd_ray_lattice_is_data_error(self, mesh_file, tmp_path, capsys):
+        out = tmp_path / "scan.xyz"
+        assert run(["scan-sim", "--mesh", str(mesh_file), "--scanner-pos", "0,0,3",
+                    "--fov", "40", "--step", "1e-6", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "rays" in err
+        assert not out.exists()
+
 
 class TestPipelineEndToEnd:
     def test_fit_query_flow(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewret.config import PipelineConfig
-from viewret.errors import MissingGroundTruth, NoRelevant
+from viewret.errors import MissingGroundTruth, NoRelevant, ViewretError
 from viewret.evaluate import (CaseConfig, RankedRetrieval, angular_error, make_synthetic_dataset,
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric, nn_metric,
                               parse_case, precision_recall_curve, run_benchmark,
@@ -286,6 +286,11 @@ class TestRunBenchmark:
         ds[2].model_id = ds[0].model_id
         with pytest.raises(ValueError, match="unique"):
             run_benchmark(ds, ["prop-prop"], micro_config(), seed=10)
+
+    def test_one_scan_has_no_database(self):
+        ds = make_synthetic_dataset(n_classes=1, scans_per_class=1, seed=5, step_deg=1.0)
+        with pytest.raises(ViewretError):
+            run_benchmark(ds, ["prop-prop"], micro_config(), seed=5)
 
     def test_missing_ground_truth(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=5, step_deg=1.0)

@@ -1,9 +1,18 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewret.errors import BadResolution, NoForeground
-from viewret.features import (Keypoint, build_pyramid, extract_features, sample_keypoints,
-                              sift_descriptor)
+from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, CELLS, COMPONENT_CLAMP,
+                              DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH, _batch_descriptors,
+                              build_pyramid, extract_features, sample_keypoints)
+
+
+def descriptor(level_img, row, col):
+    return _batch_descriptors(level_img, [row], [col])[0]
 
 
 class TestBuildPyramid:
@@ -40,27 +49,26 @@ class TestBuildPyramid:
 class TestSampleKeypoints:
     def test_decaying_counts(self):
         pyr = [np.full((s, s), 99, dtype=np.uint8) for s in (128, 64, 32)]
-        kps = sample_keypoints(pyr, 4, 2.0, seed=0)
-        counts = [sum(1 for k in kps if k.level == lvl) for lvl in range(3)]
-        assert counts == [4, 2, 1]
+        per_level = sample_keypoints(pyr, 4, 2.0, seed=0)
+        assert [len(rows) for rows, _ in per_level] == [4, 2, 1]
 
     def test_flat_counts(self):
         pyr = build_pyramid(np.full((256, 256), 50, dtype=np.uint8))
-        kps = sample_keypoints(pyr, 1000, 1.0, seed=1)
-        for lvl in range(4):
-            assert sum(1 for k in kps if k.level == lvl) == 1000
+        per_level = sample_keypoints(pyr, 1000, 1.0, seed=1)
+        assert [len(rows) for rows, _ in per_level] == [1000] * 4
 
     def test_clamped_to_available_foreground(self):
         img = np.zeros((32, 32), dtype=np.uint8)
         img[5, 6] = img[9, 9] = img[20, 3] = 255
-        kps = sample_keypoints([img], 10, 1.0, seed=2)
-        assert sorted((k.row, k.col) for k in kps) == [(5, 6), (9, 9), (20, 3)]
+        [(rows, cols)] = sample_keypoints([img], 10, 1.0, seed=2)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(5, 6), (9, 9), (20, 3)]
 
     def test_keypoints_land_on_foreground(self):
         rng = np.random.default_rng(3)
         img = (rng.random((64, 64)) < 0.1).astype(np.uint8) * 200
-        for kp in sample_keypoints(build_pyramid(img), 50, 1.0, seed=4):
-            assert build_pyramid(img)[kp.level][kp.row, kp.col] > 0
+        pyr = build_pyramid(img)
+        for level_img, (rows, cols) in zip(pyr, sample_keypoints(pyr, 50, 1.0, seed=4)):
+            assert np.all(level_img[rows, cols] > 0)
 
     def test_no_foreground(self):
         with pytest.raises(NoForeground):
@@ -70,27 +78,28 @@ class TestSampleKeypoints:
         rng = np.random.default_rng(5)
         img = (rng.random((64, 64)) < 0.5).astype(np.uint8) * 120
         pyr = build_pyramid(img)
-        assert sample_keypoints(pyr, 30, 1.5, seed=6) == sample_keypoints(pyr, 30, 1.5, seed=6)
+        a = sample_keypoints(pyr, 30, 1.5, seed=6)
+        b = sample_keypoints(pyr, 30, 1.5, seed=6)
+        assert len(a) == len(b) == len(pyr)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestSiftDescriptor:
     def test_constant_patch_gives_zero_vector(self):
         img = np.full((40, 40), 90, dtype=np.uint8)
-        desc = sift_descriptor(img, Keypoint(0, 20, 20))
-        assert np.all(desc == 0.0)
+        assert np.all(descriptor(img, 20, 20) == 0.0)
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(7)
         img = rng.integers(40, 200, size=(48, 48)).astype(np.uint8)
-        kp = Keypoint(0, 24, 24)
-        a = sift_descriptor(img, kp)
-        b = sift_descriptor((img + 10).astype(np.uint8), kp)
+        a = descriptor(img, 24, 24)
+        b = descriptor((img + 10).astype(np.uint8), 24, 24)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_vertical_step_edge_hits_single_orientation_bin(self):
         img = np.full((48, 48), 60, dtype=np.uint8)
         img[:, 24:] = 160
-        desc = sift_descriptor(img, Keypoint(0, 24, 24)).reshape(4, 4, 8)
+        desc = descriptor(img, 24, 24).reshape(4, 4, 8)
         assert desc.sum() > 0
         # gradient points along +x exactly, the center of orientation bin 0
         assert np.all(desc[:, :, 1:] == 0.0)
@@ -99,8 +108,7 @@ class TestSiftDescriptor:
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, size=(64, 64)).astype(np.uint8)
         for _ in range(20):
-            kp = Keypoint(0, int(rng.integers(64)), int(rng.integers(64)))
-            desc = sift_descriptor(img, kp)
+            desc = descriptor(img, int(rng.integers(64)), int(rng.integers(64)))
             norm = np.linalg.norm(desc)
             assert norm == 0.0 or norm <= 1.0 + 1e-6
             assert desc.min() >= 0.0
@@ -114,7 +122,7 @@ class TestExtractFeatures:
     def test_feature_count_over_levels(self):
         img = np.full((256, 256), 33, dtype=np.uint8)
         feats = extract_features(img, 1000, 1.0, seed=1)
-        assert feats.shape == (4000, 128)
+        assert feats.shape == (4000, 128) and feats.dtype == np.float32
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -130,14 +138,168 @@ class TestExtractFeatures:
         img = rng.integers(30, 200, size=(64, 64)).astype(np.uint8)  # fully foreground
         shifted = (img + 10).astype(np.uint8)
         pyr_a, pyr_b = build_pyramid(img), build_pyramid(shifted)
-        kps = sample_keypoints(pyr_a, 40, 1.0, seed=12)
-        assert kps == sample_keypoints(pyr_b, 40, 1.0, seed=12)
+        per_level = sample_keypoints(pyr_a, 40, 1.0, seed=12)
+        for (rows_a, cols_a), (rows_b, cols_b) in zip(per_level,
+                                                      sample_keypoints(pyr_b, 40, 1.0, seed=12)):
+            assert np.array_equal(rows_a, rows_b) and np.array_equal(cols_a, cols_b)
         margin = 10
         compared = 0
-        for kp in kps:
-            size = pyr_a[kp.level].shape[0]
-            if margin <= kp.row < size - margin and margin <= kp.col < size - margin:
-                np.testing.assert_allclose(sift_descriptor(pyr_a[kp.level], kp),
-                                           sift_descriptor(pyr_b[kp.level], kp), atol=1e-9)
-                compared += 1
+        for level_a, level_b, (rows, cols) in zip(pyr_a, pyr_b, per_level):
+            size = level_a.shape[0]
+            for r, c in zip(rows, cols):
+                if margin <= r < size - margin and margin <= c < size - margin:
+                    np.testing.assert_allclose(descriptor(level_a, r, c), descriptor(level_b, r, c),
+                                               atol=1e-9)
+                    compared += 1
         assert compared > 10
+
+
+# --- the per-keypoint sampler and masked histogram they replaced ---------------
+
+class Keypoint(NamedTuple):
+    level: int
+    row: int
+    col: int
+
+
+def sample_keypoints_oracle(pyramid, n_keypoints, decay, seed):
+    rng = np.random.default_rng(seed)
+    keypoints = []
+    saw_foreground = False
+    for level, img in enumerate(pyramid):
+        foreground = np.argwhere(np.asarray(img) > 0)
+        if len(foreground) == 0:
+            continue
+        saw_foreground = True
+        want = int(np.rint(n_keypoints / decay ** level))
+        take = min(want, len(foreground))
+        if take < 1:
+            continue
+        chosen = rng.choice(len(foreground), size=take, replace=False)
+        for idx in chosen:
+            r, c = foreground[idx]
+            keypoints.append(Keypoint(level, int(r), int(c)))
+    if not saw_foreground:
+        raise NoForeground("no pyramid level has any foreground pixel")
+    return keypoints
+
+
+def batch_descriptors_oracle(level_img, rows, cols):
+    """The 4x4 histogram with validity masks on the spatial bins, in float64."""
+    padded = np.pad(np.asarray(level_img, dtype=np.float64), PATCH // 2 + 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    n = len(rows)
+    if n == 0:
+        return np.zeros((0, DESCRIPTOR_SIZE))
+    span = np.arange(PATCH + 2)
+    win = padded[rows[:, None, None] + span[None, :, None],
+                 cols[:, None, None] + span[None, None, :]]
+    gx = (win[:, 1:-1, 2:] - win[:, 1:-1, :-2]) / 2.0
+    gy = (win[:, 2:, 1:-1] - win[:, :-2, 1:-1]) / 2.0
+    magnitude = np.hypot(gx, gy) * _GAUSS
+    orientation = np.mod(np.arctan2(gy, gx) / (2.0 * np.pi / ORIENTATION_BINS), ORIENTATION_BINS)
+    floor_bin = orientation.astype(np.int64)
+    ofrac = orientation - floor_bin
+    obin0 = floor_bin % ORIENTATION_BINS
+    obin1 = (obin0 + 1) % ORIENTATION_BINS
+
+    hist = np.zeros((n, CELLS, CELLS, ORIENTATION_BINS))
+    flat = hist.reshape(-1)
+    kp_base = (np.arange(n) * CELLS * CELLS * ORIENTATION_BINS)[:, None, None]
+    for dr in (0, 1):
+        cell_r = _CELL_LO + dr
+        w_r = _CELL_HI_W if dr else 1.0 - _CELL_HI_W
+        ok_r = (cell_r >= 0) & (cell_r < CELLS)
+        for dc in (0, 1):
+            cell_c = _CELL_LO + dc
+            w_c = _CELL_HI_W if dc else 1.0 - _CELL_HI_W
+            ok_c = (cell_c >= 0) & (cell_c < CELLS)
+            ok = ok_r[:, None] & ok_c[None, :]
+            if not ok.any():
+                continue
+            spatial_w = (w_r[:, None] * w_c[None, :]) * ok
+            cell_base = (cell_r.clip(0, CELLS - 1)[:, None] * CELLS
+                         + cell_c.clip(0, CELLS - 1)[None, :]) * ORIENTATION_BINS
+            contrib = magnitude * spatial_w
+            np.add.at(flat, (kp_base + cell_base + obin0).reshape(-1),
+                      (contrib * (1.0 - ofrac)).reshape(-1))
+            np.add.at(flat, (kp_base + cell_base + obin1).reshape(-1),
+                      (contrib * ofrac).reshape(-1))
+
+    desc = hist.reshape(n, DESCRIPTOR_SIZE)
+    norms = np.linalg.norm(desc, axis=1)
+    live = norms > 0
+    desc[live] /= norms[live, None]
+    np.clip(desc, 0.0, COMPONENT_CLAMP, out=desc)
+    norms = np.linalg.norm(desc, axis=1)
+    live = norms > 0
+    desc[live] /= norms[live, None]
+    return desc
+
+
+def extract_features_oracle(img, n_keypoints, decay, seed):
+    pyramid = build_pyramid(img)
+    keypoints = sample_keypoints_oracle(pyramid, n_keypoints, decay, seed)
+    out = np.zeros((len(keypoints), DESCRIPTOR_SIZE))
+    for level, level_img in enumerate(pyramid):
+        idx = [i for i, kp in enumerate(keypoints) if kp.level == level]
+        if not idx:
+            continue
+        rows = [keypoints[i].row for i in idx]
+        cols = [keypoints[i].col for i in idx]
+        out[idx] = batch_descriptors_oracle(level_img, rows, cols)
+    return out
+
+
+@st.composite
+def images_and_settings(draw):
+    """An image, keypoint settings, and which levels of a sampler input to blank.
+
+    Faint foreground (intensity 1) vanishes from the coarser levels, and a
+    decay up to 4 with few keypoints rounds the coarser levels' share to 0.
+    """
+    h, w = draw(st.integers(32, 130)), draw(st.integers(32, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "single", "faint"]))
+    if kind == "single":
+        mask = np.zeros((h, w), dtype=bool)
+    else:
+        mask = rng.random((h, w)) < {"dense": 0.9, "sparse": 0.02, "faint": 0.3}[kind]
+    mask[rng.integers(h), rng.integers(w)] = True
+    values = np.ones((h, w), dtype=np.int64) if kind == "faint" else rng.integers(1, 256, (h, w))
+    img = np.where(mask, values, 0).astype(np.uint8)
+    n_keypoints = draw(st.integers(1, 400))
+    decay = draw(st.floats(1.0, 4.0))
+    blank = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    return img, n_keypoints, decay, blank, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestAgainstKeypointOracle:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(images_and_settings())
+    def test_features_and_keypoints_match(self, case):
+        img, n_keypoints, decay, blank, seed = case
+        want = extract_features_oracle(img, n_keypoints, decay, seed).astype(np.float32)
+        assert np.array_equal(extract_features(img, n_keypoints, decay, seed), want)
+
+        # the sampler takes any list of levels: here a blank level may come
+        # before one with foreground, which no built pyramid has
+        levels = [np.zeros_like(img) if b else img for b in blank]
+        if all(blank):
+            with pytest.raises(NoForeground):
+                sample_keypoints(levels, n_keypoints, decay, seed)
+            return
+        per_level = sample_keypoints(levels, n_keypoints, decay, seed)
+        oracle = sample_keypoints_oracle(levels, n_keypoints, decay, seed)
+        assert len(per_level) == len(levels)
+        for level, (rows, cols) in enumerate(per_level):
+            kps = [kp for kp in oracle if kp.level == level]
+            assert rows.tolist() == [kp.row for kp in kps]
+            assert cols.tolist() == [kp.col for kp in kps]
+
+    def test_single_keypoint_matches_masked_histogram(self):
+        rng = np.random.default_rng(13)
+        img = rng.integers(0, 256, size=(48, 48)).astype(np.uint8)
+        for r, c in ((0, 0), (47, 47), (0, 47), (24, 24), (3, 44)):
+            assert np.array_equal(descriptor(img, r, c), batch_descriptors_oracle(img, [r], [c])[0])

@@ -3,8 +3,9 @@ import pytest
 
 from viewret.errors import EmptyMesh, NoHits
 from viewret.geometry import TriangleMesh
-from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, ScannerConfig, make_box, make_cone,
-                             make_cylinder, make_sphere, sample_mesh_surface, simulate_scan)
+from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, make_box,
+                             make_cone, make_cylinder, make_sphere, sample_mesh_surface,
+                             simulate_scan)
 
 
 def ray_triangle_intersect(origin, direction, triangle):
@@ -200,6 +201,16 @@ class TestSimulateScan:
         with pytest.raises(ValueError):
             ScannerConfig(position=(0, 0, 1), target=(0, 0, 0), fov_deg=30,
                           angular_step_deg=40.0, max_range=5.0)
+
+    def test_ray_lattice_bound(self):
+        # construction only: a lattice near the bound would take gigabytes to scan
+        assert MAX_RAYS == 2048 * 2048
+        step = 5 / 256  # exact in binary, so fov / step is exact
+        base = dict(position=(0, 0, 1), target=(0, 0, 0), angular_step_deg=step, max_range=5.0)
+        ScannerConfig(fov_deg=2047 * step, **base)  # 2048 rays per side
+        for fov in (2048 * step, 1e200, float("inf")):
+            with pytest.raises(ValueError, match="rays"):
+                ScannerConfig(fov_deg=fov, **base)
 
 
 class TestPrimitives:
