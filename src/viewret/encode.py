@@ -13,7 +13,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
                      TooFewFeatures, ZeroVector)
-from .features import extract_features
+from .features import describe, extract_features, keypoint_windows
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
 from .select import score_grid, select_resolution, select_viewpoint
@@ -42,19 +42,22 @@ class GmmParams:
         return self.means.shape[1]
 
 
-def _log_joint(x: np.ndarray, gmm: GmmParams) -> np.ndarray:
-    """log(w_k N(x | mu_k, diag sigma_k^2)), (n, K): c_k - x^2 P^T/2 + x (mu P)^T, P = 1/sigma^2."""
+def _log_joint(x: np.ndarray, x2: np.ndarray, gmm: GmmParams) -> np.ndarray:
+    """log(w_k N(x | mu_k, diag sigma_k^2)), (n, K): c_k - x^2 P^T/2 + x (mu P)^T, P = 1/sigma^2.
+
+    ``x2`` is ``x * x``, which a caller computes once for all the calls on one x.
+    """
     prec = 1.0 / (gmm.sigmas * gmm.sigmas)
-    out = (x * x) @ (-0.5 * prec).T
+    out = x2 @ (-0.5 * prec).T
     out += x @ (gmm.means * prec).T
     out += (np.log(gmm.weights) - 0.5 * gmm.dim * _LOG_2PI - np.log(gmm.sigmas).sum(axis=1)
             - 0.5 * (gmm.means * gmm.means * prec).sum(axis=1))
     return out
 
 
-def _posteriors(x: np.ndarray, gmm: GmmParams):
+def _posteriors(x: np.ndarray, x2: np.ndarray, gmm: GmmParams):
     """Responsibilities (n, K), normalized in place over the log-joint, and log p(x) per row."""
-    resp = _log_joint(x, gmm)
+    resp = _log_joint(x, x2, gmm)
     peak = resp.max(axis=1, keepdims=True)
     resp -= peak
     np.exp(resp, out=resp)
@@ -63,9 +66,9 @@ def _posteriors(x: np.ndarray, gmm: GmmParams):
     return resp, (peak + np.log(total))[:, 0]
 
 
-def _moments(x: np.ndarray, resp: np.ndarray):
+def _moments(x: np.ndarray, x2: np.ndarray, resp: np.ndarray):
     """Zeroth- to second-order statistics s0 = sum q (K,), s1 = q^T x, s2 = q^T x^2 (K, D)."""
-    return resp.sum(axis=0), resp.T @ x, resp.T @ (x * x)
+    return resp.sum(axis=0), resp.T @ x, resp.T @ x2
 
 
 def _means_sigmas(s0, s1, s2):
@@ -83,7 +86,7 @@ def gmm_posteriors(x, gmm: GmmParams) -> np.ndarray:
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
-    post = _posteriors(arr, gmm)[0]
+    post = _posteriors(arr, arr * arr, gmm)[0]
     return post[0] if single else post
 
 
@@ -120,12 +123,13 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     if n < 10 * n_components:
         raise TooFewFeatures(f"need at least {10 * n_components} features for K={n_components}, got {n}")
 
+    x2 = x * x
     rng = np.random.default_rng(seed)
     centers = _kmeans_plus_plus(x, n_components, rng)
     # nearest centre by |c|^2 - 2 x.c (|x|^2 is common to all); an empty
     # cluster keeps its centre, weight 1 before normalization and the global variance
     assign = ((centers * centers).sum(axis=1) - 2.0 * (x @ centers.T)).argmin(axis=1)
-    s0, s1, s2 = _moments(x, np.eye(n_components)[assign])
+    s0, s1, s2 = _moments(x, x2, np.eye(n_components)[assign])
     empty = s0 == 0
     counts = np.maximum(s0, 1.0)
     means, sigmas = _means_sigmas(counts, s1, s2)
@@ -138,13 +142,13 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     previous = None
     reinitialized = False
     for _ in range(MAX_EM_ITERATIONS):
-        resp, log_px = _posteriors(x, gmm)
+        resp, log_px = _posteriors(x, x2, gmm)
         ll = float(log_px.sum())
         trace.append(ll)
         if previous is not None and abs(ll - previous) < EM_RELATIVE_TOL * abs(previous):
             break
         previous = ll
-        s0, s1, s2 = _moments(x, resp)
+        s0, s1, s2 = _moments(x, x2, resp)
         dead = s0 < n * 1e-12
         if dead.any():
             if reinitialized:
@@ -175,7 +179,7 @@ def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarra
     if x.shape[1] != gmm.dim:
         raise DimensionMismatch(f"features have dim {x.shape[1]}, mixture expects {gmm.dim}")
     n = len(x)
-    s0, s1, s2 = _moments(x, gmm_posteriors(x, gmm))
+    s0, s1, s2 = _moments(x, x * x, gmm_posteriors(x, gmm))
     mu, sigma, s0 = gmm.means, gmm.sigmas, s0[:, None]
     u = (s1 - s0 * mu) / sigma
     v = (s2 - 2.0 * mu * s1 + s0 * mu * mu) / (sigma * sigma) - s0
@@ -248,16 +252,21 @@ def view_features(images, config: PipelineConfig, seed_prefix):
 
 
 def pool_features(chunks, cap: int, seed) -> np.ndarray:
-    """Concatenate feature chunks, keeping a seeded sample of ``cap`` rows at most.
+    """A seeded sample of at most ``cap`` rows of the chunks' concatenation, in pooled order.
 
-    The sample keeps the pooled row order.
+    The sample is ``cap`` sorted row indices drawn without replacement; the
+    rows are gathered chunk by chunk, so the whole pool is never built. Rows
+    may be features or keypoint windows.
     """
-    pooled = np.concatenate(list(chunks), axis=0)
-    if len(pooled) > cap:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pooled), size=cap, replace=False)
-        pooled = pooled[np.sort(keep)]
-    return pooled
+    chunks = list(chunks)
+    lengths = [len(c) for c in chunks]
+    ends = np.cumsum(lengths)
+    if sum(lengths) <= cap:
+        return np.concatenate(chunks, axis=0)
+    keep = np.sort(np.random.default_rng(seed).choice(int(ends[-1]), size=cap, replace=False))
+    per_chunk = np.split(keep, np.searchsorted(keep, ends[:-1]))
+    return np.concatenate([chunk[rows - start] for chunk, rows, start
+                           in zip(chunks, per_chunk, ends - lengths)], axis=0)
 
 
 def encode_views(model_id: str, class_id: int, features, gmm: GmmParams) -> list:
@@ -270,12 +279,16 @@ def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
     """Features of every database view of every model, optionally subsampled.
 
     Uses the same per-image seeds as `build_db`, so the pooled features match
-    the ones later encoded into descriptors.
+    the ones later encoded into descriptors. Every view is rendered and
+    keypoint-sampled, but only the rows the sample keeps are described: a
+    descriptor depends on its keypoint's window alone, so the pool holds uint8
+    windows and describes the kept ones.
     """
-    chunks = (f for m_idx, (_, _, geometry) in enumerate(models)
-              for f in view_features(database_views(geometry, config), config,
-                                     [config.seed, m_idx]))
-    return pool_features(chunks, config.gmm_sample_cap, [config.seed, 0x9001])
+    windows = (w for m_idx, (_, _, geometry) in enumerate(models)
+               for v_idx, img in enumerate(database_views(geometry, config))
+               for w in keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
+                                         seed=[config.seed, m_idx, v_idx]))
+    return describe(pool_features(windows, config.gmm_sample_cap, [config.seed, 0x9001]))
 
 
 def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:

@@ -79,47 +79,95 @@ def _spatial_bins():
 _CELL_LO, _CELL_HI_W = _spatial_bins()
 _OFFSETS = np.arange(PATCH) - (PATCH - 1) / 2.0
 _GAUSS = np.exp(-(_OFFSETS[:, None] ** 2 + _OFFSETS[None, :] ** 2) / (2.0 * GAUSS_SIGMA ** 2))
+WINDOW = PATCH + 2
+# rows described per batch: bounds the transients of describing a large pool,
+# and a block's float64 temporaries (about 20 KB a row) stay in a core's L2 cache
+DESCRIBE_BLOCK = 64
+# a central difference of uint8 pixels is one of 511 integers, -255..255
+_DIFFS = 2 * 255 + 1
 
 
-def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
-    """Descriptors for many keypoints of one pyramid level, one per row."""
-    img = np.asarray(level_img, dtype=np.float64)
-    pad = PATCH // 2 + 1
-    padded = np.pad(img, pad)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    n = len(rows)
+def _gradient_tables():
+    """Gradient terms of every (dy, dx) pair of uint8 central differences.
 
-    # 18x18 windows so central differences cover the full 16x16 patch
-    span = np.arange(PATCH + 2)
-    win = padded[rows[:, None, None] + span[None, :, None],
-                 cols[:, None, None] + span[None, None, :]]
-    gx = (win[:, 1:-1, 2:] - win[:, 1:-1, :-2]) / 2.0
-    gy = (win[:, 2:, 1:-1] - win[:, :-2, 1:-1]) / 2.0
-    magnitude = np.hypot(gx, gy) * _GAUSS
-    orientation = np.mod(np.arctan2(gy, gx) / (2.0 * np.pi / ORIENTATION_BINS), ORIENTATION_BINS)
-    floor_bin = orientation.astype(np.int64)
-    ofrac = orientation - floor_bin
-    # mod can round up to exactly ORIENTATION_BINS for tiny negative angles
-    obin0 = floor_bin % ORIENTATION_BINS
-    obin1 = (obin0 + 1) % ORIENTATION_BINS
+    Entry ``(dy + 255) * 511 + (dx + 255)`` holds the magnitude, the
+    fraction past the lower orientation bin and both orientation bins of the
+    gradient (dx / 2, dy / 2), from the float64 expressions a per-window
+    computation uses, on contiguous arrays as there. Built one dy row at a
+    time to keep the transients small.
+    """
+    half = np.arange(-255, 256) / 2.0
+    magnitude = np.empty((_DIFFS, _DIFFS))
+    ofrac = np.empty((_DIFFS, _DIFFS))
+    obin0 = np.empty((_DIFFS, _DIFFS), dtype=np.uint8)
+    obin1 = np.empty((_DIFFS, _DIFFS), dtype=np.uint8)
+    for i, gy_value in enumerate(half):
+        gx, gy = half, np.full(_DIFFS, gy_value)
+        magnitude[i] = np.hypot(gx, gy)
+        orientation = np.mod(np.arctan2(gy, gx) / (2.0 * np.pi / ORIENTATION_BINS),
+                             ORIENTATION_BINS)
+        floor_bin = orientation.astype(np.int64)
+        ofrac[i] = orientation - floor_bin
+        # mod can round up to exactly ORIENTATION_BINS for tiny negative angles
+        obin0[i] = floor_bin % ORIENTATION_BINS
+        obin1[i] = (obin0[i] + 1) % ORIENTATION_BINS
+    return magnitude.ravel(), ofrac.ravel(), obin0.ravel(), obin1.ravel()
 
-    # spatial cells -1..CELLS land in a one-cell margin that is cropped below
-    grid = CELLS + 2
-    hist = np.zeros((n, grid, grid, ORIENTATION_BINS))
-    flat = hist.reshape(-1)
-    kp_base = (np.arange(n) * grid * grid * ORIENTATION_BINS)[:, None, None]
+
+_MAGNITUDE, _OFRAC, _OBIN0, _OBIN1 = _gradient_tables()
+
+# spatial cells -1..CELLS land in a one-cell margin that is cropped after accumulation
+_GRID = CELLS + 2
+
+
+def _spatial_terms():
+    """(16x16 weight, 16x16 offset of the cell's first bin) for the 4 cells each pixel feeds."""
+    terms = []
     for dr in (0, 1):
         w_r = _CELL_HI_W if dr else 1.0 - _CELL_HI_W
         for dc in (0, 1):
             w_c = _CELL_HI_W if dc else 1.0 - _CELL_HI_W
-            cell_base = ((_CELL_LO + 1 + dr)[:, None] * grid
-                         + (_CELL_LO + 1 + dc)[None, :]) * ORIENTATION_BINS
-            contrib = magnitude * (w_r[:, None] * w_c[None, :])
-            np.add.at(flat, (kp_base + cell_base + obin0).reshape(-1),
-                      (contrib * (1.0 - ofrac)).reshape(-1))
-            np.add.at(flat, (kp_base + cell_base + obin1).reshape(-1),
-                      (contrib * ofrac).reshape(-1))
+            terms.append((w_r[:, None] * w_c[None, :],
+                          ((_CELL_LO + 1 + dr)[:, None] * _GRID
+                           + (_CELL_LO + 1 + dc)[None, :]) * ORIENTATION_BINS))
+    return terms
+
+
+_SPATIAL = _spatial_terms()
+
+
+def _windows(level_img, rows, cols) -> np.ndarray:
+    """The (n, 18, 18) uint8 windows around keypoints; the rim feeds the central differences."""
+    img = np.asarray(level_img)
+    if img.dtype != np.uint8:
+        raise ValueError(f"depth images must be uint8, got {img.dtype}")
+    padded = np.pad(img, PATCH // 2 + 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    span = np.arange(WINDOW)
+    return padded[rows[:, None, None] + span[None, :, None],
+                  cols[:, None, None] + span[None, None, :]]
+
+
+def _describe_block(windows) -> np.ndarray:
+    """Float64 descriptors of a block of uint8 windows, one per row."""
+    win = windows.astype(np.int32)
+    n = len(win)
+    idx = ((win[:, 2:, 1:-1] - win[:, :-2, 1:-1] + 255) * _DIFFS
+           + (win[:, 1:-1, 2:] - win[:, 1:-1, :-2] + 255))
+    magnitude = _MAGNITUDE[idx] * _GAUSS
+    ofrac = _OFRAC[idx]
+    lower = 1.0 - ofrac
+    kp_base = (np.arange(n) * _GRID * _GRID * ORIENTATION_BINS)[:, None, None]
+    bin0 = kp_base + _OBIN0[idx]
+    bin1 = kp_base + _OBIN1[idx]
+
+    hist = np.zeros((n, _GRID, _GRID, ORIENTATION_BINS))
+    flat = hist.reshape(-1)
+    for spatial_w, cell_base in _SPATIAL:
+        contrib = magnitude * spatial_w
+        np.add.at(flat, (bin0 + cell_base).reshape(-1), (contrib * lower).reshape(-1))
+        np.add.at(flat, (bin1 + cell_base).reshape(-1), (contrib * ofrac).reshape(-1))
 
     desc = hist[:, 1:-1, 1:-1].reshape(n, DESCRIPTOR_SIZE)
     norms = np.linalg.norm(desc, axis=1)
@@ -132,14 +180,35 @@ def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
     return desc
 
 
+def describe(windows) -> np.ndarray:
+    """(n, 128) float32 descriptors of (n, 18, 18) uint8 keypoint windows.
+
+    Each row depends only on its own window, so describing in blocks of
+    DESCRIBE_BLOCK rows gives the same values as describing all at once.
+    """
+    out = np.empty((len(windows), DESCRIPTOR_SIZE), dtype=np.float32)
+    for start in range(0, len(windows), DESCRIBE_BLOCK):
+        out[start:start + DESCRIBE_BLOCK] = _describe_block(windows[start:start + DESCRIBE_BLOCK])
+    return out
+
+
+def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
+    """Float64 descriptors for many keypoints of one pyramid level, one per row."""
+    return _describe_block(_windows(level_img, rows, cols))
+
+
+def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> list:
+    """Pyramid and keypoint sampling: one (n, 18, 18) uint8 window array per level."""
+    pyramid = build_pyramid(img)
+    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
+    return [_windows(level_img, rows, cols) for level_img, (rows, cols) in zip(pyramid, per_level)]
+
+
 def extract_features(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
     """Pyramid, keypoint sampling and description in one call.
 
     Returns an (n, 128) float32 array, level by level in sampling order, so
     the result is deterministic for a fixed seed.
     """
-    pyramid = build_pyramid(img)
-    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
-    return np.concatenate([_batch_descriptors(level_img, rows, cols)
-                           for level_img, (rows, cols) in zip(pyramid, per_level)]
-                          ).astype(np.float32)
+    return np.concatenate([describe(windows)
+                           for windows in keypoint_windows(img, n_keypoints, decay, seed)])

@@ -4,6 +4,7 @@ All binary layouts are little-endian with 32-bit IEEE floats.
 """
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -24,19 +25,48 @@ MAX_CLASS_ID = 0xFFFFFFFF
 
 # --- text geometry -----------------------------------------------------------
 
+# the characters str.split() splits on, all below U+3001; the last entry
+# stands for every higher code point
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
+
+
 def load_xyz(path) -> np.ndarray:
-    """Read one `x y z` triple per line; `#` starts a comment."""
-    points = []
+    """Read one `x y z` triple per line; `#` starts a comment.
+
+    The whole file is parsed at once: the tokens are ``str.split()``'s, each
+    converted by ``float()``, and numpy counts them per line to check the
+    layout. The first bad line, in file order, is reported as ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 coordinates, got {len(parts)}")
-            points.append([float(p) for p in parts])
-    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        text = fh.read()
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space = _SPACE[chars]
+    else:
+        chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        space = _SPACE[np.minimum(chars, len(_SPACE) - 1)]
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    token_line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)  # 0-based
+    counts = np.bincount(token_line)
+    bad = np.flatnonzero((counts != 0) & (counts != 3))
+    tokens = text.split()
+    # only the tokens before the first badly laid-out line can fail to parse first
+    end = int(np.searchsorted(token_line, bad[0])) if len(bad) else len(tokens)
+    try:
+        values = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
+    except ValueError:
+        for i in range(end):
+            try:
+                float(tokens[i])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{token_line[i] + 1}: {exc}") from None
+        raise
+    if len(bad):
+        raise ValueError(f"{path}:{bad[0] + 1}: expected 3 coordinates, got {counts[bad[0]]}")
+    return values.reshape(-1, 3)
 
 
 def save_xyz(points, path):

@@ -4,13 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from viewret import encode
 from viewret.config import PipelineConfig
 from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _kmeans_plus_plus,
                             _log_joint, build_db, cosine_distance, fisher_vector, fit_gmm,
-                            gmm_posteriors, query_db)
+                            gmm_posteriors, pool_database_features, pool_features, query_db)
 from viewret.errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
-                            TooFewFeatures, ZeroVector)
-from viewret.scansim import make_box
+                            NoForeground, TooFewFeatures, ZeroVector)
+from viewret.features import DESCRIBE_BLOCK, extract_features
+from viewret.scansim import make_box, make_cone
 
 
 def random_gmm(rng, k, dim):
@@ -324,7 +326,7 @@ class TestAgainstPerComponentForms:
     def test_log_joint_and_posteriors(self, case):
         x, gmm = case
         logj, logj_bound, q, q_rtol = self.bounds(x, gmm)
-        assert np.all(np.abs(_log_joint(x, gmm) - logj) <= logj_bound)
+        assert np.all(np.abs(_log_joint(x, x * x, gmm) - logj) <= logj_bound)
         assert np.all(np.abs(gmm_posteriors(x, gmm) - q) <= q_rtol * q + 1e-300)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -455,3 +457,80 @@ class TestBuildAndQueryDb:
     def test_empty_db(self):
         with pytest.raises(EmptyDb):
             query_db(DescriptorDb(entries=[]), np.ones((1, 8)))
+
+
+# --- the pool it replaced: describe every view, then sample the rows ----------
+
+def pool_database_features_oracle(models, config):
+    feats = [extract_features(img, config.n_keypoints, config.keypoint_decay,
+                              seed=[config.seed, m_idx, v_idx])
+             for m_idx, (_, _, geometry) in enumerate(models)
+             for v_idx, img in enumerate(encode.database_views(geometry, config))]
+    pooled = np.concatenate(feats, axis=0)
+    if len(pooled) > config.gmm_sample_cap:
+        keep = np.random.default_rng([config.seed, 0x9001]).choice(
+            len(pooled), size=config.gmm_sample_cap, replace=False)
+        pooled = pooled[np.sort(keep)]
+    return pooled
+
+
+class TestPoolDatabaseFeatures:
+    @pytest.fixture(scope="class")
+    def models(self):
+        rng = np.random.default_rng(41)
+        return [("box", 0, make_box()),
+                ("cone", 1, make_cone(radius=0.6, height=1.7)),
+                ("cloud", 2, rng.normal(size=(600, 3)) * [1.0, 0.7, 0.4])]
+
+    @pytest.fixture(scope="class")
+    def total_rows(self, models):
+        return len(pool_database_features_oracle(models, tiny_config().override(
+            gmm_sample_cap=10 ** 9)))
+
+    def test_pool_spans_many_describe_blocks(self, total_rows):
+        assert total_rows > 10 * DESCRIBE_BLOCK
+
+    @pytest.mark.parametrize("cap", ["in-one-block", "over-blocks", "equal", "above"])
+    def test_matches_describe_then_sample(self, models, total_rows, cap):
+        cap = {"in-one-block": DESCRIBE_BLOCK // 2, "over-blocks": 5 * DESCRIBE_BLOCK + 17,
+               "equal": total_rows, "above": total_rows + 1}[cap]
+        config = tiny_config(seed=3).override(gmm_sample_cap=cap)
+        got = pool_database_features(models, config)
+        want = pool_database_features_oracle(models, config)
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == (min(cap, total_rows), 128)
+        assert np.array_equal(got, want)
+
+    def test_blank_view_raises_like_before(self, models, monkeypatch):
+        views = encode.database_views
+
+        def one_blank(geometry, config):
+            images = views(geometry, config)
+            images[7] = np.zeros_like(images[7])
+            return images
+
+        monkeypatch.setattr(encode, "database_views", one_blank)
+        with pytest.raises(NoForeground) as want:
+            pool_database_features_oracle(models, tiny_config())
+        with pytest.raises(NoForeground) as got:
+            pool_database_features(models, tiny_config())
+        assert str(got.value) == str(want.value)
+
+
+class TestPoolFeatures:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=12), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_concatenate_then_sample(self, lengths, cap, seed):
+        rng = np.random.default_rng(seed)
+        chunks = [rng.integers(0, 256, size=(n, 3, 2), dtype=np.uint8) for n in lengths]
+        pooled = np.concatenate(chunks)
+        if len(pooled) > cap:
+            keep = np.random.default_rng([seed, 17]).choice(len(pooled), size=cap, replace=False)
+            pooled = pooled[np.sort(keep)]
+        got = pool_features(iter(chunks), cap, [seed, 17])
+        assert got.dtype == np.uint8 and np.array_equal(got, pooled)
+
+    def test_no_chunks(self):
+        with pytest.raises(ValueError):
+            pool_features([], 10, seed=0)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewret.errors import BadResolution, NoForeground
-from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, CELLS, COMPONENT_CLAMP,
-                              DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH, _batch_descriptors,
-                              build_pyramid, extract_features, sample_keypoints)
+from viewret import features
+from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
+                              CELLS, COMPONENT_CLAMP, DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH,
+                              WINDOW, _batch_descriptors, _windows, build_pyramid, describe,
+                              extract_features, keypoint_windows, sample_keypoints)
 
 
 def descriptor(level_img, row, col):
@@ -184,6 +186,14 @@ def sample_keypoints_oracle(pyramid, n_keypoints, decay, seed):
     return keypoints
 
 
+def gradient_terms_oracle(gx, gy):
+    """Magnitude, fraction past the lower orientation bin, and both bins, in float64."""
+    orientation = np.mod(np.arctan2(gy, gx) / (2.0 * np.pi / ORIENTATION_BINS), ORIENTATION_BINS)
+    floor_bin = orientation.astype(np.int64)
+    obin0 = floor_bin % ORIENTATION_BINS
+    return np.hypot(gx, gy), orientation - floor_bin, obin0, (obin0 + 1) % ORIENTATION_BINS
+
+
 def batch_descriptors_oracle(level_img, rows, cols):
     """The 4x4 histogram with validity masks on the spatial bins, in float64."""
     padded = np.pad(np.asarray(level_img, dtype=np.float64), PATCH // 2 + 1)
@@ -197,12 +207,8 @@ def batch_descriptors_oracle(level_img, rows, cols):
                  cols[:, None, None] + span[None, None, :]]
     gx = (win[:, 1:-1, 2:] - win[:, 1:-1, :-2]) / 2.0
     gy = (win[:, 2:, 1:-1] - win[:, :-2, 1:-1]) / 2.0
-    magnitude = np.hypot(gx, gy) * _GAUSS
-    orientation = np.mod(np.arctan2(gy, gx) / (2.0 * np.pi / ORIENTATION_BINS), ORIENTATION_BINS)
-    floor_bin = orientation.astype(np.int64)
-    ofrac = orientation - floor_bin
-    obin0 = floor_bin % ORIENTATION_BINS
-    obin1 = (obin0 + 1) % ORIENTATION_BINS
+    hypot, ofrac, obin0, obin1 = gradient_terms_oracle(gx, gy)
+    magnitude = hypot * _GAUSS
 
     hist = np.zeros((n, CELLS, CELLS, ORIENTATION_BINS))
     flat = hist.reshape(-1)
@@ -303,3 +309,55 @@ class TestAgainstKeypointOracle:
         img = rng.integers(0, 256, size=(48, 48)).astype(np.uint8)
         for r, c in ((0, 0), (47, 47), (0, 47), (24, 24), (3, 44)):
             assert np.array_equal(descriptor(img, r, c), batch_descriptors_oracle(img, [r], [c])[0])
+
+
+class TestGradientTables:
+    def test_every_entry_matches_the_per_window_expressions(self):
+        # every (dy, dx) pair as two uint8 pixel pairs whose differences realize it,
+        # in the row-major order of the tables
+        diffs = np.arange(-255, 256)
+        low = np.maximum(-diffs, 0).astype(np.float64)
+        dy, dx = np.meshgrid(diffs, diffs, indexing="ij")
+        top, left = np.meshgrid(low, low, indexing="ij")
+        gx = ((left + dx) - left) / 2.0
+        gy = ((top + dy) - top) / 2.0
+        hypot, ofrac, obin0, obin1 = gradient_terms_oracle(gx, gy)
+        assert np.array_equal(_MAGNITUDE, hypot.ravel())
+        assert np.array_equal(_OFRAC, ofrac.ravel())
+        assert np.array_equal(_OBIN0, obin0.ravel())
+        assert np.array_equal(_OBIN1, obin1.ravel())
+
+    def test_resident_size(self):
+        tables = (_MAGNITUDE, _OFRAC, _OBIN0, _OBIN1)
+        assert sum(t.nbytes for t in tables) <= 5 * 2 ** 20
+
+    def test_extreme_differences(self):
+        # 2x2 blocks of 0 and 255: pixels two apart differ by +-255 along both axes
+        img = ((np.indices((48, 48)) // 2).sum(axis=0) % 2 * 255).astype(np.uint8)
+        img[::5] = 0
+        for r, c in ((0, 0), (20, 21), (47, 46)):
+            assert np.array_equal(descriptor(img, r, c), batch_descriptors_oracle(img, [r], [c])[0])
+
+
+class TestDescribe:
+    def test_windows_are_uint8(self):
+        img = np.full((40, 40), 7, dtype=np.uint8)
+        win = _windows(img, [0, 39], [5, 39])
+        assert win.dtype == np.uint8 and win.shape == (2, WINDOW, WINDOW)
+        assert win[0, 0, 0] == 0 and win[1, 9, 9] == 7
+
+    def test_rejects_non_uint8_images(self):
+        with pytest.raises(ValueError):
+            _batch_descriptors(np.full((40, 40), 7.0), [20], [20])
+
+    def test_blocks_match_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        img = (rng.random((96, 96)) < 0.6).astype(np.uint8) * rng.integers(1, 256, size=(96, 96),
+                                                                            dtype=np.uint8)
+        windows = np.concatenate(keypoint_windows(img, 120, 1.5, seed=15))
+        whole = features._describe_block(windows).astype(np.float32)
+        assert np.array_equal(extract_features(img, 120, 1.5, seed=15), whole)
+        monkeypatch.setattr(features, "DESCRIBE_BLOCK", 7)
+        blocked = describe(windows)
+        assert blocked.dtype == np.float32 and len(windows) > 7 * 3
+        assert np.array_equal(blocked, whole)

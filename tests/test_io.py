@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
@@ -26,6 +28,105 @@ class TestXyz:
         path = tmp_path / "cloud.xyz"
         path.write_text("1 2\n")
         with pytest.raises(ValueError):
+            vio.load_xyz(path)
+
+
+def load_xyz_oracle(path):
+    """The line-by-line reader load_xyz replaced; a token that fails to parse reports its line."""
+    points = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 3 coordinates, got {len(parts)}")
+            try:
+                points.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
+
+
+GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0", "+.5", "5.", "1_0", "\u0661\u0662", "NaN", "-Infinity", "1e400",
+                     "2.4703282292062328e-324"]))
+BAD_TOKENS = st.sampled_from(["abc", "1.5e", "--1", "0x10", "1,5", "_1", "\ufeff1", "nan!"])
+# str.split() whitespace; \x0b, \x0c, \x1c, \x85 and \u2028 end no line of a text file
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+                              "\u3000"])
+
+
+@st.composite
+def xyz_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "row", "bad-token", "count", "blank",
+                                 "comment"]))
+    if kind in ("blank", "comment"):
+        tokens = []
+    else:
+        count = draw(st.integers(0, 5)) if kind == "count" else 3
+        tokens = draw(st.lists(GOOD_TOKENS, min_size=count, max_size=count))
+        if kind == "bad-token" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(BAD_TOKENS)
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for i, token in enumerate(tokens):
+        line += (draw(SEPARATORS) if i else "") + token
+    line += draw(st.sampled_from(["", " ", "\xa0"]))
+    if kind == "comment" or draw(st.booleans()):
+        line += "#" + draw(st.sampled_from(["", " 1 2 3", "#", " x # y", " \u2028 4"]))
+    return line
+
+
+@st.composite
+def xyz_files(draw):
+    lines = draw(st.lists(xyz_lines(), max_size=8))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    if text and draw(st.booleans()):
+        text = text[:-1] if not text.endswith("\r\n") else text[:-2]
+    return text
+
+
+class TestXyzAgainstLineReader:
+    @settings(derandomize=True, deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(xyz_files())
+    def test_values_and_errors_match(self, tmp_path, text):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = load_xyz_oracle(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                vio.load_xyz(path)
+            assert str(got.value) == str(exc)
+            return
+        got = vio.load_xyz(path)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  \t\n# a\n\r\n"])
+    def test_files_without_points(self, tmp_path, text):
+        path = tmp_path / "cloud.xyz"
+        path.write_bytes(text.encode("utf-8"))
+        got = vio.load_xyz(path)
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
+    def test_bad_token_reports_its_line(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("1 2 3\n# 1 2\n4 five 6\n7 8\n")
+        with pytest.raises(ValueError, match=r"cloud\.xyz:3: could not convert string to float"):
+            vio.load_xyz(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("1 2 3\n4 5\n7 eight 9\n")
+        with pytest.raises(ValueError, match=r"cloud\.xyz:2: expected 3 coordinates, got 2"):
             vio.load_xyz(path)
 
 
