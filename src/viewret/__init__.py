@@ -7,8 +7,8 @@ database models by minimum view-pair cosine distance.
 """
 
 from .config import DEFAULT_RESOLUTIONS, PipelineConfig
-from .encode import (DbEntry, DescriptorDb, GmmParams, build_db, cosine_distance,
-                     fisher_vector, fit_gmm, gmm_posteriors, query_db)
+from .encode import (DbEntry, DescriptorDb, GmmParams, build_db, fisher_vector, fit_gmm,
+                     gmm_posteriors, query_db)
 from .errors import ViewretError
 from .evaluate import (ALL_CASES, CaseConfig, RankedRetrieval, ScanEntry, angular_error,
                        desk_benchmark_config, make_synthetic_dataset, map_metric, ndcg_metric,
@@ -16,9 +16,8 @@ from .evaluate import (ALL_CASES, CaseConfig, RankedRetrieval, ScanEntry, angula
                        viewpoint_error_experiment)
 from .features import build_pyramid, extract_features, sample_keypoints
 from .geometry import (CameraFrame, NormalizationTransform, TriangleMesh, camera_frame,
-                       dodecahedron_viewpoints, normalize_mesh, normalize_pose, project)
-from .render import (density, eight_connected_count, quantity, render_mesh,
-                     render_point_cloud, to_binary)
+                       dodecahedron_viewpoints, normalize_mesh, normalize_pose)
+from .render import render_mesh, render_point_cloud
 from .scansim import (ScannerConfig, ScanResult, make_box, make_cone, make_cylinder,
                       make_sphere, simulate_scan)
 from .select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,

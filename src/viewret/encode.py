@@ -194,20 +194,6 @@ def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarra
     return descriptor
 
 
-def cosine_distance(a, b) -> float:
-    """1 - cos(a, b), in [0, 2]."""
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"descriptor sizes differ: {va.shape} vs {vb.shape}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0 or nb == 0:
-        raise ZeroVector("cosine distance is undefined for zero vectors")
-    cos = np.clip(float(va @ vb) / (na * nb), -1.0, 1.0)
-    return 1.0 - cos
-
-
 @dataclass
 class DbEntry:
     model_id: str

@@ -25,10 +25,6 @@ class EmptyMesh(ViewretError):
     pass
 
 
-class ZeroCardinality(ViewretError):
-    pass
-
-
 class NoForeground(ViewretError):
     pass
 

@@ -159,9 +159,17 @@ _CLASS_MAKERS = (
 )
 
 
-def _random_direction(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def _scan_entry(model_id: str, class_id: int, mesh, rng, fov_deg: float,
+                step_deg: float) -> ScanEntry:
+    """Scan ``mesh`` from a random direction SCAN_DISTANCE from the origin, aimed at it."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    cfg = ScannerConfig(position=direction * SCAN_DISTANCE, target=(0.0, 0.0, 0.0),
+                        fov_deg=fov_deg, angular_step_deg=step_deg,
+                        max_range=4.0 * SCAN_DISTANCE)
+    scan = simulate_scan(mesh, cfg)
+    return ScanEntry(model_id=model_id, class_id=class_id, cloud=scan.cloud,
+                     gt_viewpoint=scan.ground_truth_viewpoint)
 
 
 def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: int = 0,
@@ -172,13 +180,8 @@ def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: i
     for class_id, (name, make) in enumerate(_CLASS_MAKERS[:n_classes]):
         for index in range(scans_per_class):
             mesh = make(rng)
-            direction = _random_direction(rng)
-            cfg = ScannerConfig(position=direction * SCAN_DISTANCE, target=(0.0, 0.0, 0.0),
-                                fov_deg=SYNTHETIC_FOV_DEG, angular_step_deg=step_deg,
-                                max_range=4.0 * SCAN_DISTANCE)
-            scan = simulate_scan(mesh, cfg)
-            entries.append(ScanEntry(model_id=f"{name}-{index}", class_id=class_id,
-                                     cloud=scan.cloud, gt_viewpoint=scan.ground_truth_viewpoint))
+            entries.append(_scan_entry(f"{name}-{index}", class_id, mesh, rng,
+                                       SYNTHETIC_FOV_DEG, step_deg))
     return entries
 
 
@@ -199,13 +202,8 @@ def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, step_deg: floa
             mesh = make_cylinder(radius=float(rng.uniform(0.45, 0.6)),
                                  height=float(rng.uniform(1.0, 1.4)))
             name = "cylinder"
-        direction = _random_direction(rng)
-        cfg = ScannerConfig(position=direction * SCAN_DISTANCE, target=(0.0, 0.0, 0.0),
-                            fov_deg=VIEWPOINT_SCAN_FOV_DEG, angular_step_deg=step_deg,
-                            max_range=4.0 * SCAN_DISTANCE)
-        scan = simulate_scan(mesh, cfg)
-        entries.append(ScanEntry(model_id=f"{name}-{index}", class_id=index % 2,
-                                 cloud=scan.cloud, gt_viewpoint=scan.ground_truth_viewpoint))
+        entries.append(_scan_entry(f"{name}-{index}", index % 2, mesh, rng,
+                                   VIEWPOINT_SCAN_FOV_DEG, step_deg))
     return entries
 
 

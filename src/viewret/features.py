@@ -192,11 +192,6 @@ def describe(windows) -> np.ndarray:
     return out
 
 
-def _batch_descriptors(level_img, rows, cols) -> np.ndarray:
-    """Float64 descriptors for many keypoints of one pyramid level, one per row."""
-    return _describe_block(_windows(level_img, rows, cols))
-
-
 def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> list:
     """Pyramid and keypoint sampling: one (n, 18, 18) uint8 window array per level."""
     pyramid = build_pyramid(img)

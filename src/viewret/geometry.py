@@ -198,9 +198,3 @@ def project_points(points, frame: CameraFrame, resolution: int):
     rows, cols = _pixel_indices(pts @ frame.right, pts @ frame.up, resolution)
     depths = ((pts - frame.eye) @ frame.forward) / 2.0
     return rows, cols, depths
-
-
-def project(point, frame: CameraFrame, resolution: int):
-    """Project a single point; returns ``(row, col, depth)``."""
-    rows, cols, depths = project_points(np.asarray(point, dtype=np.float64)[None, :], frame, resolution)
-    return int(rows[0]), int(cols[0]), float(depths[0])

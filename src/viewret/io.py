@@ -1,4 +1,4 @@
-"""File formats: XYZ/OBJ geometry, PGM images, binary feature/GMM/DB dumps.
+"""File formats: XYZ/OBJ geometry, PGM images (written only), binary feature/GMM/DB dumps.
 
 All binary layouts are little-endian with 32-bit IEEE floats.
 """
@@ -125,21 +125,6 @@ def write_pgm(img, path):
         fh.write(arr.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = []
-    pos = 0
-    while len(header) < 4:
-        end = data.index(b"\n", pos)
-        header.extend(data[pos:end].split())
-        pos = end + 1
-    if header[0] != b"P5" or int(header[3]) != 255:
-        raise ValueError(f"{path}: not a maxval-255 binary PGM")
-    w, h = int(header[1]), int(header[2])
-    return np.frombuffer(data[pos:pos + w * h], dtype=np.uint8).reshape(h, w).copy()
-
-
 # --- binary dumps -------------------------------------------------------------
 
 class _BinaryReader:
@@ -188,9 +173,12 @@ def read_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         reader = _BinaryReader(fh, path, FEATURES_MAGIC)
         (count,) = reader.unpack("<I", "header")
-        data = reader.floats(count * DESCRIPTOR_SIZE, "features")
+        data = reader.floats(count * DESCRIPTOR_SIZE, "features").reshape(count, DESCRIPTOR_SIZE)
         reader.finish()
-    return data.reshape(count, DESCRIPTOR_SIZE).copy()
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise CorruptFile(f"{path}: feature row {int(np.argmax(bad))} holds a non-finite value")
+    return data.copy()
 
 
 def write_gmm(gmm: GmmParams, path):
@@ -238,6 +226,8 @@ def write_descriptor_db(db: DescriptorDb, path):
         for what, value in (("class", entry.class_id), ("viewpoint", entry.viewpoint_id)):
             if not 0 <= value <= MAX_CLASS_ID:
                 raise ValueError(f"entry {index}: {what} id {value} is outside [0, {MAX_CLASS_ID}]")
+        if not np.all(np.isfinite(entry.descriptor)):
+            raise ValueError(f"entry {index}: descriptor holds a non-finite value")
         heads.append(struct.pack("<H", len(name)) + name
                      + struct.pack("<II", entry.class_id, entry.viewpoint_id))
     with open(path, "wb") as fh:
@@ -266,6 +256,8 @@ def read_descriptor_db(path) -> DescriptorDb:
                 raise CorruptFile(f"{path}: {field} model id is not UTF-8") from exc
             class_id, viewpoint_id = reader.unpack("<II", field)
             desc = reader.floats(dim, field).copy()
+            if not np.all(np.isfinite(desc)):
+                raise CorruptFile(f"{path}: {field} descriptor holds a non-finite value")
             entries.append(DbEntry(model_id, class_id, viewpoint_id, desc))
         reader.finish()
     return DescriptorDb(entries=entries)
@@ -285,21 +277,6 @@ def write_scan_metadata(scan, path):
         fh.write(f"max_range={cfg.max_range:.17g}\n")
         fh.write(f"noise_sigma={cfg.noise_sigma:.17g}\n")
         fh.write(f"seed={cfg.seed}\n")
-
-
-def read_scan_metadata(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    if "ground_truth_viewpoint" in out:
-        out["ground_truth_viewpoint"] = np.asarray(
-            [float(v) for v in out["ground_truth_viewpoint"].split()])
-    return out
 
 
 def write_score_grid_csv(grid, fh):

@@ -1,4 +1,4 @@
-"""Software orthographic depth-image rendering and per-image measures.
+"""Software orthographic depth-image rendering.
 
 A depth image is an (r, r) uint8 array. Intensity 0 marks background; the
 nearest representable depth maps to 255 and the farthest to 1, so rendered
@@ -7,10 +7,8 @@ geometry can never disappear into the background value.
 
 import numpy as np
 
-from .errors import BadResolution, EmptyMesh, NoForeground, ZeroCardinality
+from .errors import EmptyMesh
 from .geometry import TriangleMesh, as_points, camera_frame, check_resolution, project_points
-
-BACKGROUND = 0
 
 # slack on normalized barycentric coordinates so shared edges rasterize
 _EDGE_EPS = 1e-9
@@ -88,46 +86,3 @@ def render_mesh(mesh: TriangleMesh, viewpoint, resolution: int) -> np.ndarray:
     covered = np.isfinite(zbuf)
     img[covered] = depth_to_intensity(zbuf[covered])
     return img
-
-
-def to_binary(img) -> np.ndarray:
-    """Foreground mask of a depth image: 1 where intensity exceeds background."""
-    return (np.asarray(img) > BACKGROUND).astype(np.uint8)
-
-
-def eight_connected_count(binary) -> int:
-    """Count foreground pixels whose full 3x3 neighborhood is also foreground.
-
-    The image border is treated as zero-padded, so a foreground pixel on the
-    border can never be counted. Equivalent to convolving with a 3x3 box of
-    ones and counting the positions that reach 9.
-    """
-    b = np.asarray(binary)
-    if b.ndim != 2 or min(b.shape) < 3:
-        raise BadResolution("binary image must be at least 3x3")
-    p = np.pad(b.astype(np.int32), 1)
-    h, w = b.shape
-    total = np.zeros((h, w), dtype=np.int32)
-    for dr in range(3):
-        for dc in range(3):
-            total += p[dr:dr + h, dc:dc + w]
-    return int((total == 9).sum())
-
-
-def foreground_count(img) -> int:
-    return int((np.asarray(img) > BACKGROUND).sum())
-
-
-def quantity(img, cloud_size: int) -> float:
-    """Fraction of the cloud's points that survived projection onto pixels."""
-    if cloud_size < 1:
-        raise ZeroCardinality("cloud size must be at least 1")
-    return foreground_count(img) / cloud_size
-
-
-def density(img) -> float:
-    """Fraction of foreground pixels whose 8-neighborhood is fully foreground."""
-    fg = foreground_count(img)
-    if fg == 0:
-        raise NoForeground("image has no foreground pixels")
-    return eight_connected_count(to_binary(img)) / fg

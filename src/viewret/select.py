@@ -54,7 +54,9 @@ def _occupied_pixels(x, y, resolution: int) -> np.ndarray:
 def _surrounded_count(occupied, resolution: int) -> int:
     """Occupied pixels off the image border whose 8 neighbours are all occupied.
 
-    Equals `render.eight_connected_count` of the rendered foreground mask.
+    Equals the 3x3 neighbourhood count of the rendered foreground mask that
+    the tests keep as the reference (``eight_connected_count`` in
+    ``tests/oracles.py``).
     In the sorted set, pixel f has both row neighbours f - 1 and f + 1 when
     its predecessor and successor are exactly those; its 3x3 block is full
     when f and the pixels f - r and f + r above and below it (found by binary
@@ -82,8 +84,9 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
 
     Q is the number of occupied pixels over the number of points and D the
     number of fully surrounded occupied pixels over the occupied ones: the
-    same integer ratios `render.quantity` and `render.density` take of the
-    rendered image, counted without rendering it.
+    same integer ratios that the dense reference measures in
+    ``tests/oracles.py`` (``quantity`` and ``density``) take of the rendered
+    image, counted without rendering it.
     """
     pts = as_points(cloud)
     views = dodecahedron_viewpoints() if viewpoints is None else np.asarray(viewpoints, dtype=np.float64)

@@ -16,8 +16,7 @@ from viewret.evaluate import (RankedRetrieval, desk_benchmark_config, make_synth
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric,
                               run_benchmark, viewpoint_error_experiment)
 from viewret.geometry import camera_frame
-from viewret.render import (density, eight_connected_count, quantity, render_point_cloud,
-                            to_binary)
+from viewret.render import render_point_cloud
 from viewret.select import multiview_ring, score_grid, select_viewpoint
 
 SEED = 42
@@ -92,7 +91,6 @@ class TestCriterion4:
             view = rng.normal(size=3)
             view /= np.linalg.norm(view)
             resolution = int(rng.choice([16, 32, 64]))
-            img = render_point_cloud(points, view, resolution)
 
             frame = camera_frame(view)
             buckets = set()
@@ -102,21 +100,25 @@ class TestCriterion4:
                 row = min(max(int(np.floor((1 - (p @ frame.up + 1) / 2) * resolution)), 0),
                           resolution - 1)
                 buckets.add((row, col))
-            binary = to_binary(img)
+            mask = np.zeros((resolution, resolution), dtype=bool)
+            for row, col in buckets:
+                mask[row, col] = True
             connected = 0
-            h, w = binary.shape
+            h, w = mask.shape
             for r in range(h):
                 for c in range(w):
-                    if binary[r, c] == 1 and all(
-                            0 <= r + dr < h and 0 <= c + dc < w and binary[r + dr, c + dc] == 1
+                    if mask[r, c] and all(
+                            0 <= r + dr < h and 0 <= c + dc < w and mask[r + dr, c + dc]
                             for dr in (-1, 0, 1) for dc in (-1, 0, 1)):
                         connected += 1
-            q_ok = quantity(img, n) == len(buckets) / n
-            d_ok = (eight_connected_count(binary) == connected
-                    and density(img) == connected / len(buckets))
-            exact += q_ok and d_ok
-        check(4, f"quantity/density match brute-force oracles exactly on {exact}/100 clouds",
-              exact == 100)
+
+            render_ok = np.array_equal(render_point_cloud(points, view, resolution) > 0, mask)
+            grid = score_grid(points, [view], (resolution,))
+            q_ok = grid.quantity[0, 0] == len(buckets) / n
+            d_ok = grid.density[0, 0] == connected / len(buckets)
+            exact += render_ok and q_ok and d_ok
+        check(4, f"rendered foreground and score-grid Q/D match brute-force oracles exactly "
+                 f"on {exact}/100 clouds", exact == 100)
 
 
 class TestCriterion5:

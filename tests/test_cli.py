@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import viewret
+from oracles import read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
@@ -43,6 +48,19 @@ class TestExitCodes:
         assert run(["select", "--input", missing]) == 2
         assert "nope.xyz" in capsys.readouterr().err
 
+    def test_codes_reach_the_shell(self, cloud_file, tmp_path):
+        """``python -m viewret.cli`` runs `main`, which exits the process with `run`'s code."""
+        paths = [os.path.dirname(os.path.dirname(viewret.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        for argv, code in ((["normalize", "--input", str(cloud_file)], 0),
+                           (["select", "--wat"], 1),
+                           (["select", "--input", str(tmp_path / "nope.xyz")], 2)):
+            proc = subprocess.run([sys.executable, "-m", "viewret.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert "nope.xyz" in proc.stderr
+
 
 class TestNormalize:
     def test_prints_transform_and_writes_cloud(self, tmp_path, capsys):
@@ -61,7 +79,7 @@ class TestRender:
         out = tmp_path / "img.pgm"
         assert run(["render", "--input", str(cloud_file), "--viewpoint-index", "0",
                     "--resolution", "64", "--output", str(out)]) == 0
-        img = vio.read_pgm(out)
+        img = read_pgm(out)
         assert img.shape == (64, 64)
         assert (img > 0).any()
 
@@ -69,7 +87,7 @@ class TestRender:
         out = tmp_path / "img.pgm"
         assert run(["render", "--input", str(mesh_file), "--viewpoint", "0,0,1",
                     "--resolution", "64", "--output", str(out)]) == 0
-        assert (vio.read_pgm(out) > 0).sum() > 100
+        assert (read_pgm(out) > 0).sum() > 100
 
     def test_requires_exactly_one_viewpoint_flag(self, cloud_file, tmp_path):
         assert run(["render", "--input", str(cloud_file), "--resolution", "32",
@@ -148,7 +166,7 @@ class TestScanSim:
         assert code == 0
         cloud = vio.load_xyz(out)
         assert len(cloud) > 50
-        meta = vio.read_scan_metadata(str(out) + ".meta")
+        meta = read_scan_metadata(str(out) + ".meta")
         np.testing.assert_allclose(meta["ground_truth_viewpoint"], [0, 0, 1], atol=1e-9)
 
     def test_absurd_ray_lattice_is_data_error(self, mesh_file, tmp_path, capsys):
@@ -291,6 +309,25 @@ class TestCorruptInputs:
             assert run(["fit-gmm", "--input", str(dump), "--gaussians", "2",
                         "--output", str(tmp_path / "mixture.gmm")]) == 2
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_db_and_feature_values_are_data_errors(self, tmp_path, capsys):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        data = bytearray(db_path.read_bytes())
+        data[-4:] = np.float32(np.nan).tobytes()       # the last value of the last of 20 entries
+        db_path.write_bytes(bytes(data))
+        dump = tmp_path / "feats.bin"
+        feats = np.random.default_rng(68).random((80, 128)).astype(np.float32)
+        feats[41, 3] = np.inf
+        vio.write_features(feats, dump)
+        capsys.readouterr()
+        for argv, where in ((["query", "--input", str(cloud), "--db", str(db_path), "--gmm",
+                              str(gmm_path), "--config", str(config)], f"{db_path}: entry 19"),
+                            (["fit-gmm", "--input", str(dump), "--gaussians", "2",
+                              "--output", str(tmp_path / "dump.gmm")], f"{dump}: feature row 41")):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err and where in captured.err
+        assert not (tmp_path / "dump.gmm").exists()
 
     def test_absurd_query_resolution_is_data_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)

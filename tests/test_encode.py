@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import cosine_distance
 from viewret import encode
 from viewret.config import PipelineConfig
 from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _kmeans_plus_plus,
-                            _log_joint, build_db, cosine_distance, fisher_vector, fit_gmm,
+                            _log_joint, build_db, fisher_vector, fit_gmm,
                             gmm_posteriors, pool_database_features, pool_features, query_db)
 from viewret.errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
                             NoForeground, TooFewFeatures, ZeroVector)
@@ -431,19 +432,43 @@ class TestBuildAndQueryDb:
     def test_matches_exhaustive_pairwise_oracle(self):
         rng = np.random.default_rng(39)
         from viewret.encode import DbEntry
-        entries = [DbEntry(f"m{i}", 0, v, rng.normal(size=32).astype(np.float32))
+        contiguous = [DbEntry(f"m{i}", 0, v, rng.normal(size=32).astype(np.float32))
+                      for i in range(3) for v in range(2)]
+        cases = [(contiguous, rng.normal(size=(2, 32)))]
+        # each model's rows scattered through the database, and 13 query rows (a --multiview query)
+        interleaved = [DbEntry(f"m{i}", 0, v, rng.normal(size=32).astype(np.float32))
+                       for v in range(3) for i in (2, 0, 3, 1)]
+        cases.append((interleaved, rng.normal(size=(13, 32))))
+        for entries, queries in cases:
+            ranking = query_db(DescriptorDb(entries=entries), queries)
+            expect = {}
+            for entry in entries:
+                for q in queries:
+                    d = cosine_distance(q, entry.descriptor)
+                    expect[entry.model_id] = min(expect.get(entry.model_id, np.inf), d)
+            want = sorted(expect.items(), key=lambda kv: kv[1])
+            assert [m for m, _ in ranking] == [m for m, _ in want]
+            np.testing.assert_allclose([d for _, d in ranking], [d for _, d in want], atol=1e-12)
+
+    def test_zero_norm_database_row_names_its_model(self):
+        rng = np.random.default_rng(41)
+        from viewret.encode import DbEntry
+        entries = [DbEntry(f"m{i}", 0, v, rng.normal(size=16).astype(np.float32))
                    for i in range(3) for v in range(2)]
-        db = DescriptorDb(entries=entries)
-        queries = rng.normal(size=(2, 32))
-        ranking = query_db(db, queries)
-        expect = {}
-        for entry in entries:
-            for q in queries:
-                d = cosine_distance(q, entry.descriptor)
-                expect[entry.model_id] = min(expect.get(entry.model_id, np.inf), d)
-        want = sorted(expect.items(), key=lambda kv: kv[1])
-        assert [m for m, _ in ranking] == [m for m, _ in want]
-        np.testing.assert_allclose([d for _, d in ranking], [d for _, d in want], atol=1e-12)
+        entries[3].descriptor[:] = 0.0
+        with pytest.raises(ZeroVector, match="for m1 has zero norm"):
+            query_db(DescriptorDb(entries=entries), rng.normal(size=(1, 16)))
+
+    def test_tied_distances_keep_database_model_order(self):
+        rng = np.random.default_rng(42)
+        from viewret.encode import DbEntry
+        near, far = rng.normal(size=(2, 16)).astype(np.float32)
+        entries = [DbEntry("z", 0, 0, near), DbEntry("a", 0, 0, far), DbEntry("m", 0, 0, near),
+                   DbEntry("b", 0, 0, near.copy())]
+        ranking = query_db(DescriptorDb(entries=entries), near[None, :])
+        assert [m for m, _ in ranking] == ["z", "m", "b", "a"]
+        assert ranking[0][1] == ranking[1][1] == ranking[2][1] < ranking[3][1]
+        assert ranking[3][1] == pytest.approx(cosine_distance(near, far), abs=1e-12)
 
     def test_ranking_invariant_under_descriptor_scaling(self):
         rng = np.random.default_rng(40)

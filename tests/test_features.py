@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import batch_descriptors
 from viewret.errors import BadResolution, NoForeground
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
                               CELLS, COMPONENT_CLAMP, DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH,
-                              WINDOW, _batch_descriptors, _windows, build_pyramid, describe,
-                              extract_features, keypoint_windows, sample_keypoints)
+                              WINDOW, _windows, build_pyramid, describe, extract_features,
+                              keypoint_windows, sample_keypoints)
 
 
 def descriptor(level_img, row, col):
-    return _batch_descriptors(level_img, [row], [col])[0]
+    return batch_descriptors(level_img, [row], [col])[0]
 
 
 class TestBuildPyramid:
@@ -348,7 +349,7 @@ class TestDescribe:
 
     def test_rejects_non_uint8_images(self):
         with pytest.raises(ValueError):
-            _batch_descriptors(np.full((40, 40), 7.0), [20], [20])
+            _windows(np.full((40, 40), 7.0), [20], [20])
 
     def test_blocks_match_one_batch(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -3,7 +3,7 @@ import pytest
 
 from viewret.errors import BadResolution, DegenerateCloud, EmptyCloud
 from viewret.geometry import (MAX_RESOLUTION, MIN_RESOLUTION, camera_frame,
-                              dodecahedron_viewpoints, normalize_pose, project, project_points)
+                              dodecahedron_viewpoints, normalize_pose, project_points)
 
 
 def random_ball_points(rng, n):
@@ -106,13 +106,13 @@ class TestCameraFrame:
 class TestProject:
     def test_center_pixel(self):
         frame = camera_frame((0.0, 0.0, 1.0))
-        row, col, depth = project((0.0, 0.0, 0.0), frame, 8)
+        (row,), (col,), (depth,) = project_points([(0.0, 0.0, 0.0)], frame, 8)
         assert (row, col) == (4, 4)
         assert depth == 0.5
 
     def test_eye_has_zero_depth(self):
         frame = camera_frame((0.0, 0.0, 1.0))
-        assert project(frame.eye, frame, 16)[2] == 0.0
+        assert project_points(frame.eye[None, :], frame, 16)[2][0] == 0.0
 
     def test_random_points_match_direct_arithmetic(self):
         rng = np.random.default_rng(5)
@@ -121,7 +121,7 @@ class TestProject:
         for _ in range(50):
             p = rng.normal(size=3)
             p *= rng.uniform(0, 1) / np.linalg.norm(p)
-            row, col, depth = project(p, frame, r)
+            (row,), (col,), (depth,) = project_points(p[None, :], frame, r)
             want_col = min(max(int(np.floor((p @ frame.right + 1) / 2 * r)), 0), r - 1)
             want_row = min(max(int(np.floor((1 - (p @ frame.up + 1) / 2) * r)), 0), r - 1)
             assert (row, col) == (want_row, want_col)
@@ -141,6 +141,6 @@ class TestProject:
         frame = camera_frame((0.0, 0.0, 1.0))
         for resolution in (MIN_RESOLUTION - 1, MAX_RESOLUTION + 1, 99999999):
             with pytest.raises(BadResolution):
-                project((0, 0, 0), frame, resolution)
+                project_points([(0, 0, 0)], frame, resolution)
         for resolution in (MIN_RESOLUTION, MAX_RESOLUTION):
-            assert project((1, 1, 0), frame, resolution)[1] == resolution - 1
+            assert project_points([(1, 1, 0)], frame, resolution)[1][0] == resolution - 1

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
 from viewret.errors import CorruptFile
@@ -161,7 +164,7 @@ class TestImages:
         vio.write_pgm(img, path)
         data = path.read_bytes()
         assert data.startswith(b"P5\n16 16\n255\n")
-        np.testing.assert_array_equal(vio.read_pgm(path), img)
+        np.testing.assert_array_equal(read_pgm(path), img)
 
 
 class TestBinaryDumps:
@@ -210,6 +213,10 @@ class TestBinaryDumps:
         (dict(viewpoint_id=2 ** 32), "entry 1: viewpoint id 4294967296 is outside"),
         (dict(model_id="é" * 32768), "entry 1: model id is longer than 65535 UTF-8 bytes"),
         (dict(descriptor=np.zeros(2 * 128 * 3, dtype=np.float32)), "share one length"),
+        (dict(descriptor=np.full(2 * 128 * 2, np.nan, dtype=np.float32)),
+         "entry 1: descriptor holds a non-finite value"),
+        (dict(descriptor=np.r_[np.zeros(2 * 128 * 2 - 1), np.inf].astype(np.float32)),
+         "entry 1: descriptor holds a non-finite value"),
     ])
     def test_unstorable_entry_raises_before_writing(self, tmp_path, second, message):
         first = DbEntry("ok", 0, 0, np.zeros(2 * 128 * 2, dtype=np.float32))
@@ -280,6 +287,28 @@ class TestCorruptBinaries:
         with pytest.raises(CorruptFile):
             vio.read_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_and_descriptors_raise(self, tmp_path, value):
+        feats = np.zeros((4, 128), dtype=np.float32)
+        feats[2, 77] = value
+        path = tmp_path / "features.bin"
+        vio.write_features(feats, path)
+        message = f"{path}: feature row 2 holds a non-finite value"
+        with pytest.raises(CorruptFile, match=re.escape(message)):
+            vio.read_features(path)
+
+        db = tmp_path / "models.fvdb"
+        vio.write_descriptor_db(DescriptorDb(entries=[
+            DbEntry(f"m{i}", 0, i, np.ones(2 * 128, dtype=np.float32)) for i in range(3)]), db)
+        data = bytearray(db.read_bytes())
+        # the last float of entry 1: each entry is a 2 + 2 + 8 byte head and 256 floats
+        end = 20 + 2 * (12 + 4 * 256)
+        data[end - 4:end] = np.float32(value).tobytes()
+        db.write_bytes(bytes(data))
+        message = f"{db}: entry 1 descriptor holds a non-finite value"
+        with pytest.raises(CorruptFile, match=re.escape(message)):
+            vio.read_descriptor_db(db)
+
     @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
                                              ("sigmas", np.nan), ("weights", 0.0),
                                              ("weights", np.inf), ("means", np.nan)])
@@ -303,7 +332,7 @@ class TestScanMetadata:
         scan = simulate_scan(mesh, cfg)
         path = tmp_path / "scan.xyz.meta"
         vio.write_scan_metadata(scan, path)
-        meta = vio.read_scan_metadata(path)
+        meta = read_scan_metadata(path)
         np.testing.assert_allclose(meta["ground_truth_viewpoint"],
                                    scan.ground_truth_viewpoint, atol=1e-12)
         assert float(meta["fov_deg"]) == 30.0

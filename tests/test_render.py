@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground, ZeroCardinality
+from oracles import density, eight_connected_count, quantity, to_binary
+from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground
 from viewret.geometry import MAX_RESOLUTION, TriangleMesh, camera_frame
-from viewret.render import (density, eight_connected_count, quantity, render_mesh,
-                            render_point_cloud, to_binary)
+from viewret.render import render_mesh, render_point_cloud
 
 VIEW_Z = np.array([0.0, 0.0, 1.0])
 
@@ -121,6 +121,8 @@ class TestRenderMesh:
             render_mesh(full_plane_triangle(0.0), VIEW_Z, MAX_RESOLUTION + 1)
 
 
+# the dense image measures of tests/oracles.py, the reference for select.score_grid
+
 class TestToBinary:
     def test_all_zero(self):
         assert to_binary(np.zeros((8, 8), dtype=np.uint8)).sum() == 0
@@ -197,7 +199,7 @@ class TestQuantity:
         assert wins >= 18
 
     def test_zero_cardinality(self):
-        with pytest.raises(ZeroCardinality):
+        with pytest.raises(ValueError, match="cloud size"):
             quantity(np.zeros((8, 8), dtype=np.uint8), 0)
 
 

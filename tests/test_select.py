@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import density, foreground_count, quantity
 from viewret.errors import AllCollinear, TooFewPoints
 from viewret.evaluate import angular_error
 from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_pose
+from viewret.render import render_point_cloud
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
 from viewret.select import (ScoreGrid, _spacing_depth_correlation, best_resolution_for_viewpoint,
                             multiview_ring, normalize_quantity, orient_axis, ransac_viewpoint,
@@ -174,8 +176,6 @@ class TestViewpointIndex:
 
 class TestScoreGrid:
     def test_single_cell_matches_direct_measures(self):
-        from viewret.render import density, quantity, render_point_cloud
-
         rng = np.random.default_rng(17)
         points, _ = normalize_pose(rng.normal(size=(400, 3)))
         view = np.array([0.0, 0.0, 1.0])
@@ -269,8 +269,6 @@ class TestSpacingDepthCorrelationAgainstOracle:
 
 def score_grid_dense_oracle(cloud, viewpoints, resolutions):
     """The former per-cell render/measure loop of `score_grid`, kept as the reference."""
-    from viewret.render import density, foreground_count, quantity, render_point_cloud
-
     q = np.zeros((len(viewpoints), len(resolutions)))
     d = np.zeros((len(viewpoints), len(resolutions)))
     for i, viewpoint in enumerate(viewpoints):
@@ -382,8 +380,6 @@ class TestRansacViewpoint:
             ransac_viewpoint(pts, iterations=50, seed=2)
 
     def test_sign_keeps_the_larger_rendered_quantity(self):
-        from viewret.render import quantity, render_point_cloud
-
         rng = np.random.default_rng(25)
         for trial in range(6):
             points, _ = normalize_pose(rng.normal(size=(300, 3)) * rng.uniform(0.1, 1.0, size=3))
@@ -402,8 +398,6 @@ class TestRansacViewpoint:
 
 def best_resolution_loop(cloud, viewpoint, resolutions):
     """The former render/density/argmax loop, kept as the reference."""
-    from viewret.render import density, foreground_count, render_point_cloud
-
     dens = []
     for r in resolutions:
         img = render_point_cloud(cloud, viewpoint, r)
@@ -428,8 +422,6 @@ class TestBestResolutionForViewpoint:
     def test_prefers_denser_image(self):
         rng = np.random.default_rng(23)
         points, _ = normalize_pose(rng.normal(size=(800, 3)))
-        from viewret.render import density, render_point_cloud
-
         view = np.array([0.0, 0.0, 1.0])
         chosen = best_resolution_for_viewpoint(points, view, (32, 64, 128))
         dens = {r: density(render_point_cloud(points, view, r)) for r in (32, 64, 128)}
