@@ -36,7 +36,10 @@ def load_xyz(path) -> np.ndarray:
 
     The whole file is parsed at once: the tokens are ``str.split()``'s, each
     converted by ``float()``, and numpy counts them per line to check the
-    layout. The first bad line, in file order, is reported as ``path:line``.
+    layout. Coordinates must be finite, so ``nan``, ``inf`` and overflowing
+    tokens such as ``1e400`` are refused. The first bad line, in file order,
+    is reported as ``path:line``; within one line, a wrong count comes before
+    an unparseable token, and that before a non-finite value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -53,19 +56,32 @@ def load_xyz(path) -> np.ndarray:
     counts = np.bincount(token_line)
     bad = np.flatnonzero((counts != 0) & (counts != 3))
     tokens = text.split()
-    # only the tokens before the first badly laid-out line can fail to parse first
+    # only the tokens before the first badly laid-out line can fail first
     end = int(np.searchsorted(token_line, bad[0])) if len(bad) else len(tokens)
+    error = None
+    if len(bad):
+        error = f"{path}:{bad[0] + 1}: expected 3 coordinates, got {counts[bad[0]]}"
     try:
         values = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
     except ValueError:
-        for i in range(end):
+        parsed = []
+        for token in tokens[:end]:
             try:
-                float(tokens[i])
+                parsed.append(float(token))
             except ValueError as exc:
-                raise ValueError(f"{path}:{token_line[i] + 1}: {exc}") from None
-        raise
-    if len(bad):
-        raise ValueError(f"{path}:{bad[0] + 1}: expected 3 coordinates, got {counts[bad[0]]}")
+                line = token_line[len(parsed)]
+                error = f"{path}:{line + 1}: {exc}"
+                break
+        else:
+            raise
+        # a line's parse error comes before its own non-finite values
+        values = np.asarray(parsed[:np.searchsorted(token_line, line)], dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}:{token_line[i] + 1}: coordinate {tokens[i]!r} is not finite")
+    if error:
+        raise ValueError(error)
     return values.reshape(-1, 3)
 
 
@@ -162,7 +178,11 @@ class _BinaryReader:
 
 
 def write_features(features, path):
+    """Write SFT1; a non-finite row, as stored in float32, is refused before the file is opened."""
     feats = np.asarray(features, dtype=np.float32).reshape(-1, DESCRIPTOR_SIZE)
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise ValueError(f"feature row {int(np.argmax(bad))} holds a non-finite value")
     with open(path, "wb") as fh:
         fh.write(FEATURES_MAGIC)
         fh.write(struct.pack("<I", len(feats)))

@@ -27,6 +27,8 @@ ORIENTATION_RESOLUTION = 256
 # the spacing cue: the distance to each of SPACING_SAMPLE points' SPACING_NEIGHBOR-th neighbour
 SPACING_SAMPLE = 1500
 SPACING_NEIGHBOR = 16
+# sample rows whose distances to the whole sample are held at once
+BLOCK = 32
 RING_STEP_DEG = 30.0
 
 
@@ -139,6 +141,33 @@ def _intensity_centrality_covariance(points, axis, resolution):
     return float(np.mean((inten - inten.mean()) * (centrality - centrality.mean())))
 
 
+def _kth_neighbour_sq_distances(points, k):
+    """Squared distance from each point to its k-th nearest other point.
+
+    The distances are formed BLOCK rows at a time against all n points, so
+    memory is O(BLOCK * n) and no n x n matrix exists. The result is bit for
+    bit that of partitioning the full matrix (``kth_neighbour_sq_distances``
+    in ``tests/oracles.py``): each element adds the x, y then z squared
+    differences in that order, the same float64 operations as summing an
+    (n, n, 3) difference array over its last axis (the first square stands
+    in for 0 + dx^2, which is exact), and the k-th smallest value of a row is
+    an order statistic, whatever rows it is selected alongside.
+    """
+    n = len(points)
+    out = np.empty(n)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        block = points[start:stop]
+        d2 = (block[:, 0, None] - points[:, 0]) ** 2
+        d2 += (block[:, 1, None] - points[:, 1]) ** 2
+        d2 += (block[:, 2, None] - points[:, 2]) ** 2
+        rows = np.arange(stop - start)
+        d2[rows, start + rows] = np.inf
+        d2.partition(k - 1, axis=1)
+        out[start:stop] = d2[:, k - 1]
+    return out
+
+
 def _spacing_depth_correlation(points, axis):
     # a range scanner samples near surfaces denser, so local point spacing
     # grows with depth only when viewed from the scanned side
@@ -148,13 +177,7 @@ def _spacing_depth_correlation(points, axis):
     k = min(SPACING_NEIGHBOR, take - 1)
     if k < 1:
         return 0.0
-    # x, y then z squared differences, added in that order: the sum over axis 2
-    # of an (n, n, 3) array, bit for bit, without building that array
-    d2 = np.zeros((take, take))
-    for c in sub.T:
-        d2 += (c[:, None] - c[None, :]) ** 2
-    np.fill_diagonal(d2, np.inf)
-    spacing = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+    spacing = np.sqrt(_kth_neighbour_sq_distances(sub, k))
     depth = sub @ (-np.asarray(axis))
 
     def rank_z(values):

@@ -2,8 +2,9 @@
 
 None of these runs in the pipeline. The dense image measures are the form
 that `select.score_grid` replaced: they render an image and count its
-pixels, which the score grid does without rendering. The readers check the
-files that the CLI writes but never reads back.
+pixels, which the score grid does without rendering. The orientation cue's
+oracles hold the whole n x n distance matrix that `select` forms in row
+blocks. The readers check the files that the CLI writes but never reads back.
 """
 
 import numpy as np
@@ -55,6 +56,36 @@ def density(img) -> float:
     if fg == 0:
         raise NoForeground("image has no foreground pixels")
     return eight_connected_count(to_binary(img)) / fg
+
+
+# --- orientation cue -------------------------------------------------------------
+
+def kth_neighbour_sq_distances(points, k) -> np.ndarray:
+    """Each point's squared distance to its k-th nearest other point, from the full n x n matrix."""
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.partition(d2, k - 1, axis=1)[:, k - 1]
+
+
+def spacing_depth_correlation_oracle(points, axis, sample=1500, neighbor=16):
+    """The former `_spacing_depth_correlation`, with its (n, n, 3) difference array."""
+    rng = np.random.default_rng(0)
+    take = min(sample, len(points))
+    sub = points[np.sort(rng.choice(len(points), size=take, replace=False))]
+    k = min(neighbor, take - 1)
+    if k < 1:
+        return 0.0
+    d2 = ((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    spacing = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
+    depth = sub @ (-np.asarray(axis))
+
+    def rank_z(values):
+        ranks = np.argsort(np.argsort(values)).astype(np.float64)
+        std = ranks.std()
+        return (ranks - ranks.mean()) / std if std > 0 else ranks * 0.0
+
+    return float(np.mean(rank_z(spacing) * rank_z(depth)))
 
 
 # --- retrieval and descriptors ---------------------------------------------------

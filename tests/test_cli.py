@@ -310,15 +310,29 @@ class TestCorruptInputs:
                         "--output", str(tmp_path / "mixture.gmm")]) == 2
             assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, capsys, token):
+        cloud = tmp_path / "cloud.xyz"
+        rows = [f"{x} {x % 7} {x % 5}" for x in range(40)]
+        rows[23] = f"1 {token} 2"
+        cloud.write_text("# scan\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run(["select", "--input", str(cloud)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{cloud}:25: coordinate '{token}' is not finite" in captured.err
+
     def test_non_finite_db_and_feature_values_are_data_errors(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
         data = bytearray(db_path.read_bytes())
         data[-4:] = np.float32(np.nan).tobytes()       # the last value of the last of 20 entries
         db_path.write_bytes(bytes(data))
         dump = tmp_path / "feats.bin"
-        feats = np.random.default_rng(68).random((80, 128)).astype(np.float32)
-        feats[41, 3] = np.inf
-        vio.write_features(feats, dump)
+        vio.write_features(np.random.default_rng(68).random((80, 128)).astype(np.float32), dump)
+        data = bytearray(dump.read_bytes())
+        at = 8 + 4 * (41 * 128 + 3)                     # row 41, column 3, after magic and count
+        data[at:at + 4] = np.float32(np.inf).tobytes()
+        dump.write_bytes(bytes(data))
         capsys.readouterr()
         for argv, where in ((["query", "--input", str(cloud), "--db", str(db_path), "--gmm",
                               str(gmm_path), "--config", str(config)], f"{db_path}: entry 19"),

@@ -35,7 +35,8 @@ class TestXyz:
 
 
 def load_xyz_oracle(path):
-    """The line-by-line reader load_xyz replaced; a token that fails to parse reports its line."""
+    """The line-by-line reader load_xyz replaced; a token that fails to parse or is not finite
+    reports its line."""
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -46,19 +47,25 @@ def load_xyz_oracle(path):
             if len(parts) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 coordinates, got {len(parts)}")
             try:
-                points.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
+            for token, value in zip(parts, row):
+                if not np.isfinite(value):
+                    raise ValueError(f"{path}:{line_no}: coordinate {token!r} is not finite")
+            points.append(row)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
 GOOD_TOKENS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
     st.integers(-10 ** 20, 10 ** 20).map(str),
-    st.sampled_from(["-0", "+.5", "5.", "1_0", "\u0661\u0662", "NaN", "-Infinity", "1e400",
-                     "2.4703282292062328e-324"]))
+    st.sampled_from(["-0", "+.5", "5.", "1_0", "\u0661\u0662", "2.4703282292062328e-324"]))
 BAD_TOKENS = st.sampled_from(["abc", "1.5e", "--1", "0x10", "1,5", "_1", "\ufeff1", "nan!"])
+# tokens float() parses to NaN or an infinity
+NON_FINITE_TOKENS = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "+nan", "1e400",
+                                     "-1e400"])
 # str.split() whitespace; \x0b, \x0c, \x1c, \x85 and \u2028 end no line of a text file
 SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
                               "\u3000"])
@@ -66,8 +73,8 @@ SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "
 
 @st.composite
 def xyz_lines(draw):
-    kind = draw(st.sampled_from(["row", "row", "row", "row", "bad-token", "count", "blank",
-                                 "comment"]))
+    kind = draw(st.sampled_from(["row", "row", "row", "row", "bad-token", "non-finite",
+                                 "count", "blank", "comment"]))
     if kind in ("blank", "comment"):
         tokens = []
     else:
@@ -75,6 +82,9 @@ def xyz_lines(draw):
         tokens = draw(st.lists(GOOD_TOKENS, min_size=count, max_size=count))
         if kind == "bad-token" and tokens:
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(BAD_TOKENS)
+        # a line already at fault may hold a non-finite token too, which must not win
+        if tokens and (kind == "non-finite" or (kind != "row" and draw(st.booleans()))):
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(NON_FINITE_TOKENS)
     line = draw(st.sampled_from(["", " ", "\t"]))
     for i, token in enumerate(tokens):
         line += (draw(SEPARATORS) if i else "") + token
@@ -289,10 +299,13 @@ class TestCorruptBinaries:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_and_descriptors_raise(self, tmp_path, value):
-        feats = np.zeros((4, 128), dtype=np.float32)
-        feats[2, 77] = value
         path = tmp_path / "features.bin"
-        vio.write_features(feats, path)
+        vio.write_features(np.zeros((4, 128), dtype=np.float32), path)
+        data = bytearray(path.read_bytes())
+        # row 2, column 77, after the 8-byte magic and count
+        at = 8 + 4 * (2 * 128 + 77)
+        data[at:at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
         message = f"{path}: feature row 2 holds a non-finite value"
         with pytest.raises(CorruptFile, match=re.escape(message)):
             vio.read_features(path)
@@ -308,6 +321,16 @@ class TestCorruptBinaries:
         message = f"{db}: entry 1 descriptor holds a non-finite value"
         with pytest.raises(CorruptFile, match=re.escape(message)):
             vio.read_descriptor_db(db)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_feature_row_raises_before_writing(self, tmp_path, value):
+        feats = np.zeros((4, 128))
+        feats[2, 77] = value                     # 1e39 overflows float32 to inf
+        path = tmp_path / "features.bin"
+        with pytest.raises(ValueError, match="feature row 2 holds a non-finite value"):
+            vio.write_features(feats, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
                                              ("sigmas", np.nan), ("weights", 0.0),
