@@ -3,6 +3,7 @@
 All binary layouts are little-endian with 32-bit IEEE floats.
 """
 
+import math
 import os
 import re
 import struct
@@ -92,7 +93,12 @@ def save_xyz(points, path):
 
 
 def load_obj(path) -> TriangleMesh:
-    """Read the `v`/`f` subset of OBJ; faces must be triangles."""
+    """Read the `v`/`f` subset of OBJ; faces must be triangles.
+
+    Vertex coordinates must be finite, so ``nan``, ``inf`` and overflowing
+    tokens such as ``1e400`` are refused. A bad line, like an unparseable
+    token, is reported as ``path:line``.
+    """
     vertices = []
     faces = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -100,20 +106,24 @@ def load_obj(path) -> TriangleMesh:
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{line_no}: vertex needs 3 coordinates")
-                vertices.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise ValueError(f"{path}:{line_no}: only triangulated faces are supported")
-                idx = []
-                for token in parts[1:]:
-                    i = int(token.split("/", 1)[0])
-                    if i < 1:
-                        raise ValueError(f"{path}:{line_no}: face indices must be positive")
-                    idx.append(i - 1)
-                faces.append(idx)
+            try:
+                if parts[0] == "v":
+                    if len(parts) < 4:
+                        raise ValueError("vertex needs 3 coordinates")
+                    coords = [float(p) for p in parts[1:4]]
+                    for token, value in zip(parts[1:4], coords):
+                        if not math.isfinite(value):
+                            raise ValueError(f"coordinate {token!r} is not finite")
+                    vertices.append(coords)
+                elif parts[0] == "f":
+                    if len(parts) != 4:
+                        raise ValueError("only triangulated faces are supported")
+                    idx = [int(token.split("/", 1)[0]) - 1 for token in parts[1:]]
+                    if min(idx) < 0:
+                        raise ValueError("face indices must be positive")
+                    faces.append(idx)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
                         np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 

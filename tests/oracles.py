@@ -4,13 +4,17 @@ None of these runs in the pipeline. The dense image measures are the form
 that `select.score_grid` replaced: they render an image and count its
 pixels, which the score grid does without rendering. The orientation cue's
 oracles hold the whole n x n distance matrix that `select` forms in row
-blocks. The readers check the files that the CLI writes but never reads back.
+blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
+evaluates over row spans in blocks. The readers check the files that the CLI
+writes but never reads back.
 """
 
 import numpy as np
 
-from viewret.errors import BadResolution, DimensionMismatch, NoForeground, ZeroVector
+from viewret.errors import BadResolution, DimensionMismatch, EmptyMesh, NoForeground, ZeroVector
 from viewret.features import _describe_block, _windows
+from viewret.geometry import camera_frame, check_resolution
+from viewret.render import _EDGE_EPS, depth_to_intensity
 
 
 # --- dense image measures ------------------------------------------------------
@@ -56,6 +60,53 @@ def density(img) -> float:
     if fg == 0:
         raise NoForeground("image has no foreground pixels")
     return eight_connected_count(to_binary(img)) / fg
+
+
+# --- mesh rasterization --------------------------------------------------------
+
+def render_mesh_oracle(mesh, viewpoint, resolution) -> np.ndarray:
+    """The former `render_mesh`: each triangle's whole bounding box, one triangle at a time."""
+    if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
+        raise EmptyMesh("mesh has no renderable triangles")
+    check_resolution(resolution)
+    frame = camera_frame(viewpoint)
+    r = resolution
+    v = mesh.vertices
+    # continuous pixel coordinates of every vertex (col axis u, row axis w)
+    u = (v @ frame.right + 1.0) / 2.0 * r
+    w = (1.0 - (v @ frame.up + 1.0) / 2.0) * r
+    depth = ((v - frame.eye) @ frame.forward) / 2.0
+
+    zbuf = np.full((r, r), np.inf)
+    for i0, i1, i2 in mesh.triangles:
+        u0, u1, u2 = u[i0], u[i1], u[i2]
+        w0, w1, w2 = w[i0], w[i1], w[i2]
+        area = (u1 - u0) * (w2 - w0) - (u2 - u0) * (w1 - w0)
+        if abs(area) < 1e-12:
+            continue
+        cmin = max(int(np.ceil(min(u0, u1, u2) - 0.5)), 0)
+        cmax = min(int(np.floor(max(u0, u1, u2) - 0.5)), r - 1)
+        rmin = max(int(np.ceil(min(w0, w1, w2) - 0.5)), 0)
+        rmax = min(int(np.floor(max(w0, w1, w2) - 0.5)), r - 1)
+        if cmin > cmax or rmin > rmax:
+            continue
+        px = np.arange(cmin, cmax + 1) + 0.5
+        py = (np.arange(rmin, rmax + 1) + 0.5)[:, None]
+        l0 = ((u1 - px) * (w2 - py) - (u2 - px) * (w1 - py)) / area
+        l1 = ((u2 - px) * (w0 - py) - (u0 - px) * (w2 - py)) / area
+        l2 = 1.0 - l0 - l1
+        eps = -_EDGE_EPS
+        inside = (l0 >= eps) & (l1 >= eps) & (l2 >= eps)
+        if not inside.any():
+            continue
+        z = l0 * depth[i0] + l1 * depth[i1] + l2 * depth[i2]
+        region = zbuf[rmin:rmax + 1, cmin:cmax + 1]
+        np.minimum(region, np.where(inside, z, np.inf), out=region)
+
+    img = np.zeros((r, r), dtype=np.uint8)
+    covered = np.isfinite(zbuf)
+    img[covered] = depth_to_intensity(zbuf[covered])
+    return img
 
 
 # --- orientation cue -------------------------------------------------------------

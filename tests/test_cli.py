@@ -11,6 +11,7 @@ from oracles import read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
+from viewret.encode import GmmParams
 from viewret.geometry import normalize_pose
 from viewret.scansim import make_sphere
 
@@ -321,6 +322,22 @@ class TestCorruptInputs:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"{cloud}:25: coordinate '{token}' is not finite" in captured.err
+
+    def test_non_finite_obj_vertex_names_its_line(self, tmp_path, capsys):
+        mesh = tmp_path / "tetra.obj"
+        mesh.write_text("v 0 0 1\nv 0 nan 0\nv 1 0 0\nv 0 0 0\nf 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+        (tmp_path / "models.txt").write_text("tetra 0 tetra.obj\n")
+        gmm_path = tmp_path / "mixture.gmm"
+        vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), gmm_path)
+        capsys.readouterr()
+        for argv in (["scan-sim", "--mesh", str(mesh), "--scanner-pos", "0,0,3",
+                      "--output", str(tmp_path / "scan.xyz")],
+                     ["build-db", "--input", str(tmp_path / "models.txt"), "--gmm", str(gmm_path),
+                      "--output", str(tmp_path / "models.fvdb")]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert f"{mesh}:2: coordinate 'nan' is not finite" in captured.err
 
     def test_non_finite_db_and_feature_values_are_data_errors(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)

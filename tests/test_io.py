@@ -165,6 +165,24 @@ class TestObj:
         with pytest.raises(ValueError):
             vio.load_obj(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_vertex_names_its_line(self, tmp_path, token):
+        path = tmp_path / "tri.obj"
+        path.write_text(f"# tri\nv 0 0 0\nv 1 {token} 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(ValueError, match=rf"tri\.obj:3: coordinate '{token}' is not finite"):
+            vio.load_obj(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("v 0 zero 0", "could not convert string to float: 'zero'"),
+        ("v 0 0", "vertex needs 3 coordinates"),
+        ("f 1 2 x", "invalid literal for int"),
+        ("f 1 0 2", "face indices must be positive")])
+    def test_bad_line_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "tri.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\n")
+        with pytest.raises(ValueError, match=rf"tri\.obj:4: {message}"):
+            vio.load_obj(path)
+
 
 class TestImages:
     def test_pgm_round_trip(self, tmp_path):

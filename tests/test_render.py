@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import density, eight_connected_count, quantity, to_binary
-from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground
-from viewret.geometry import MAX_RESOLUTION, TriangleMesh, camera_frame
+from oracles import density, eight_connected_count, quantity, render_mesh_oracle, to_binary
+from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground, ViewretError
+from viewret.evaluate import desk_benchmark_config
+from viewret.geometry import (MAX_RESOLUTION, TriangleMesh, camera_frame, dodecahedron_viewpoints,
+                              normalize_mesh)
 from viewret.render import render_mesh, render_point_cloud
+from viewret.scansim import make_box, make_cone, make_cylinder, make_sphere
 
 VIEW_Z = np.array([0.0, 0.0, 1.0])
 
@@ -119,6 +126,114 @@ class TestRenderMesh:
             render_mesh(full_plane_triangle(0.0), VIEW_Z, 4)
         with pytest.raises(BadResolution):
             render_mesh(full_plane_triangle(0.0), VIEW_Z, MAX_RESOLUTION + 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_is_refused(self, value):
+        mesh = full_plane_triangle(0.0)
+        mesh.vertices[2, 1] = value
+        with pytest.raises(ViewretError, match="finite"):
+            render_mesh(mesh, VIEW_Z, 16)
+
+    def test_transients_stay_within_blocks(self):
+        # the per-triangle loop held several float64 arrays the size of a
+        # triangle's bounding box, about 90 MB here
+        r = 2048
+        mesh, _ = normalize_mesh(make_box())
+        tracemalloc.start()
+        try:
+            render_mesh(mesh, np.array([1.0, 0.6, 0.4]) / np.linalg.norm([1.0, 0.6, 0.4]), r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        zbuf_and_image = 9 * r * r
+        assert peak - zbuf_and_image < 4 * 2 ** 20
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
+
+def _from_pixels(uw, r, depth):
+    """World vertices that VIEW_Z projects to pixel coordinates (u, w); exact for r a power of 2."""
+    return np.column_stack([2.0 * uw[:, 0] / r - 1.0, 1.0 - 2.0 * uw[:, 1] / r, depth])
+
+
+@st.composite
+def triangle_soups(draw):
+    """(mesh, viewpoint, resolution) with the triangles a row span could get wrong."""
+    kind = draw(st.sampled_from(["random", "centres", "edges", "nudged", "sliver", "off-image",
+                                 "huge", "full-plane"]))
+    r = draw(st.sampled_from([8, 16, 32, 64, 256, 1024]) | st.integers(8, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4))
+    viewpoint = VIEW_Z if draw(st.booleans()) else _unit(rng.normal(size=3))
+    depth = rng.uniform(-1.0, 1.0, 3 * n)
+    if kind == "full-plane":
+        return full_plane_triangle(depth[0]), viewpoint, r
+    if kind == "random":
+        # the image spans [-1, 1]; triangles reach past it
+        return TriangleMesh(rng.uniform(-1.5, 1.5, (3 * n, 3)), np.arange(3 * n).reshape(n, 3)), \
+            viewpoint, r
+    if kind in ("centres", "edges"):
+        # vertices exactly on pixel centres or corners, so edges run through pixel centres
+        uw = rng.integers(-2, r + 3, (3 * n, 2)) + (0.5 if kind == "centres" else 0.0)
+    elif kind == "nudged":
+        # pixel centres moved by a hair, each triangle with one edge within a hair of a
+        # row or a column: the barycentric test then hinges on the -_EDGE_EPS slack
+        uw = rng.integers(-r // 2, r + r // 2, (n, 3, 2)) + 0.5
+        axis = draw(st.integers(0, 1))
+        uw[:, 1, axis] = uw[:, 0, axis]
+        hairs = np.array([0.0, 1e-13, -1e-13, 1e-10, -1e-10, 1e-7, -1e-7])
+        uw = (uw + rng.choice(hairs, size=uw.shape)).reshape(-1, 2)
+    elif kind == "sliver":
+        a, b = rng.uniform(-0.2 * r, 1.2 * r, (2, n, 2))
+        if draw(st.booleans()):
+            a, b = np.floor(a) + 0.5, np.floor(b) + 0.5
+            b[np.all(a == b, axis=1), 0] += 1.0
+        normal = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        width = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.3]))
+        c = a + rng.uniform(-0.5, 1.5, (n, 1)) * (b - a) + width * normal
+        uw = np.stack([a, b, c], axis=1).reshape(-1, 2)
+    elif kind == "off-image":
+        shift = rng.choice([-2 * r, 0, 3 * r], size=(n, 1, 2))
+        uw = (rng.uniform(-0.5 * r, 0.5 * r, (n, 3, 2)) + shift).reshape(-1, 2)
+    else:
+        uw = rng.uniform(-8 * r, 9 * r, (3 * n, 2))
+    return TriangleMesh(_from_pixels(uw, r, depth), np.arange(3 * n).reshape(n, 3)), viewpoint, r
+
+
+class TestRenderMeshAgainstLoop:
+    """The row-span rasterizer against the per-triangle loop, byte for byte."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(triangle_soups())
+    def test_triangle_soups(self, case):
+        mesh, viewpoint, r = case
+        assert render_mesh(mesh, viewpoint, r).tobytes() == \
+            render_mesh_oracle(mesh, viewpoint, r).tobytes()
+
+    def test_edge_slack_reaches_far_past_the_crossing(self):
+        # row 500 meets this triangle only at its first vertex, but the edge to
+        # the second rises 1e-7 over 800 pixels, so the -_EDGE_EPS slack lets the
+        # loop paint some 800 pixels of that row: a span cut to the exact
+        # crossing, even widened by a pixel, would miss them
+        r = 1024
+        uw = np.array([[100.5, 500.5], [900.5, 500.5 + 1e-7], [500.5, 100.5]])
+        mesh = TriangleMesh(_from_pixels(uw, r, np.zeros(3)), np.array([[0, 1, 2]]))
+        want = render_mesh_oracle(mesh, VIEW_Z, r)
+        assert (want[500] > 0).sum() > 700
+        assert render_mesh(mesh, VIEW_Z, r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", [make_box, make_sphere, make_cylinder, make_cone])
+    def test_primitives_from_every_view(self, make):
+        mesh, _ = normalize_mesh(make())
+        config = desk_benchmark_config()
+        for r in sorted(set(config.resolutions) | {config.db_resolution}):
+            for viewpoint in dodecahedron_viewpoints():
+                assert render_mesh(mesh, viewpoint, r).tobytes() == \
+                    render_mesh_oracle(mesh, viewpoint, r).tobytes(), (r, viewpoint)
 
 
 # the dense image measures of tests/oracles.py, the reference for select.score_grid
