@@ -67,8 +67,16 @@ def _parse_resolutions(text):
     return values
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 # the config file's keys are PipelineConfig's fields, each parsed as its default's type
-_CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions" else type(f.default)
+_CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions"
+                else _finite_float if isinstance(f.default, float) else type(f.default)
                 for f in fields(PipelineConfig)}
 
 

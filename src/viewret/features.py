@@ -142,11 +142,9 @@ def _windows(level_img, rows, cols) -> np.ndarray:
     if img.dtype != np.uint8:
         raise ValueError(f"depth images must be uint8, got {img.dtype}")
     padded = np.pad(img, PATCH // 2 + 1)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    span = np.arange(WINDOW)
-    return padded[rows[:, None, None] + span[None, :, None],
-                  cols[:, None, None] + span[None, None, :]]
+    # a strided view of every window; indexing it copies only the n chosen ones
+    every = np.lib.stride_tricks.sliding_window_view(padded, (WINDOW, WINDOW))
+    return every[np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)]
 
 
 def _describe_block(windows) -> np.ndarray:

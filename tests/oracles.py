@@ -5,16 +5,19 @@ that `select.score_grid` replaced: they render an image and count its
 pixels, which the score grid does without rendering. The orientation cue's
 oracles hold the whole n x n distance matrix that `select` forms in row
 blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
-evaluates over row spans in blocks. The readers check the files that the CLI
-writes but never reads back.
+evaluates over row spans in blocks, and the RANSAC baseline is the
+per-plane loop that `ransac_viewpoint` scores in blocks of planes. The
+readers check the files that the CLI writes but never reads back.
 """
 
 import numpy as np
 
-from viewret.errors import BadResolution, DimensionMismatch, EmptyMesh, NoForeground, ZeroVector
-from viewret.features import _describe_block, _windows
-from viewret.geometry import camera_frame, check_resolution
+from viewret.errors import (AllCollinear, BadResolution, DimensionMismatch, EmptyMesh, NoForeground,
+                            TooFewPoints, ZeroVector)
+from viewret.features import PATCH, WINDOW, _describe_block, _windows
+from viewret.geometry import as_points, camera_frame, check_resolution
 from viewret.render import _EDGE_EPS, depth_to_intensity
+from viewret.select import ORIENTATION_RESOLUTION, score_grid
 
 
 # --- dense image measures ------------------------------------------------------
@@ -139,6 +142,41 @@ def spacing_depth_correlation_oracle(points, axis, sample=1500, neighbor=16):
     return float(np.mean(rank_z(spacing) * rank_z(depth)))
 
 
+# --- RANSAC baseline -------------------------------------------------------------
+
+def ransac_viewpoint_oracle(cloud, iterations: int = 1000, inlier_tolerance: float = 0.01,
+                            seed=0) -> np.ndarray:
+    """The former `ransac_viewpoint`: one plane per iteration, distances as ``(p - a) @ n``."""
+    pts = as_points(cloud)
+    n = len(pts)
+    if n < 3:
+        raise TooFewPoints("plane fitting needs at least 3 points")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    if inlier_tolerance <= 0:
+        raise ValueError("inlier tolerance must be positive")
+    rng = np.random.default_rng(seed)
+    best_count = -1
+    best_normal = None
+    for _ in range(iterations):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        length = np.linalg.norm(normal)
+        if length < 1e-12:
+            continue
+        normal /= length
+        dist = np.abs((pts - pts[i]) @ normal)
+        count = int((dist <= inlier_tolerance).sum())
+        if count > best_count:
+            best_count = count
+            best_normal = normal
+    if best_normal is None:
+        raise AllCollinear("no valid plane found in any iteration")
+    signs = score_grid(pts, [best_normal, -best_normal], (ORIENTATION_RESOLUTION,))
+    q_pos, q_neg = signs.quantity[:, 0]
+    return -best_normal if q_neg > q_pos else best_normal
+
+
 # --- retrieval and descriptors ---------------------------------------------------
 
 def cosine_distance(a, b) -> float:
@@ -153,6 +191,16 @@ def cosine_distance(a, b) -> float:
         raise ZeroVector("cosine distance is undefined for zero vectors")
     cos = np.clip(float(va @ vb) / (na * nb), -1.0, 1.0)
     return 1.0 - cos
+
+
+def windows_oracle(level_img, rows, cols) -> np.ndarray:
+    """The former `features._windows`: the windows gathered by two (n, 18, 18) index arrays."""
+    padded = np.pad(np.asarray(level_img), PATCH // 2 + 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    span = np.arange(WINDOW)
+    return padded[rows[:, None, None] + span[None, :, None],
+                  cols[:, None, None] + span[None, None, :]]
 
 
 def batch_descriptors(level_img, rows, cols) -> np.ndarray:

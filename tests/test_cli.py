@@ -446,7 +446,10 @@ class TestConfigSchema:
         assert b"\n0,64," in grids[0]
 
     @pytest.mark.parametrize("line", ["gaussians = abc", "ransac_tolerance = x",
-                                      "seed = 1.5", "resolutions = 32,x", "resolutions = ,"])
+                                      "seed = 1.5", "resolutions = 32,x", "resolutions = ,",
+                                      "ransac_tolerance = nan", "ransac_tolerance = inf",
+                                      "ransac_tolerance = 1e400", "keypoint_decay = nan",
+                                      "keypoint_decay = -inf"])
     def test_bad_value_names_file_line_and_key(self, cloud_file, tmp_path, capsys, line):
         config = tmp_path / "bad.cfg"
         config.write_text(f"# desk\nn_keypoints = 30\n{line}\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_descriptors
+from oracles import batch_descriptors, windows_oracle
 from viewret.errors import BadResolution, NoForeground
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
@@ -346,6 +346,19 @@ class TestDescribe:
         win = _windows(img, [0, 39], [5, 39])
         assert win.dtype == np.uint8 and win.shape == (2, WINDOW, WINDOW)
         assert win[0, 0, 0] == 0 and win[1, 9, 9] == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
+    def test_windows_match_the_index_arrays(self, h, w, seed, n):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        # two opposite corners, then random keypoints
+        rows = np.concatenate(([0, h - 1], rng.integers(0, h, size=n)))
+        cols = np.concatenate(([w - 1, 0], rng.integers(0, w, size=n)))
+        win = _windows(img, rows, cols)
+        assert win.dtype == np.uint8 and win.flags.c_contiguous
+        assert np.array_equal(win, windows_oracle(img, rows, cols))
+        assert _windows(img, [], []).shape == (0, WINDOW, WINDOW)
 
     def test_rejects_non_uint8_images(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (density, foreground_count, kth_neighbour_sq_distances, quantity,
-                     spacing_depth_correlation_oracle)
+                     ransac_viewpoint_oracle, spacing_depth_correlation_oracle)
+from viewret import select
 from viewret.errors import AllCollinear, TooFewPoints
 from viewret.evaluate import angular_error
 from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_pose
 from viewret.render import render_point_cloud
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
-from viewret.select import (BLOCK, SPACING_NEIGHBOR, SPACING_SAMPLE, ScoreGrid,
+from viewret.select import (BLOCK, PLANES, SPACING_NEIGHBOR, SPACING_SAMPLE, ScoreGrid,
                             _kth_neighbour_sq_distances, _spacing_depth_correlation,
                             best_resolution_for_viewpoint, multiview_ring, normalize_quantity,
                             orient_axis, ransac_viewpoint, score_grid, select_resolution,
@@ -409,6 +410,134 @@ class TestRansacViewpoint:
         a = ransac_viewpoint(pts, iterations=100, seed=7)
         b = ransac_viewpoint(pts, iterations=100, seed=7)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -0.01])
+    def test_rejects_tolerances_that_are_not_positive_and_finite(self, tol):
+        pts = np.random.default_rng(23).normal(size=(20, 3))
+        with pytest.raises(ValueError):
+            ransac_viewpoint(pts, iterations=10, inlier_tolerance=tol)
+
+
+def same_outcome(cloud, iterations, tol, seed):
+    """Assert that the block form and the per-plane loop agree byte for byte, errors included."""
+    try:
+        want = ransac_viewpoint_oracle(cloud, iterations, tol, seed=seed)
+    except AllCollinear:
+        with pytest.raises(AllCollinear):
+            ransac_viewpoint(cloud, iterations, tol, seed=seed)
+        return None
+    got = ransac_viewpoint(cloud, iterations, tol, seed=seed)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return got
+
+
+def degenerate_draws(cloud, iterations, seed):
+    """Which of the loop's iterations draw a triple spanning no plane, replaying its draws."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(iterations):
+        i, j, k = rng.choice(len(cloud), size=3, replace=False)
+        out.append(np.linalg.norm(np.cross(cloud[j] - cloud[i], cloud[k] - cloud[i])) < 1e-12)
+    return np.array(out)
+
+
+class TestRansacAgainstLoop:
+    """`ransac_viewpoint` scores PLANES planes at a time; the per-plane loop is the oracle."""
+
+    @pytest.fixture
+    def recounts(self, monkeypatch):
+        """The planes that the block form recounted by the per-plane form, one entry each."""
+        calls = []
+        inliers = select._inliers
+
+        def spy(*args):
+            calls.append(args)
+            return inliers(*args)
+
+        monkeypatch.setattr(select, "_inliers", spy)
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           iterations=st.sampled_from([1, 31, PLANES, 33, 64, 100, 1000]),
+           scale_exp=st.floats(-3, 6), tol_exp=st.floats(-4, 0), plane_share=st.floats(0, 1),
+           snap=st.booleans())
+    def test_matches_the_loop(self, n, seed, iterations, scale_exp, tol_exp, plane_share, snap):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** scale_exp
+        tol = scale * 10.0 ** tol_exp
+        cloud = rng.uniform(-1, 1, size=(n, 3))
+        # a share of the points on a tilted plane through the origin, the rest spread about it
+        on_plane = rng.random(n) < plane_share
+        normal = rng.normal(size=3)
+        cloud[on_plane] -= np.outer(cloud[on_plane] @ normal, normal) / (normal @ normal)
+        cloud *= scale
+        if snap:
+            # coordinates on a lattice of step tol: distances to axis-aligned planes land on tol
+            cloud = np.round(cloud / tol) * tol
+        same_outcome(cloud, iterations, tol, seed)
+
+    def test_parallel_planes_exactly_tol_apart(self, recounts):
+        # z = 0 and z = 0.25: planes through either sheet put the other one exactly on tol
+        rng = np.random.default_rng(30)
+        cloud = rng.uniform(-1, 1, size=(400, 3))
+        cloud[:, 2] = np.where(np.arange(400) < 300, 0.0, 0.25)
+        for seed in range(3):
+            normal = same_outcome(cloud, 200, 0.25, seed)
+            assert abs(normal[2]) == 1.0
+        assert recounts
+
+    def test_duplicate_points_and_wholly_degenerate_blocks(self):
+        # 60 copies of the origin and four other points: few triples span a plane
+        cloud = np.concatenate([np.zeros((60, 3)), np.eye(3), [[1.0, 1.0, 1.0]]])
+        for seed in range(4):
+            degenerate = degenerate_draws(cloud, 1000, seed)
+            whole_blocks = degenerate[:len(degenerate) // PLANES * PLANES].reshape(-1, PLANES)
+            assert whole_blocks.all(axis=1).any()
+            assert not degenerate.all()
+            for iterations in (PLANES, 1000):
+                same_outcome(cloud, iterations, 0.01, seed)
+
+    def test_all_collinear_raises(self):
+        t = np.linspace(-1, 1, 50)
+        cloud = np.stack([t, 2 * t, -t], axis=1)
+        for iterations in (1, PLANES, 100):
+            assert same_outcome(cloud, iterations, 0.01, seed=3) is None
+
+    def test_infinite_margin_recounts_every_plane(self, monkeypatch, recounts):
+        monkeypatch.setattr(select, "_MARGIN", np.inf)
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            cloud, _ = normalize_pose(rng.normal(size=(500, 3)) * [1.0, 0.6, 0.05])
+            recounts.clear()
+            same_outcome(cloud, 100, 0.01, seed)
+            assert len(recounts) == 100 - degenerate_draws(cloud, 100, seed).sum()
+
+    def test_coordinates_past_the_bound_recount_every_plane(self, recounts):
+        # a plane at x + y = 3e308 whose normal is (1, 1, 0) / sqrt(2): p.n overflows while
+        # (p - a).n does not; the one point off it spans only NaN normals
+        x = 1.5e308
+        step = np.spacing(x)
+        plane = [[x + k * step, x - k * step, z] for k in range(4) for z in (0.0, 1e-150, 3e-150)]
+        cloud = np.array(plane + [[x + step, x + step, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(8):
+                recounts.clear()
+                normal = same_outcome(cloud, 50, 0.01, seed)
+                assert np.allclose(np.abs(normal), [0.5 ** 0.5, 0.5 ** 0.5, 0.0])
+                assert len(recounts) == 50 - degenerate_draws(cloud, 50, seed).sum()
+
+    def test_memory_does_not_grow_with_iterations(self):
+        cloud = np.random.default_rng(32).normal(size=(2000, 3))
+        ransac_viewpoint(cloud, iterations=40, seed=0)
+        tracemalloc.start()
+        try:
+            ransac_viewpoint(cloud, iterations=20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block is PLANES x 2000 float64 (0.5 MB); the 20000 x 3 draws alone would be 0.46 MB
+        assert peak < 2 ** 20
 
 
 def best_resolution_loop(cloud, viewpoint, resolutions):
