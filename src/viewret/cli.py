@@ -19,7 +19,8 @@ from .config import PipelineConfig
 from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
                      view_features)
 from .errors import ViewretError
-from .evaluate import ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case, run_benchmark
+from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case,
+                       precision_recall_curve, run_benchmark)
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
                        normalize_pose)
 from .render import render_mesh, render_point_cloud
@@ -321,6 +322,13 @@ def cmd_bench(args, config: PipelineConfig):
     report = run_benchmark(dataset, cases, config, seed=config.seed)
     lines = ["case,metric,value\n"]
     lines += [f"{case},{metric},{value:.6f}\n" for case, metric, value in report.rows()]
+    # the curves are formed before any file is written: a ranking with no relevant model fails
+    pr_lines = ["case,query_id,recall,precision\n"]
+    if args.pr_data:
+        pr_lines += [f"{name},{entry.model_id},{recall:.10f},{precision:.10f}\n"
+                     for name, result in report.cases.items()
+                     for entry, retrieval in zip(dataset, result.retrievals)
+                     for recall, precision in precision_recall_curve(retrieval)]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -328,11 +336,7 @@ def cmd_bench(args, config: PipelineConfig):
         sys.stdout.writelines(lines)
     if args.pr_data:
         with open(args.pr_data, "w", encoding="utf-8") as fh:
-            fh.write("case,query_id,recall,precision\n")
-            for name, result in report.cases.items():
-                for query_id, points in result.pr_points.items():
-                    for recall, precision in points:
-                        fh.write(f"{name},{query_id},{recall:.10f},{precision:.10f}\n")
+            fh.writelines(pr_lines)
     return 0
 
 

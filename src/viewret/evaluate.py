@@ -217,9 +217,10 @@ class _ScanState:
 
 @dataclass
 class CaseResult:
+    """A case's metrics and its rankings, one per query in dataset order."""
+
     metrics: dict
     retrievals: list
-    pr_points: dict
 
 
 @dataclass
@@ -259,16 +260,33 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
+def _loo_database(dataset, images, config: PipelineConfig, seed: int):
+    """The mixture and database of every scan's 20 view images, as `build_db` encodes them.
+
+    ``images`` holds one iterable of view images per scan, in dataset order.
+    """
+    feats = [list(view_features(views, config, [seed, 13, index]))
+             for index, views in enumerate(images)]
+    gmm = fit_gmm(pool_features((f for views in feats for f in views),
+                                config.gmm_sample_cap, [seed, 17]),
+                  config.gaussians, seed=[seed, 19])
+    db = DescriptorDb(entries=[e for entry, views in zip(dataset, feats)
+                               for e in encode_views(entry.model_id, entry.class_id, views, gmm)])
+    return gmm, db
+
+
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                   threads: int = 1) -> BenchmarkReport:
     """Leave-one-out retrieval over the dataset for every requested case.
 
     Each instance queries the database of all instances, with its own model
-    dropped from the ranking. The database side always follows the standard
-    pipeline (20 views per instance), through the same feature, pooling,
-    encoding and ranking code as `build_db` and `query_db`; the case only
-    controls how the query view and query resolution are chosen. Needs at
-    least two scans with unique model ids. Deterministic for a fixed seed.
+    dropped from the ranking. The database holds 20 views per instance,
+    built through the same feature, pooling, encoding and ranking code as
+    `build_db` and `query_db`. A case's resolution source sets the rung of
+    both its database views and its query: each scan's proposed rung for
+    ``-prop``, FIXED_RESOLUTION for ``-fixed``. One mixture and database is
+    built per resolution source that a requested case uses. Needs at least
+    two scans with unique model ids. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
@@ -286,30 +304,20 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                         f"case {case.name} needs ground truth, but {entry.model_id} has none")
 
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
-
-    per_instance_feats = []
-    for index, state in enumerate(states):
-        images = [render_point_cloud(state.points, v, state.r_proposed)
-                  for v in dodecahedron_viewpoints()]
-        per_instance_feats.append(list(view_features(images, config, [seed, 13, index])))
-    gmm = fit_gmm(pool_features((f for feats in per_instance_feats for f in feats),
-                                config.gmm_sample_cap, [seed, 17]),
-                  config.gaussians, seed=[seed, 19])
-    db = DescriptorDb(entries=[e for entry, feats in zip(dataset, per_instance_feats)
-                               for e in encode_views(entry.model_id, entry.class_id, feats, gmm)])
-    del per_instance_feats
+    databases = {}
+    for source in dict.fromkeys(case.resolution_source for case in cases):
+        rungs = [FIXED_RESOLUTION if source == "fixed_256" else s.r_proposed for s in states]
+        images = ((render_point_cloud(s.points, v, r) for v in dodecahedron_viewpoints())
+                  for s, r in zip(states, rungs))
+        databases[source] = _loo_database(dataset, images, config, seed)
 
     report = BenchmarkReport()
     for case in cases:
+        gmm, db = databases[case.resolution_source]
         retrievals = []
-        pr_points = {}
         for index, (entry, state) in enumerate(zip(dataset, states)):
-            if case.viewpoint_source == "ground_truth":
-                v_query = entry.gt_viewpoint
-            elif case.viewpoint_source == "proposed":
-                v_query = state.v_proposed
-            else:
-                v_query = state.v_ransac
+            v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
+                       "ransac": state.v_ransac}[case.viewpoint_source]
             if case.resolution_source == "fixed_256":
                 r_query = FIXED_RESOLUTION
             elif case.viewpoint_source == "proposed":
@@ -322,15 +330,12 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
             items = [(model_id, classes[model_id], distance)
                      for model_id, distance in query_db(db, fisher_vector(feats, gmm))
                      if model_id != entry.model_id]
-            retrieval = RankedRetrieval(query_class=entry.class_id, items=items)
-            retrievals.append(retrieval)
-            pr_points[entry.model_id] = precision_recall_curve(retrieval)
+            retrievals.append(RankedRetrieval(query_class=entry.class_id, items=items))
         report.cases[case.name] = CaseResult(
             metrics={"nn": nn_metric(retrievals),
                      "map": map_metric(retrievals),
                      "ndcg": ndcg_metric(retrievals)},
-            retrievals=retrievals,
-            pr_points=pr_points)
+            retrievals=retrievals)
     return report
 
 

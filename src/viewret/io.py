@@ -322,9 +322,14 @@ def load_manifest(path) -> list:
     Geometry files resolve relative to the manifest and load with
     `load_geometry`. Class ids must lie in [0, 2**32) and model
     ids fit in 65535 UTF-8 bytes, the ranges a descriptor database stores.
+    Model ids must be unique and at least one model listed. Every error,
+    including a geometry file that cannot be read, names the manifest's
+    ``path:line``.
     """
     base = os.path.dirname(os.path.abspath(path))
     models = []
+    first_line = {}
+    line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -343,6 +348,15 @@ def load_manifest(path) -> list:
             if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
                 raise ValueError(f"{path}:{line_no}: model id is longer than "
                                  f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
+            if model_id in first_line:
+                raise ValueError(f"{path}:{line_no}: model id {model_id!r} repeats line "
+                                 f"{first_line[model_id]}")
+            first_line[model_id] = line_no
             full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            models.append((model_id, class_id, load_geometry(full)))
+            try:
+                models.append((model_id, class_id, load_geometry(full)))
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    if not models:
+        raise ValueError(f"{path}:{line_no}: no model listed before the end of the file")
     return models

@@ -116,30 +116,6 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     return ScanResult(cloud=cloud, ground_truth_viewpoint=gt, config=cfg)
 
 
-def sample_mesh_surface(mesh: TriangleMesh, n_points: int, seed=0) -> np.ndarray:
-    """Uniform area-weighted point sample of a mesh surface.
-
-    Unlike `simulate_scan` this covers the whole surface with no occlusion,
-    which makes it a stand-in for a complete database model.
-    """
-    if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
-        raise EmptyMesh("cannot sample an empty mesh")
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
-    corners = mesh.vertices[mesh.triangles]
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    total = areas.sum()
-    if total <= 0:
-        raise ValueError("mesh has zero surface area")
-    rng = np.random.default_rng(seed)
-    tri = rng.choice(len(areas), size=n_points, p=areas / total)
-    r1 = np.sqrt(rng.random(n_points))
-    r2 = rng.random(n_points)
-    a, b, c = corners[tri, 0], corners[tri, 1], corners[tri, 2]
-    return (1.0 - r1)[:, None] * a + (r1 * (1.0 - r2))[:, None] * b + (r1 * r2)[:, None] * c
-
-
 # ---------------------------------------------------------------------------
 # primitive meshes for synthetic experiments
 

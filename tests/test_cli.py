@@ -12,6 +12,8 @@ from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
 from viewret.encode import GmmParams
+from viewret.evaluate import (desk_benchmark_config, make_synthetic_dataset,
+                              precision_recall_curve, run_benchmark)
 from viewret.geometry import normalize_pose
 from viewret.scansim import make_sphere
 
@@ -395,6 +397,25 @@ class TestCorruptInputs:
             assert err.count("\n") == 1 and "Traceback" not in err and f"{manifest}:1" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [
+        ("m 0 m.xyz\nm 1 m.xyz\n", 2),
+        ("", 1),
+        ("# no models\n", 1),
+        ("m 0 m.xyz\nghost 0 missing.xyz\n", 2),
+    ])
+    def test_bad_manifest_is_data_error_with_its_line(self, tmp_path, capsys, text, line):
+        _, gmm_path, _, config = desk_pipeline(tmp_path)
+        manifest = tmp_path / "bad.txt"
+        manifest.write_text(text, encoding="utf-8")
+        for command, flags, out in (("fit-gmm", [], tmp_path / "bad.gmm"),
+                                    ("build-db", ["--gmm", str(gmm_path)], tmp_path / "bad.fvdb")):
+            capsys.readouterr()
+            assert run([command, "--input", str(manifest), *flags, "--config", str(config),
+                        "--output", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err and f"{manifest}:{line}:" in err
+            assert not out.exists()
+
     def test_top_k_below_one_is_usage_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
         for top_k in ("0", "-1"):
@@ -476,3 +497,34 @@ class TestBench:
         assert lines[0] == "case,metric,value"
         assert len(lines) == 4
         assert all(line.startswith("prop-prop,") for line in lines[1:])
+
+    def test_pr_data_is_each_ranking_precision_recall_curve(self, tmp_path):
+        config = tmp_path / "bench.cfg"
+        config.write_text("n_keypoints=40\ngaussians=2\nresolutions=32,64\ngmm_sample_cap=4000\n")
+        pr = tmp_path / "pr.csv"
+        assert run(["bench", "--cases", "prop-prop,gt-fixed", "--classes", "2",
+                    "--scans-per-class", "2", "--config", str(config),
+                    "--report", str(tmp_path / "report.csv"), "--pr-data", str(pr),
+                    "--seed", "5"]) == 0
+        dataset = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=5)
+        config = desk_benchmark_config(seed=5).override(
+            n_keypoints=40, gaussians=2, resolutions=(32, 64), gmm_sample_cap=4000)
+        report = run_benchmark(dataset, ["prop-prop", "gt-fixed"], config, seed=5)
+        want = ["case,query_id,recall,precision"]
+        for name, result in report.cases.items():
+            for entry, retrieval in zip(dataset, result.retrievals):
+                want += [f"{name},{entry.model_id},{recall:.10f},{precision:.10f}"
+                         for recall, precision in precision_recall_curve(retrieval)]
+        assert len(want) == 1 + 2 * 4 * 3   # two cases, four queries, three ranked models each
+        assert pr.read_text().splitlines() == want
+
+    def test_pr_data_without_a_relevant_model_writes_no_file(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("n_keypoints=40\ngaussians=2\nresolutions=32,64\ngmm_sample_cap=4000\n")
+        report, pr = tmp_path / "report.csv", tmp_path / "pr.csv"
+        assert run(["bench", "--cases", "prop-prop", "--classes", "2", "--scans-per-class", "1",
+                    "--config", str(config), "--report", str(report), "--pr-data", str(pr),
+                    "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no relevant items" in err
+        assert not report.exists() and not pr.exists()

@@ -191,8 +191,8 @@ def loo_reference(dataset, case, config, seed):
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     per_instance = []
     for index, state in enumerate(states):
-        images = [render_point_cloud(state.points, v, state.r_proposed)
-                  for v in dodecahedron_viewpoints()]
+        rung = FIXED_RESOLUTION if case.resolution_source == "fixed_256" else state.r_proposed
+        images = [render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints()]
         per_instance.append([np.asarray(extract_features(img, config.n_keypoints,
                                                          config.keypoint_decay,
                                                          seed=[seed, 13, index, view_id]),
@@ -280,6 +280,14 @@ class TestRunBenchmark:
                 assert all(cls == classes[m] for m, cls, _ in retrieval.items)
                 np.testing.assert_allclose([d for _, _, d in retrieval.items],
                                            [d for _, d in reference], rtol=0, atol=1e-6)
+
+    def test_a_fixed_case_leaves_the_proposed_cases_unchanged(self):
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=6, step_deg=0.8)
+        alone = run_benchmark(ds, ["prop-prop"], micro_config(), seed=6)
+        both = run_benchmark(ds, ["prop-fixed", "prop-prop"], micro_config(), seed=6)
+        assert list(both.cases) == ["prop-fixed", "prop-prop"]
+        assert list(alone.rows()) == [row for row in both.rows() if row[0] == "prop-prop"]
+        assert alone.cases["prop-prop"].retrievals == both.cases["prop-prop"].retrievals
 
     def test_duplicate_model_ids_rejected(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=10, step_deg=1.0)

@@ -432,3 +432,37 @@ class TestManifest:
         manifest.write_text(f"ok 0 m.xyz\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"{manifest}:2: {message}"):
             vio.load_manifest(manifest)
+
+    def test_repeated_model_id_rejected_with_both_lines(self, tmp_path):
+        vio.save_xyz(np.random.default_rng(59).normal(size=(10, 3)), tmp_path / "m.xyz")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text("a 0 m.xyz\nb 0 m.xyz\n\na 1 m.xyz\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:4: model id 'a' repeats line 1")):
+            vio.load_manifest(manifest)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("# none\n\n   \n", 3)])
+    def test_manifest_without_models_rejected(self, tmp_path, text, line):
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:{line}: no model listed")):
+            vio.load_manifest(manifest)
+
+    def test_missing_geometry_file_names_the_manifest_line(self, tmp_path):
+        vio.save_xyz(np.random.default_rng(60).normal(size=(10, 3)), tmp_path / "m.xyz")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text("ok 0 m.xyz\nghost 0 missing.xyz\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: [Errno 2]")) as info:
+            vio.load_manifest(manifest)
+        assert "missing.xyz" in str(info.value)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.xyz", "1 2\n", "bad.xyz:1: expected 3 coordinates, got 2"),
+        ("bad.obj", "v 0 0 0\nv 0 1 0\nv 1 0 0\nf 1 2\n", "bad.obj:4: only triangulated faces"),
+    ])
+    def test_bad_geometry_file_names_the_manifest_line(self, tmp_path, name, text, message):
+        vio.save_xyz(np.random.default_rng(61).normal(size=(10, 3)), tmp_path / "m.xyz")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"ok 0 m.xyz\n# then\nbad 1 {name}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:3: ") + ".*" + re.escape(message)):
+            vio.load_manifest(manifest)

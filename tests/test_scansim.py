@@ -4,8 +4,7 @@ import pytest
 from viewret.errors import EmptyMesh, NoHits
 from viewret.geometry import TriangleMesh
 from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, make_box,
-                             make_cone, make_cylinder, make_sphere, sample_mesh_surface,
-                             simulate_scan)
+                             make_cone, make_cylinder, make_sphere, simulate_scan)
 
 
 def ray_triangle_intersect(origin, direction, triangle):
@@ -223,18 +222,3 @@ class TestPrimitives:
         areas = 0.5 * np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
                                               corners[:, 2] - corners[:, 0]), axis=1)
         assert np.all(areas > 1e-12)
-
-    def test_surface_sampling_lands_on_surface(self):
-        mesh = make_box(extents=(1.0, 1.0, 1.0))
-        pts = sample_mesh_surface(mesh, 2000, seed=1)
-        assert pts.shape == (2000, 3)
-        # every sample sits on one of the box's six faces
-        on_face = np.zeros(len(pts), dtype=bool)
-        for axis in range(3):
-            on_face |= np.isclose(np.abs(pts[:, axis]), 0.5, atol=1e-9)
-        assert on_face.all()
-
-    def test_surface_sampling_seeded(self):
-        mesh = make_cone()
-        assert np.array_equal(sample_mesh_surface(mesh, 100, seed=2),
-                              sample_mesh_surface(mesh, 100, seed=2))
