@@ -18,7 +18,7 @@ from . import io as vio
 from .config import PipelineConfig
 from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
                      view_features)
-from .errors import ViewretError
+from .errors import NoRelevant, ViewretError
 from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case,
                        precision_recall_curve, run_benchmark)
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
@@ -316,19 +316,15 @@ def cmd_query(args, config: PipelineConfig):
 
 def cmd_bench(args, config: PipelineConfig):
     cases = [parse_case(name) for name in args.cases.split(",") if name]
+    if args.pr_data and args.scans_per_class == 1:
+        # a query's only relevant models are the other scans of its class
+        raise NoRelevant("ranking has no relevant items in its universe")
     dataset = make_synthetic_dataset(n_classes=args.classes,
                                      scans_per_class=args.scans_per_class,
                                      seed=config.seed)
     report = run_benchmark(dataset, cases, config, seed=config.seed)
     lines = ["case,metric,value\n"]
     lines += [f"{case},{metric},{value:.6f}\n" for case, metric, value in report.rows()]
-    # the curves are formed before any file is written: a ranking with no relevant model fails
-    pr_lines = ["case,query_id,recall,precision\n"]
-    if args.pr_data:
-        pr_lines += [f"{name},{entry.model_id},{recall:.10f},{precision:.10f}\n"
-                     for name, result in report.cases.items()
-                     for entry, retrieval in zip(dataset, result.retrievals)
-                     for recall, precision in precision_recall_curve(retrieval)]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -336,7 +332,11 @@ def cmd_bench(args, config: PipelineConfig):
         sys.stdout.writelines(lines)
     if args.pr_data:
         with open(args.pr_data, "w", encoding="utf-8") as fh:
-            fh.writelines(pr_lines)
+            fh.write("case,query_id,recall,precision\n")
+            fh.writelines(f"{name},{entry.model_id},{recall:.10f},{precision:.10f}\n"
+                          for name, result in report.cases.items()
+                          for entry, retrieval in zip(dataset, result.retrievals)
+                          for recall, precision in precision_recall_curve(retrieval))
     return 0
 
 

@@ -175,6 +175,10 @@ def _scan_entry(model_id: str, class_id: int, mesh, rng, fov_deg: float,
 def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: int = 0,
                            step_deg: float = 0.5) -> list:
     """Simulated partial scans of jittered primitive meshes from random poses."""
+    if not 1 <= n_classes <= len(_CLASS_MAKERS):
+        raise ValueError(f"n_classes must be 1 to {len(_CLASS_MAKERS)}, got {n_classes}")
+    if scans_per_class < 1:
+        raise ValueError(f"scans_per_class must be at least 1, got {scans_per_class}")
     rng = np.random.default_rng(seed)
     entries = []
     for class_id, (name, make) in enumerate(_CLASS_MAKERS[:n_classes]):

@@ -5,8 +5,8 @@ All binary layouts are little-endian with 32-bit IEEE floats.
 
 import math
 import os
-import re
 import struct
+import warnings
 
 import numpy as np
 
@@ -26,64 +26,44 @@ MAX_CLASS_ID = 0xFFFFFFFF
 
 # --- text geometry -----------------------------------------------------------
 
-# the characters str.split() splits on, all below U+3001; the last entry
-# stands for every higher code point
-_SPACE = np.zeros(0x3002, dtype=bool)
-_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
-
-
 def load_xyz(path) -> np.ndarray:
     """Read one `x y z` triple per line; `#` starts a comment.
 
-    The whole file is parsed at once: the tokens are ``str.split()``'s, each
-    converted by ``float()``, and numpy counts them per line to check the
-    layout. Coordinates must be finite, so ``nan``, ``inf`` and overflowing
-    tokens such as ``1e400`` are refused. The first bad line, in file order,
-    is reported as ``path:line``; within one line, a wrong count comes before
-    an unparseable token, and that before a non-finite value.
+    numpy's reader (``np.loadtxt``) parses the file. Coordinates must be
+    finite, so ``nan``, ``inf`` and overflowing tokens such as ``1e400`` are
+    refused. A file that numpy refuses, or whose values are not three finite
+    coordinates per line, is re-read line by line with ``str.split()`` and
+    ``float()``, which name its first bad line as ``path:line`` (a wrong count
+    before an unparseable token, and that before a non-finite value) or read
+    what numpy does not, such as ``1_0``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if "#" in text:
-        text = re.sub(r"#[^\n]*", "", text)
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        space = _SPACE[chars]
-    else:
-        chars = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-        space = _SPACE[np.minimum(chars, len(_SPACE) - 1)]
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
-    token_line = np.searchsorted(np.flatnonzero(chars == ord("\n")), starts)  # 0-based
-    counts = np.bincount(token_line)
-    bad = np.flatnonzero((counts != 0) & (counts != 3))
-    tokens = text.split()
-    # only the tokens before the first badly laid-out line can fail first
-    end = int(np.searchsorted(token_line, bad[0])) if len(bad) else len(tokens)
-    error = None
-    if len(bad):
-        error = f"{path}:{bad[0] + 1}: expected 3 coordinates, got {counts[bad[0]]}"
-    try:
-        values = np.fromiter(map(float, tokens[:end]), dtype=np.float64, count=end)
-    except ValueError:
-        parsed = []
-        for token in tokens[:end]:
+        try:
+            with warnings.catch_warnings():
+                # a file without points is re-read below, which returns it as (0, 3)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, comments="#", ndmin=2)
+            if values.shape[1] == 3 and np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
+        fh.seek(0)
+        points = []
+        for line_no, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{line_no}: expected 3 coordinates, got {len(parts)}")
             try:
-                parsed.append(float(token))
+                row = [float(p) for p in parts]
             except ValueError as exc:
-                line = token_line[len(parsed)]
-                error = f"{path}:{line + 1}: {exc}"
-                break
-        else:
-            raise
-        # a line's parse error comes before its own non-finite values
-        values = np.asarray(parsed[:np.searchsorted(token_line, line)], dtype=np.float64)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{path}:{token_line[i] + 1}: coordinate {tokens[i]!r} is not finite")
-    if error:
-        raise ValueError(error)
-    return values.reshape(-1, 3)
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            for token, value in zip(parts, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{line_no}: coordinate {token!r} is not finite")
+            points.append(row)
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
 def save_xyz(points, path):

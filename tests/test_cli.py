@@ -485,6 +485,10 @@ class TestConfigSchema:
         assert "--resolutions" in capsys.readouterr().err
 
 
+def _refused_before_this(*args, **kwargs):
+    raise AssertionError("the run should have been refused before this call")
+
+
 class TestBench:
     def test_tiny_bench_report(self, tmp_path):
         report = tmp_path / "report.csv"
@@ -518,7 +522,10 @@ class TestBench:
         assert len(want) == 1 + 2 * 4 * 3   # two cases, four queries, three ranked models each
         assert pr.read_text().splitlines() == want
 
-    def test_pr_data_without_a_relevant_model_writes_no_file(self, tmp_path, capsys):
+    def test_pr_data_without_a_relevant_model_writes_no_file(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
+        monkeypatch.setattr("viewret.cli.run_benchmark", _refused_before_this)
         config = tmp_path / "bench.cfg"
         config.write_text("n_keypoints=40\ngaussians=2\nresolutions=32,64\ngmm_sample_cap=4000\n")
         report, pr = tmp_path / "report.csv", tmp_path / "pr.csv"
@@ -528,3 +535,13 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no relevant items" in err
         assert not report.exists() and not pr.exists()
+
+    @pytest.mark.parametrize("flags", [["--classes", "9"], ["--classes", "0"],
+                                       ["--classes", "-1"], ["--scans-per-class", "0"]])
+    def test_dataset_size_out_of_range_is_data_error(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("viewret.cli.run_benchmark", _refused_before_this)
+        report = tmp_path / "report.csv"
+        assert run(["bench", "--report", str(report)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("viewret bench: error: ")
+        assert not report.exists()

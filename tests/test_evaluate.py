@@ -295,6 +295,16 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unique"):
             run_benchmark(ds, ["prop-prop"], micro_config(), seed=10)
 
+    @pytest.mark.parametrize("n_classes", [-1, 0, 5])
+    def test_class_count_outside_the_makers_is_refused(self, n_classes):
+        with pytest.raises(ValueError, match="n_classes must be 1 to 4"):
+            make_synthetic_dataset(n_classes=n_classes, scans_per_class=1)
+
+    @pytest.mark.parametrize("scans_per_class", [-1, 0])
+    def test_no_scans_per_class_is_refused(self, scans_per_class):
+        with pytest.raises(ValueError, match="scans_per_class must be at least 1"):
+            make_synthetic_dataset(n_classes=1, scans_per_class=scans_per_class)
+
     def test_one_scan_has_no_database(self):
         ds = make_synthetic_dataset(n_classes=1, scans_per_class=1, seed=5, step_deg=1.0)
         with pytest.raises(ViewretError):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,7 +128,9 @@ class TestXyzAgainstLineReader:
     def test_files_without_points(self, tmp_path, text):
         path = tmp_path / "cloud.xyz"
         path.write_bytes(text.encode("utf-8"))
-        got = vio.load_xyz(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy warns of a file without data
+            got = vio.load_xyz(path)
         assert got.shape == (0, 3) and got.dtype == np.float64
 
     def test_bad_token_reports_its_line(self, tmp_path):
@@ -141,6 +144,30 @@ class TestXyzAgainstLineReader:
         path.write_text("1 2 3\n4 5\n7 eight 9\n")
         with pytest.raises(ValueError, match=r"cloud\.xyz:2: expected 3 coordinates, got 2"):
             vio.load_xyz(path)
+
+    # more lines than numpy's `_loadtxt_chunksize` (50,000), with the odd line past that many
+    LONG_FILE_LINES = 50_100
+    LATE_LINE = 50_050
+
+    def _long_file(self, tmp_path, late_line):
+        lines = [f"{i}.25 {-i} {i}e-3\n" for i in range(self.LONG_FILE_LINES)]
+        lines[self.LATE_LINE - 1] = late_line
+        path = tmp_path / "cloud.xyz"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    def test_wrong_count_past_the_chunk_size_reports_its_line(self, tmp_path):
+        path = self._long_file(tmp_path, "1 2\n")
+        with pytest.raises(ValueError, match=rf"cloud\.xyz:{self.LATE_LINE}: expected 3 "
+                                             r"coordinates, got 2$"):
+            vio.load_xyz(path)
+
+    def test_ideographic_space_past_the_chunk_size_loads_as_the_line_reader(self, tmp_path):
+        path = self._long_file(tmp_path, "1\u30002 3\n")
+        got = vio.load_xyz(path)
+        want = load_xyz_oracle(path)
+        assert got.dtype == np.float64 and got.shape == (self.LONG_FILE_LINES, 3)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestObj:
