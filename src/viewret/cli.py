@@ -83,7 +83,7 @@ _CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions"
 
 def _load_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with vio.open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -173,14 +173,21 @@ def camera_frame(viewpoint) -> CameraFrame:
     return CameraFrame(eye=eye, forward=forward, right=right, up=up)
 
 
-def _pixel_indices(x, y, resolution: int):
-    """Clamped ``(rows, cols)`` of camera-plane coordinates on an r x r grid.
+def _unit_coordinates(x, y):
+    """Camera-plane coordinates as fractions of the image: ``(u, w)`` across and down.
 
-    The one pixel-assignment formula: rendering and the score grid both go
-    through it, so a cloud occupies the same pixels in either.
+    The first step of the one pixel-assignment formula, `_pixel_indices` the
+    second. Rendering and the score grid both take the two steps, so a cloud
+    occupies the same pixels in either; the score grid forms ``(u, w)`` once
+    per viewpoint and scales them to every rung.
     """
-    cols = np.floor((x + 1.0) / 2.0 * resolution).astype(np.int64)
-    rows = np.floor((1.0 - (y + 1.0) / 2.0) * resolution).astype(np.int64)
+    return (x + 1.0) / 2.0, 1.0 - (y + 1.0) / 2.0
+
+
+def _pixel_indices(u, w, resolution: int):
+    """Clamped ``(rows, cols)`` of unit coordinates ``u``, ``w`` on an r x r grid."""
+    cols = np.floor(u * resolution).astype(np.int64)
+    rows = np.floor(w * resolution).astype(np.int64)
     np.clip(cols, 0, resolution - 1, out=cols)
     np.clip(rows, 0, resolution - 1, out=rows)
     return rows, cols
@@ -195,6 +202,6 @@ def project_points(points, frame: CameraFrame, resolution: int):
     """
     check_resolution(resolution)
     pts = as_points(points)
-    rows, cols = _pixel_indices(pts @ frame.right, pts @ frame.up, resolution)
+    rows, cols = _pixel_indices(*_unit_coordinates(pts @ frame.right, pts @ frame.up), resolution)
     depths = ((pts - frame.eye) @ frame.forward) / 2.0
     return rows, cols, depths

@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,6 +25,30 @@ MAX_MODEL_ID_BYTES = 0xFFFF
 MAX_CLASS_ID = 0xFFFFFFFF
 
 
+# --- text files --------------------------------------------------------------
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` as UTF-8 text; a byte that is not UTF-8 raises ValueError naming ``path:line``.
+
+    Lines are numbered as text-mode iteration numbers them: a line ends at
+    ``\\n``, ``\\r`` or ``\\r\\n``, bytes that a UTF-8 sequence never holds.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            for line_no, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: byte 0x{line[exc.start]:02x} "
+                                     f"is not UTF-8") from None
+            raise
+
+
 # --- text geometry -----------------------------------------------------------
 
 def load_xyz(path) -> np.ndarray:
@@ -35,9 +60,10 @@ def load_xyz(path) -> np.ndarray:
     coordinates per line, is re-read line by line with ``str.split()`` and
     ``float()``, which name its first bad line as ``path:line`` (a wrong count
     before an unparseable token, and that before a non-finite value) or read
-    what numpy does not, such as ``1_0``.
+    what numpy does not, such as ``1_0``. A byte that is not UTF-8 is named
+    as ``path:line`` too.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             with warnings.catch_warnings():
                 # a file without points is re-read below, which returns it as (0, 3)
@@ -77,11 +103,12 @@ def load_obj(path) -> TriangleMesh:
 
     Vertex coordinates must be finite, so ``nan``, ``inf`` and overflowing
     tokens such as ``1e400`` are refused. A bad line, like an unparseable
-    token, is reported as ``path:line``.
+    token or a byte that is not UTF-8, is reported as ``path:line``, and a
+    face the vertices cannot index as ``path``.
     """
     vertices = []
     faces = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
@@ -104,8 +131,11 @@ def load_obj(path) -> TriangleMesh:
                     faces.append(idx)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-                        np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    try:
+        return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
+                            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_geometry(path):
@@ -303,14 +333,14 @@ def load_manifest(path) -> list:
     `load_geometry`. Class ids must lie in [0, 2**32) and model
     ids fit in 65535 UTF-8 bytes, the ranges a descriptor database stores.
     Model ids must be unique and at least one model listed. Every error,
-    including a geometry file that cannot be read, names the manifest's
-    ``path:line``.
+    including a geometry file that cannot be read and a byte that is not
+    UTF-8, names the manifest's ``path:line``.
     """
     base = os.path.dirname(os.path.abspath(path))
     models = []
     first_line = {}
     line_no = 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

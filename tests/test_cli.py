@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import viewret
 from oracles import read_pgm, read_scan_metadata
@@ -424,6 +426,49 @@ class TestCorruptInputs:
             assert "--top-k" in capsys.readouterr().err
 
 
+class TestFuzzedTextFiles:
+    """An XYZ cloud or OBJ mesh cut short, with one byte set to any value, or with a NUL inserted."""
+
+    @staticmethod
+    def mutate(data, kind, at, byte):
+        at %= len(data) + 1
+        if kind == "truncate":
+            return data[:at]
+        if kind == "nul":
+            return data[:at] + b"\0" + data[at:]
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([byte]) + data[at + 1:]
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["xyz", "obj"]), st.sampled_from(["truncate", "byte", "nul"]),
+           st.integers(0, 2 ** 16), st.integers(0, 255))
+    def test_loads_or_names_the_file_and_exits_0_or_2(self, tmp_path, capsys, fmt, kind, at, byte):
+        if fmt == "xyz":
+            path = tmp_path / "scan.xyz"
+            vio.save_xyz(np.random.default_rng(68).normal(size=(30, 3)), path)
+            load = vio.load_xyz
+            argv = ["select", "--input", str(path), "--resolutions", "32,64"]
+        else:
+            path = tmp_path / "tetra.obj"
+            path.write_text("# tetrahedron\nv 0 0 1\nv 0 1.5 0\nv 1 0 0.25\nv 0 0 0\n"
+                            "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+            load = vio.load_obj
+            argv = ["render", "--input", str(path), "--viewpoint-index", "3", "--resolution", "32",
+                    "--output", str(tmp_path / "tetra.pgm")]
+        path.write_bytes(self.mutate(path.read_bytes(), kind, at, byte))
+        try:
+            load(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        capsys.readouterr()
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith(f"viewret {argv[0]}: error: ") and err.count("\n") == 1
+
+
 class TestGridDump:
     def test_writes_csv(self, cloud_file, tmp_path):
         out = tmp_path / "grid.csv"
@@ -453,6 +498,14 @@ class TestConfigSchema:
         write_every_field(PipelineConfig(), path)
         assert run(["select", "--input", str(cloud_file), "--config", str(path)]) == 0
         assert capsys.readouterr().out.startswith("viewpoint_index ")
+
+    def test_byte_that_is_not_utf8_names_its_line(self, cloud_file, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"seed = 3\n# d\xe9faut\n")
+        capsys.readouterr()
+        assert run(["select", "--input", str(cloud_file), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"viewret select: error: {path}:2: "
+                                           f"byte 0xe9 is not UTF-8\n")
 
     def test_resolutions_flag_and_key_give_one_grid(self, cloud_file, tmp_path):
         config = tmp_path / "ladder.cfg"

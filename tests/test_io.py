@@ -170,6 +170,32 @@ class TestXyzAgainstLineReader:
         assert got.tobytes() == want.tobytes()
 
 
+class TestNotUtf8:
+    def test_xyz_names_the_line(self, tmp_path):
+        path = tmp_path / "latin.xyz"
+        path.write_bytes(b"1 2 3\n4 5 \xff\n")
+        with pytest.raises(ValueError, match=r"latin\.xyz:2: byte 0xff is not UTF-8$"):
+            vio.load_xyz(path)
+
+    def test_obj_names_the_line_as_text_mode_counts_it(self, tmp_path):
+        path = tmp_path / "latin.obj"
+        path.write_bytes(b"v 0 0 0\r\nv 1 0 0\rv 0 1 0 # caf\xe9\nf 1 2 3\n")
+        with pytest.raises(ValueError, match=r"latin\.obj:3: byte 0xe9 is not UTF-8$"):
+            vio.load_obj(path)
+
+    def test_manifest_names_its_own_line_and_the_geometry_file_line(self, tmp_path):
+        vio.save_xyz(np.random.default_rng(62).normal(size=(10, 3)), tmp_path / "m.xyz")
+        (tmp_path / "latin.xyz").write_bytes(b"1 2 3\n\xc3\n")
+        manifest = tmp_path / "models.txt"
+        manifest.write_bytes(b"ok 0 m.xyz\nbad 1 latin.xyz\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: ") + r".*latin\.xyz:2: "
+                                             r"byte 0xc3 is not UTF-8$"):
+            vio.load_manifest(manifest)
+        manifest.write_bytes(b"ok 0 m.xyz\n# se\xf1or\n")
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}:2: byte 0xf1 is not UTF-8")):
+            vio.load_manifest(manifest)
+
+
 class TestObj:
     def test_round_trip(self, tmp_path):
         mesh = TriangleMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -185,6 +211,12 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1/1/1 2/2/1 3/3/1\n")
         loaded = vio.load_obj(path)
         np.testing.assert_array_equal(loaded.triangles, [[0, 1, 2]])
+
+    def test_face_past_the_vertices_names_the_file(self, tmp_path):
+        path = tmp_path / "short.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nf 1 2 3\n")
+        with pytest.raises(ValueError, match=r"short\.obj: triangle index out of range"):
+            vio.load_obj(path)
 
     def test_quad_face_rejected(self, tmp_path):
         path = tmp_path / "quad.obj"

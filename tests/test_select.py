@@ -316,6 +316,13 @@ def clouds_views_ladders(draw):
         # exact +-1 coordinates (and beyond) clamp onto the image border
         points = np.where(rng.random((n, 3)) < 0.5, rng.choice([-1.0, 1.0], size=(n, 3)),
                           rng.uniform(-1.2, 1.2, size=(n, 3)))
+    edge = draw(st.sampled_from(["none", "origin", "plane"]))
+    if edge == "origin":
+        # x = 0 from every viewpoint puts the point on a column edge, t = r/2
+        points[0] = 0.0
+    elif edge == "plane":
+        # zero coordinates: x = 0 from the axis viewpoints that see along them
+        points[rng.random(n) < 0.5, draw(st.integers(0, 2))] = 0.0
     views = []
     for kind in draw(st.lists(st.sampled_from(["axis", "near_pole", "random"]),
                               min_size=1, max_size=3)):
@@ -328,6 +335,9 @@ def clouds_views_ladders(draw):
                                 draw(st.sampled_from([-1.0, 1.0]))]))
         else:
             views.append(_unit(rng.normal(size=3)))
+    if draw(st.booleans()):
+        # an exact antipode: its row is copied where the margin holds, computed where not
+        views.append(-views[draw(st.integers(0, len(views) - 1))])
     ladder = draw(st.lists(st.sampled_from([8, 9, 13, 32, 64, 100, 128, 256]),
                            min_size=1, max_size=4, unique=True))
     if draw(st.booleans()):
@@ -356,6 +366,51 @@ class TestScoreGridAgainstDenseOracle:
         assert np.array_equal(grid.quantity, q)
         assert np.array_equal(grid.density, d)
         assert d.max() > 0
+
+
+class TestAntipodalReuse:
+    def scan(self):
+        scan = simulate_scan(make_sphere(radius=1.0, rings=24, segments=36),
+                             ScannerConfig(position=(1.2, -2.0, 2.0), target=(0.0, 0.0, 0.0),
+                                           fov_deg=40.0, angular_step_deg=0.5, max_range=12.0))
+        points, _ = normalize_pose(scan.cloud)
+        return points
+
+    def counted_grid(self, monkeypatch, points, ladder):
+        frames, cells = [], []
+        camera_frame, occupied_pixels = select.camera_frame, select._occupied_pixels
+        monkeypatch.setattr(select, "camera_frame", lambda v: frames.append(v) or camera_frame(v))
+        monkeypatch.setattr(select, "_occupied_pixels",
+                            lambda u, w, r: cells.append(r) or occupied_pixels(u, w, r))
+        grid = score_grid(points, None, ladder)
+        q, d = score_grid_dense_oracle(points, dodecahedron_viewpoints(), ladder)
+        assert np.array_equal(grid.quantity, q)
+        assert np.array_equal(grid.density, d)
+        return len(frames), len(cells)
+
+    def test_dodecahedron_computes_one_viewpoint_per_pair(self, monkeypatch):
+        assert self.counted_grid(monkeypatch, self.scan(), (32, 64)) == (10, 20)
+
+    def test_a_point_on_a_column_edge_computes_every_viewpoint(self, monkeypatch):
+        # the origin projects to x = 0, t = r/2, from every viewpoint: no rung is proven
+        points = np.concatenate([self.scan(), np.zeros((1, 3))])
+        assert self.counted_grid(monkeypatch, points, (32, 64)) == (20, 40)
+
+    def test_largest_rung_against_the_oracle_measures(self):
+        # a small blob at the +z view's bottom-right corner, partly clamped onto the border,
+        # so the keys reach 2**26 - 1; the oracle measures the render's foreground box, which
+        # holds every occupied pixel and two empty rings, or the image edge, around it
+        points = np.array([1.0, -1.0, 0.0]) + 0.002 * np.random.default_rng(31).normal(size=(2000, 3))
+        views = np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], dodecahedron_viewpoints()[::5]])
+        grid = score_grid(points, views, (MAX_RESOLUTION,))
+        for i, view in enumerate(views):
+            img = render_point_cloud(points, view, MAX_RESOLUTION)
+            rows, cols = np.nonzero(img)
+            box = img[max(rows.min() - 2, 0):rows.max() + 3, max(cols.min() - 2, 0):cols.max() + 3]
+            assert grid.quantity[i, 0] == quantity(box, len(points))
+            assert grid.density[i, 0] == density(box)
+        assert grid.density.max() > 0
+        assert grid.quantity[0, 0] == grid.quantity[1, 0]
 
 
 class TestRansacViewpoint:
