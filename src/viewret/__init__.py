@@ -21,7 +21,7 @@ from .render import render_mesh, render_point_cloud
 from .scansim import (ScannerConfig, ScanResult, make_box, make_cone, make_cylinder,
                       make_sphere, simulate_scan)
 from .select import (ScoreGrid, best_resolution_for_viewpoint, multiview_ring,
-                     normalize_quantity, ransac_viewpoint, score_grid, select_resolution,
-                     select_viewpoint)
+                     normalize_quantity, propose, ransac_viewpoint, score_grid,
+                     select_resolution, select_viewpoint)
 
 __version__ = "0.1.0"

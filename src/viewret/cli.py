@@ -25,8 +25,8 @@ from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, no
                        normalize_pose)
 from .render import render_mesh, render_point_cloud
 from .scansim import ScannerConfig, simulate_scan
-from .select import (best_resolution_for_viewpoint, multiview_ring, ransac_viewpoint,
-                     score_grid, select_resolution, select_viewpoint, viewpoint_index)
+from .select import (best_resolution_for_viewpoint, multiview_ring, propose, ransac_viewpoint,
+                     score_grid, viewpoint_index)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -118,12 +118,6 @@ def _load_points(path):
     return points
 
 
-def _out(args):
-    if args.output:
-        return open(args.output, "w", encoding="utf-8")
-    return nullcontext(sys.stdout)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="viewret", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -155,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--resolutions", type=_parse_resolutions, default=None)
     p.add_argument("--method", choices=("proposed", "ransac"), default="proposed")
-    p.add_argument("--dump-grid", default=None)
+    p.add_argument("--dump-grid", default=None,
+                   help="write the 20-viewpoint score grid as CSV, whatever the method")
     common(p, cmd_select, output=None)
 
     p = sub.add_parser("scan-sim", help="simulate a partial scan of a mesh")
@@ -197,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scans-per-class", type=int, default=5)
     common(p, cmd_bench, output=None, base=desk_benchmark_config)
 
-    p = sub.add_parser("grid-dump", help="write the score grid as CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--resolutions", type=_parse_resolutions, default=None)
-    common(p, cmd_grid_dump)
-
     return parser
 
 
@@ -241,19 +231,18 @@ def cmd_render(args, config: PipelineConfig):
 
 def cmd_select(args, config: PipelineConfig):
     points = _load_points(args.input)
-    views = dodecahedron_viewpoints()
-    grid = score_grid(points, views, config.resolutions)
-    if args.dump_grid:
-        with open(args.dump_grid, "w", encoding="utf-8") as fh:
-            vio.write_score_grid_csv(grid, fh)
     if args.method == "ransac":
+        # RANSAC needs no grid: it is scored only for the dump, written before RANSAC runs
+        if args.dump_grid:
+            vio.write_score_grid_csv(score_grid(points, None, config.resolutions), args.dump_grid)
         viewpoint = ransac_viewpoint(points, config.ransac_iterations,
                                      config.ransac_tolerance, seed=config.seed)
         resolution = best_resolution_for_viewpoint(points, viewpoint, config.resolutions)
     else:
-        viewpoint = select_viewpoint(grid, points)
-        resolution = select_resolution(grid, viewpoint)
-    index = viewpoint_index(views, viewpoint)
+        viewpoint, resolution, grid = propose(points, config.resolutions)
+        if args.dump_grid:
+            vio.write_score_grid_csv(grid, args.dump_grid)
+    index = viewpoint_index(dodecahedron_viewpoints(), viewpoint)
     sys.stdout.write(f"viewpoint_index {index}\n")
     sys.stdout.write(f"viewpoint {viewpoint[0]:.17g} {viewpoint[1]:.17g} {viewpoint[2]:.17g}\n")
     sys.stdout.write(f"resolution {resolution}\n")
@@ -302,13 +291,11 @@ def cmd_query(args, config: PipelineConfig):
     points = _load_points(args.input)
     db = vio.read_descriptor_db(_require(args.db, "database"))
     gmm = vio.read_gmm(_require(args.gmm, "gmm"))
-    grid = score_grid(points, None, config.resolutions)
-    viewpoint = select_viewpoint(grid, points)
-    resolution = select_resolution(grid, viewpoint)
+    viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)
     descriptors = [fisher_vector(f, gmm) for f in view_features(images, config, [config.seed])]
-    with _out(args) as fh:
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
         for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
             fh.write(f"{model_id} {distance:.10f}\n")
     return 0
@@ -337,13 +324,6 @@ def cmd_bench(args, config: PipelineConfig):
                           for name, result in report.cases.items()
                           for entry, retrieval in zip(dataset, result.retrievals)
                           for recall, precision in precision_recall_curve(retrieval))
-    return 0
-
-
-def cmd_grid_dump(args, config: PipelineConfig):
-    grid = score_grid(_load_points(args.input), None, config.resolutions)
-    with _out(args) as fh:
-        vio.write_score_grid_csv(grid, fh)
     return 0
 
 

@@ -16,7 +16,7 @@ from .errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatu
 from .features import describe, extract_features, keypoint_windows
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
-from .select import score_grid, select_resolution, select_viewpoint
+from .select import propose
 
 VARIANCE_FLOOR = 1e-6
 MAX_EM_ITERATIONS = 25
@@ -220,9 +220,7 @@ def database_views(geometry, config: PipelineConfig) -> list:
         mesh, _ = normalize_mesh(geometry)
         return [render_mesh(mesh, v, config.db_resolution) for v in views]
     pts, _ = normalize_pose(geometry)
-    grid = score_grid(pts, views, config.resolutions)
-    v_best = select_viewpoint(grid, pts)
-    r_best = select_resolution(grid, v_best)
+    _, r_best, _ = propose(pts, config.resolutions)
     return [render_point_cloud(pts, v, r_best) for v in views]
 
 

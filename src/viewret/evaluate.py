@@ -17,8 +17,7 @@ from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
 from .scansim import ScannerConfig, make_box, make_cone, make_cylinder, make_sphere, simulate_scan
-from .select import (best_resolution_for_viewpoint, ransac_viewpoint, score_grid,
-                     select_resolution, select_viewpoint)
+from .select import best_resolution_for_viewpoint, propose, ransac_viewpoint
 
 VIEWPOINT_SOURCES = ("ground_truth", "proposed", "ransac")
 RESOLUTION_SOURCES = ("proposed", "fixed_256")
@@ -239,9 +238,7 @@ class BenchmarkReport:
 
 def _prepare_scan(entry: ScanEntry, index: int, config: PipelineConfig, seed: int) -> _ScanState:
     points, _ = normalize_pose(entry.cloud)
-    grid = score_grid(points, None, config.resolutions)
-    v_prop = select_viewpoint(grid, points)
-    r_prop = select_resolution(grid, v_prop)
+    v_prop, r_prop, _ = propose(points, config.resolutions)
     v_ransac = ransac_viewpoint(points, config.ransac_iterations, config.ransac_tolerance,
                                 seed=[seed, 11, index])
     return _ScanState(points=points, v_proposed=v_prop, r_proposed=r_prop, v_ransac=v_ransac)

@@ -95,12 +95,15 @@ def normalize_pose(cloud):
 
     Returns ``(normalized_points, transform)``. Applying the transform to the
     input reproduces the normalized points exactly, so normalization is
-    idempotent up to floating-point noise.
+    idempotent up to floating-point noise. Raises DegenerateCloud when the
+    points coincide, or when the centroid or radius overflows float64.
     """
     pts = as_points(cloud)
-    translation = -pts.mean(axis=0)
-    radii = np.linalg.norm(pts + translation, axis=1)
-    max_radius = radii.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        translation = -pts.mean(axis=0)
+        max_radius = np.linalg.norm(pts + translation, axis=1).max()
+    if not (np.isfinite(translation).all() and np.isfinite(max_radius)):
+        raise DegenerateCloud("coordinates too large: the centroid or radius overflows")
     if max_radius < 1e-12:
         raise DegenerateCloud("all points coincide; scale is undefined")
     transform = NormalizationTransform(translation=translation, scale=1.0 / max_radius)
@@ -173,35 +176,44 @@ def camera_frame(viewpoint) -> CameraFrame:
     return CameraFrame(eye=eye, forward=forward, right=right, up=up)
 
 
-def _unit_coordinates(x, y):
-    """Camera-plane coordinates as fractions of the image: ``(u, w)`` across and down.
+def _unit_coordinates(points, frame: CameraFrame):
+    """Camera-plane coordinates of (N, 3) points as fractions of the image: ``(u, w)``.
 
-    The first step of the one pixel-assignment formula, `_pixel_indices` the
-    second. Rendering and the score grid both take the two steps, so a cloud
-    occupies the same pixels in either; the score grid forms ``(u, w)`` once
-    per viewpoint and scales them to every rung.
+    ``u`` runs across and ``w`` down. The first step of the one
+    pixel-assignment formula, `_pixel_indices` the second. Point rendering
+    and the score grid take both steps, so a cloud occupies the same pixels
+    in either; the score grid forms ``(u, w)`` once per viewpoint and scales
+    them to every rung. Mesh rendering scales them by r, unfloored.
     """
-    return (x + 1.0) / 2.0, 1.0 - (y + 1.0) / 2.0
+    return (points @ frame.right + 1.0) / 2.0, 1.0 - (points @ frame.up + 1.0) / 2.0
 
 
 def _pixel_indices(u, w, resolution: int):
-    """Clamped ``(rows, cols)`` of unit coordinates ``u``, ``w`` on an r x r grid."""
-    cols = np.floor(u * resolution).astype(np.int64)
-    rows = np.floor(w * resolution).astype(np.int64)
+    """Clamped ``(rows, cols)`` of unit coordinates ``u``, ``w`` on an r x r grid.
+
+    The clamp comes before the cast, so a coordinate beyond the int64 range,
+    or one that overflows to infinity, lands on its own border.
+    """
+    with np.errstate(over="ignore"):
+        cols = np.floor(u * resolution)
+        rows = np.floor(w * resolution)
     np.clip(cols, 0, resolution - 1, out=cols)
     np.clip(rows, 0, resolution - 1, out=rows)
-    return rows, cols
+    return rows.astype(np.int64), cols.astype(np.int64)
+
+
+def _depths(points, frame: CameraFrame):
+    """Depth from the eye along ``forward`` over the sphere diameter, in [0, 1] inside it."""
+    return ((points - frame.eye) @ frame.forward) / 2.0
 
 
 def project_points(points, frame: CameraFrame, resolution: int):
     """Vectorized orthographic projection onto an r x r pixel grid.
 
-    Returns ``(rows, cols, depths)``. Pixel indices are clamped into the
-    image; depth is measured from the eye along ``forward`` and divided by
-    the sphere diameter, so points inside the unit sphere land in [0, 1].
+    Returns ``(rows, cols, depths)``: `_pixel_indices` of `_unit_coordinates`,
+    and `_depths`.
     """
     check_resolution(resolution)
     pts = as_points(points)
-    rows, cols = _pixel_indices(*_unit_coordinates(pts @ frame.right, pts @ frame.up), resolution)
-    depths = ((pts - frame.eye) @ frame.forward) / 2.0
-    return rows, cols, depths
+    rows, cols = _pixel_indices(*_unit_coordinates(pts, frame), resolution)
+    return rows, cols, _depths(pts, frame)

@@ -319,11 +319,13 @@ def write_scan_metadata(scan, path):
         fh.write(f"seed={cfg.seed}\n")
 
 
-def write_score_grid_csv(grid, fh):
-    fh.write("viewpoint_index,resolution,Q,D\n")
-    for i in range(len(grid.viewpoints)):
-        for j, res in enumerate(grid.resolutions):
-            fh.write(f"{i},{res},{float(grid.quantity[i, j])!r},{float(grid.density[i, j])!r}\n")
+def write_score_grid_csv(grid, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("viewpoint_index,resolution,Q,D\n")
+        for i in range(len(grid.viewpoints)):
+            for j, res in enumerate(grid.resolutions):
+                q, d = float(grid.quantity[i, j]), float(grid.density[i, j])
+                fh.write(f"{i},{res},{q!r},{d!r}\n")
 
 
 def load_manifest(path) -> list:

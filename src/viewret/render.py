@@ -16,7 +16,8 @@ image is that loop's, byte for byte.
 import numpy as np
 
 from .errors import EmptyMesh, ViewretError
-from .geometry import TriangleMesh, as_points, camera_frame, check_resolution, project_points
+from .geometry import (TriangleMesh, _depths, _unit_coordinates, as_points, camera_frame,
+                       check_resolution, project_points)
 
 # slack on normalized barycentric coordinates so shared edges rasterize
 _EDGE_EPS = 1e-9
@@ -82,11 +83,9 @@ def render_mesh(mesh: TriangleMesh, viewpoint, resolution: int) -> np.ndarray:
     check_resolution(resolution)
     frame = camera_frame(viewpoint)
     r = resolution
-    v = mesh.vertices
     # continuous pixel coordinates of every vertex (col axis u, row axis w)
-    u = (v @ frame.right + 1.0) / 2.0 * r
-    w = (1.0 - (v @ frame.up + 1.0) / 2.0) * r
-    depth = ((v - frame.eye) @ frame.forward) / 2.0
+    u, w = _unit_coordinates(mesh.vertices, frame)
+    u, w, depth = u * r, w * r, _depths(mesh.vertices, frame)
 
     tu, tw, td = u[mesh.triangles], w[mesh.triangles], depth[mesh.triangles]
     area = ((tu[:, 1] - tu[:, 0]) * (tw[:, 2] - tw[:, 0])

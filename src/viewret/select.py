@@ -206,7 +206,7 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
             if copied.all():
                 continue
         frame = camera_frame(viewpoint)
-        u, w = _unit_coordinates(pts @ frame.right, pts @ frame.up)
+        u, w = _unit_coordinates(pts, frame)
         for j in np.flatnonzero(~copied):
             occupied = _occupied_pixels(u, w, res[j])
             q[i, j] = len(occupied) / n
@@ -358,6 +358,17 @@ def select_resolution(grid: ScoreGrid, best_viewpoint) -> int:
     row = grid.density[_viewpoint_row(grid, best_viewpoint)]
     top = row.max()
     return max(r for r, d in zip(grid.resolutions, row) if d == top)
+
+
+def propose(points, resolutions=None):
+    """The selection rule: ``(viewpoint, resolution, grid)`` for a pose-normalized cloud.
+
+    Scores the dodecahedron at every rung, takes `select_viewpoint` with the
+    cloud to orient the axis, then `select_resolution` on its row.
+    """
+    grid = score_grid(points, None, resolutions)
+    viewpoint = select_viewpoint(grid, points)
+    return viewpoint, select_resolution(grid, viewpoint), grid
 
 
 def best_resolution_for_viewpoint(cloud, viewpoint, resolutions=None) -> int:

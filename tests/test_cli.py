@@ -418,6 +418,21 @@ class TestCorruptInputs:
             assert err.count("\n") == 1 and "Traceback" not in err and f"{manifest}:{line}:" in err
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_coordinate_is_data_error(self, tmp_path, capsys):
+        cloud = tmp_path / "huge.xyz"
+        cloud.write_text("1e300 0 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+        mesh = tmp_path / "huge.obj"
+        mesh.write_text("v 0 0 1\nv 1e300 0 0\nv 0 1 0\nv 0 0 0\nf 1 2 3\nf 1 3 4\n")
+        for argv in (["select", "--input", str(cloud)],
+                     ["render", "--input", str(mesh), "--viewpoint-index", "3",
+                      "--resolution", "32", "--output", str(tmp_path / "huge.pgm")]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"viewret {argv[0]}: error: ") and err.count("\n") == 1
+            assert "too large" in err
+        assert not (tmp_path / "huge.pgm").exists()
+
     def test_top_k_below_one_is_usage_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
         for top_k in ("0", "-1"):
@@ -469,14 +484,30 @@ class TestFuzzedTextFiles:
             assert err.startswith(f"viewret {argv[0]}: error: ") and err.count("\n") == 1
 
 
-class TestGridDump:
-    def test_writes_csv(self, cloud_file, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert run(["grid-dump", "--input", str(cloud_file), "--resolutions", "32,64",
-                    "--output", str(out)]) == 0
-        lines = out.read_text().splitlines()
+class TestDumpGrid:
+    def test_one_csv_under_either_method(self, cloud_file, tmp_path):
+        grids = []
+        for method in ("proposed", "ransac"):
+            out = tmp_path / f"grid-{method}.csv"
+            assert run(["select", "--input", str(cloud_file), "--resolutions", "32,64,128",
+                        "--method", method, "--dump-grid", str(out)]) == 0
+            grids.append(out.read_bytes())
+        lines = grids[0].decode().splitlines()
         assert lines[0] == "viewpoint_index,resolution,Q,D"
-        assert len(lines) == 1 + 20 * 2
+        assert len(lines) == 1 + 20 * 3
+        assert grids[1] == grids[0]
+
+    def test_ransac_scores_the_grid_only_for_the_dump(self, cloud_file, tmp_path, monkeypatch):
+        def scored(*args, **kwargs):
+            raise AssertionError("the grid was scored without --dump-grid")
+
+        monkeypatch.setattr("viewret.cli.score_grid", scored)
+        assert run(["select", "--input", str(cloud_file), "--resolutions", "32,64",
+                    "--method", "ransac"]) == 0
+
+    def test_grid_dump_command_is_gone(self, cloud_file, capsys):
+        assert run(["grid-dump", "--input", str(cloud_file)]) == 1
+        assert "invalid choice: 'grid-dump'" in capsys.readouterr().err
 
 
 def write_every_field(config, path):
@@ -514,7 +545,7 @@ class TestConfigSchema:
         for index, flags in enumerate((["--resolutions", "32,64"], ["--resolutions", "32 64"],
                                        ["--resolutions", "32, 64"], ["--config", str(config)])):
             out = tmp_path / f"grid{index}.csv"
-            assert run(["grid-dump", "--input", str(cloud_file), *flags, "--output", str(out)]) == 0
+            assert run(["select", "--input", str(cloud_file), *flags, "--dump-grid", str(out)]) == 0
             grids.append(out.read_bytes())
         assert grids[1:] == grids[:1] * 3
         assert b"\n0,64," in grids[0]

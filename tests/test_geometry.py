@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,28 @@ class TestNormalizePose:
     def test_degenerate_cloud(self):
         with pytest.raises(DegenerateCloud):
             normalize_pose([(1.0, 2.0, 3.0)] * 5)
+
+    @pytest.mark.parametrize("huge", [
+        [(1e300, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        [(1.7e308, 0.0, 0.0), (1.7e308, 1.0, 0.0)],        # the centroid overflows
+        [(1.7e308, 0.0, 0.0), (-1.7e308, 0.0, 0.0)],       # only the radius does
+    ])
+    def test_overflowing_centroid_or_radius_is_degenerate(self, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCloud, match="too large"):
+                normalize_pose(huge)
+
+    def test_finite_radius_output_is_unchanged(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-9, 1.0, 1e150):
+            cloud = rng.normal(size=(60, 3)) * scale + 3.0 * scale
+            translation = -cloud.mean(axis=0)
+            max_radius = np.linalg.norm(cloud + translation, axis=1).max()
+            points, transform = normalize_pose(cloud)
+            assert np.array_equal(transform.translation, translation)
+            assert transform.scale == 1.0 / max_radius
+            assert np.array_equal(points, (cloud + translation) * (1.0 / max_radius))
 
 
 class TestDodecahedronViewpoints:
@@ -136,6 +160,15 @@ class TestProject:
             v /= np.linalg.norm(v)
             _, _, depth = project_points(points, camera_frame(v), 64)
             assert depth.min() >= 0.0 and depth.max() <= 1.0
+
+    def test_coordinates_beyond_int64_clamp_to_their_border(self):
+        frame = camera_frame((0.0, 0.0, 1.0))   # right is +x and up is +y
+        points = [(1e16, 0.0, 0.0), (-1e16, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 1e16, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, cols, _ = project_points(points, frame, 4096)
+        assert cols.tolist() == [4095, 0, 4095, 2048]
+        assert rows.tolist() == [2048, 2048, 2048, 0]
 
     def test_bad_resolution(self):
         frame = camera_frame((0.0, 0.0, 1.0))

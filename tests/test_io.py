@@ -444,8 +444,7 @@ class TestScoreGridCsv:
                          quantity=np.array([[0.5, 1.0], [0.25, 0.75]]),
                          density=np.array([[0.1, 0.2], [0.3, 0.4]]))
         path = tmp_path / "grid.csv"
-        with open(path, "w") as fh:
-            vio.write_score_grid_csv(grid, fh)
+        vio.write_score_grid_csv(grid, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "viewpoint_index,resolution,Q,D"
         assert lines[1] == "0,32,0.5,0.1"

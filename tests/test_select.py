@@ -16,8 +16,8 @@ from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
 from viewret.select import (BLOCK, PLANES, SPACING_NEIGHBOR, SPACING_SAMPLE, ScoreGrid,
                             _kth_neighbour_sq_distances, _spacing_depth_correlation,
                             best_resolution_for_viewpoint, multiview_ring, normalize_quantity,
-                            orient_axis, ransac_viewpoint, score_grid, select_resolution,
-                            select_viewpoint, viewpoint_index)
+                            orient_axis, propose, ransac_viewpoint, score_grid,
+                            select_resolution, select_viewpoint, viewpoint_index)
 
 
 def grid_from(q, d=None, viewpoints=None, resolutions=None):
@@ -92,6 +92,28 @@ class TestSelectViewpoint:
         grid = score_grid(points, None, (64, 128, 256))
         chosen = select_viewpoint(grid, points)
         assert angular_error(chosen, axis) <= 0.35
+
+
+class TestPropose:
+    def test_grid_then_oriented_viewpoint_then_its_rung(self):
+        views = dodecahedron_viewpoints()
+        cfg = ScannerConfig(position=views[5] * 3.0, target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                            angular_step_deg=1.0, max_range=10.0)
+        points, _ = normalize_pose(simulate_scan(make_sphere(radius=1.0), cfg).cloud)
+        ladder = (32, 64, 128)
+        viewpoint, resolution, grid = propose(points, ladder)
+        want = score_grid(points, None, ladder)
+        assert np.array_equal(grid.viewpoints, views) and grid.resolutions == ladder
+        assert np.array_equal(grid.quantity, want.quantity)
+        assert np.array_equal(grid.density, want.density)
+        # the axis alone picks the antipode; the cloud turns it to face the scanner
+        assert viewpoint_index(views, select_viewpoint(want)) == 2
+        assert viewpoint_index(views, viewpoint) == 5
+        assert resolution == select_resolution(want, viewpoint)
+
+    def test_default_ladder(self):
+        points, _ = normalize_pose(np.random.default_rng(9).normal(size=(300, 3)))
+        assert propose(points)[2].resolutions == score_grid(points).resolutions
 
 
 class TestOrientAxis:
