@@ -7,7 +7,6 @@ stderr, data to files or stdout.
 """
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -83,19 +82,17 @@ _CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions"
 
 def _load_config_file(path) -> dict:
     values = {}
-    with vio.open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
+    for line_no, line in vio.text_lines(path):
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -106,15 +103,9 @@ def _effective_config(args, base: PipelineConfig) -> PipelineConfig:
     return config.override(**{key: flag for key, flag in flags.items() if flag is not None})
 
 
-def _require(path, what="input"):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} file not found: {path}")
-    return path
-
-
 def _load_points(path):
     """The XYZ cloud at ``path``, pose-normalized."""
-    points, _ = normalize_pose(vio.load_xyz(_require(path)))
+    points, _ = normalize_pose(vio.load_xyz(path))
     return points
 
 
@@ -196,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_normalize(args, config: PipelineConfig):
-    cloud = vio.load_xyz(_require(args.input))
+    cloud = vio.load_xyz(args.input)
     points, transform = normalize_pose(cloud)
     if args.output:
         vio.save_xyz(points, args.output)
@@ -217,7 +208,7 @@ def _resolve_viewpoint(args):
 
 
 def cmd_render(args, config: PipelineConfig):
-    geometry = vio.load_geometry(_require(args.input))
+    geometry = vio.load_geometry(args.input)
     viewpoint = _resolve_viewpoint(args)
     if isinstance(geometry, TriangleMesh):
         mesh, _ = normalize_mesh(geometry)
@@ -250,7 +241,7 @@ def cmd_select(args, config: PipelineConfig):
 
 
 def cmd_scan_sim(args, config: PipelineConfig):
-    mesh = vio.load_obj(_require(args.mesh, "mesh"))
+    mesh = vio.load_obj(args.mesh)
     target = args.target if args.target is not None else mesh.centroid
     cfg = ScannerConfig(position=args.scanner_pos, target=target,
                         fov_deg=args.fov, angular_step_deg=args.step,
@@ -264,13 +255,12 @@ def cmd_scan_sim(args, config: PipelineConfig):
 
 
 def cmd_fit_gmm(args, config: PipelineConfig):
-    path = _require(args.input)
-    with open(path, "rb") as fh:
+    with open(args.input, "rb") as fh:
         magic = fh.read(4)
     if magic == vio.FEATURES_MAGIC:
-        features = vio.read_features(path)
+        features = vio.read_features(args.input)
     else:
-        models = vio.load_manifest(path)
+        models = vio.load_manifest(args.input)
         features = pool_database_features(models, config)
     gmm = fit_gmm(features, config.gaussians, seed=config.seed)
     vio.write_gmm(gmm, args.output)
@@ -279,8 +269,8 @@ def cmd_fit_gmm(args, config: PipelineConfig):
 
 
 def cmd_build_db(args, config: PipelineConfig):
-    models = vio.load_manifest(_require(args.input))
-    gmm = vio.read_gmm(_require(args.gmm, "gmm"))
+    models = vio.load_manifest(args.input)
+    gmm = vio.read_gmm(args.gmm)
     db = build_db(models, gmm, config)
     vio.write_descriptor_db(db, args.output)
     sys.stderr.write(f"build-db: {len(db.entries)} entries -> {args.output}\n")
@@ -289,8 +279,8 @@ def cmd_build_db(args, config: PipelineConfig):
 
 def cmd_query(args, config: PipelineConfig):
     points = _load_points(args.input)
-    db = vio.read_descriptor_db(_require(args.db, "database"))
-    gmm = vio.read_gmm(_require(args.gmm, "gmm"))
+    db = vio.read_descriptor_db(args.db)
+    gmm = vio.read_gmm(args.gmm)
     viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)

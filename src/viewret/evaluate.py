@@ -72,14 +72,10 @@ def parse_case(name: str) -> CaseConfig:
                      + ",".join(c.name for c in ALL_CASES))
 
 
-def precision_recall_curve(retrieval: RankedRetrieval, total_relevant: int = None) -> list:
-    """One (recall, precision) point per rank position.
-
-    ``total_relevant`` defaults to the number of relevant items in the list
-    itself; pass it explicitly for truncated rankings.
-    """
+def precision_recall_curve(retrieval: RankedRetrieval) -> list:
+    """One (recall, precision) point per rank position; recall counts the relevant items listed."""
     rel = [cls == retrieval.query_class for _, cls, _ in retrieval.items]
-    total = sum(rel) if total_relevant is None else total_relevant
+    total = sum(rel)
     if total < 1:
         raise NoRelevant("ranking has no relevant items in its universe")
     points = []

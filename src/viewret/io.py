@@ -7,7 +7,6 @@ import math
 import os
 import struct
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,16 +26,18 @@ MAX_CLASS_ID = 0xFFFFFFFF
 
 # --- text files --------------------------------------------------------------
 
-@contextmanager
-def open_text(path):
-    """Open ``path`` as UTF-8 text; a byte that is not UTF-8 raises ValueError naming ``path:line``.
+def text_lines(path):
+    """Yield ``(line number, text before any '#', stripped)`` for every line of a UTF-8 file.
 
-    Lines are numbered as text-mode iteration numbers them: a line ends at
-    ``\\n``, ``\\r`` or ``\\r\\n``, bytes that a UTF-8 sequence never holds.
+    Blank and comment-only lines are yielded too, as ``''``. Lines are
+    numbered as text-mode iteration numbers them: a line ends at ``\\n``,
+    ``\\r`` or ``\\r\\n``, bytes that a UTF-8 sequence never holds. A byte
+    that is not UTF-8 raises ValueError naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield fh
+            for line_no, raw in enumerate(fh, start=1):
+                yield line_no, (raw.partition("#")[0] if "#" in raw else raw).strip()
         except UnicodeDecodeError:
             with open(path, "rb") as raw:
                 lines = raw.read().splitlines()
@@ -49,6 +50,15 @@ def open_text(path):
             raise
 
 
+def _coordinates(tokens) -> list:
+    """``float()`` of each token; a value that is not finite is refused, after every token parses."""
+    values = [float(token) for token in tokens]
+    for token, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {token!r} is not finite")
+    return values
+
+
 # --- text geometry -----------------------------------------------------------
 
 def load_xyz(path) -> np.ndarray:
@@ -57,13 +67,13 @@ def load_xyz(path) -> np.ndarray:
     numpy's reader (``np.loadtxt``) parses the file. Coordinates must be
     finite, so ``nan``, ``inf`` and overflowing tokens such as ``1e400`` are
     refused. A file that numpy refuses, or whose values are not three finite
-    coordinates per line, is re-read line by line with ``str.split()`` and
-    ``float()``, which name its first bad line as ``path:line`` (a wrong count
-    before an unparseable token, and that before a non-finite value) or read
-    what numpy does not, such as ``1_0``. A byte that is not UTF-8 is named
-    as ``path:line`` too.
+    coordinates per line, is re-read by `text_lines`, which names its first
+    bad line as ``path:line`` (a wrong count before an unparseable token, and
+    that before a non-finite value) or reads what numpy does not, such as
+    ``1_0``. A byte that is not UTF-8 is named as ``path:line`` too.
     """
-    with open_text(path) as fh:
+    # numpy reads an open handle: given the path, it would open a `.gz` file transparently
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             with warnings.catch_warnings():
                 # a file without points is re-read below, which returns it as (0, 3)
@@ -73,22 +83,17 @@ def load_xyz(path) -> np.ndarray:
                 return values
         except ValueError:
             pass
-        fh.seek(0)
-        points = []
-        for line_no, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
+    points = []
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
             if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 coordinates, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            for token, value in zip(parts, row):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{line_no}: coordinate {token!r} is not finite")
-            points.append(row)
+                raise ValueError(f"expected 3 coordinates, got {len(parts)}")
+            points.append(_coordinates(parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
@@ -99,7 +104,7 @@ def save_xyz(points, path):
 
 
 def load_obj(path) -> TriangleMesh:
-    """Read the `v`/`f` subset of OBJ; faces must be triangles.
+    """Read the `v`/`f` subset of OBJ; faces must be triangles; `#` starts a comment.
 
     Vertex coordinates must be finite, so ``nan``, ``inf`` and overflowing
     tokens such as ``1e400`` are refused. A bad line, like an unparseable
@@ -108,29 +113,24 @@ def load_obj(path) -> TriangleMesh:
     """
     vertices = []
     faces = []
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            try:
-                if parts[0] == "v":
-                    if len(parts) < 4:
-                        raise ValueError("vertex needs 3 coordinates")
-                    coords = [float(p) for p in parts[1:4]]
-                    for token, value in zip(parts[1:4], coords):
-                        if not math.isfinite(value):
-                            raise ValueError(f"coordinate {token!r} is not finite")
-                    vertices.append(coords)
-                elif parts[0] == "f":
-                    if len(parts) != 4:
-                        raise ValueError("only triangulated faces are supported")
-                    idx = [int(token.split("/", 1)[0]) - 1 for token in parts[1:]]
-                    if min(idx) < 0:
-                        raise ValueError("face indices must be positive")
-                    faces.append(idx)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValueError("vertex needs 3 coordinates")
+                vertices.append(_coordinates(parts[1:4]))
+            elif parts[0] == "f":
+                if len(parts) != 4:
+                    raise ValueError("only triangulated faces are supported")
+                idx = [int(token.split("/", 1)[0]) - 1 for token in parts[1:]]
+                if min(idx) < 0:
+                    raise ValueError("face indices must be positive")
+                faces.append(idx)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     try:
         return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
                             np.asarray(faces, dtype=np.int64).reshape(-1, 3))
@@ -329,7 +329,7 @@ def write_score_grid_csv(grid, path):
 
 
 def load_manifest(path) -> list:
-    """Model list: one `model_id class_id path` per line; `#` comments.
+    """Model list: one `model_id class_id path` per line; `#` starts a comment.
 
     Geometry files resolve relative to the manifest and load with
     `load_geometry`. Class ids must lie in [0, 2**32) and model
@@ -342,33 +342,31 @@ def load_manifest(path) -> list:
     models = []
     first_line = {}
     line_no = 1
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected `model_id class_id path`")
-            model_id, class_text, rel = parts
-            try:
-                class_id = int(class_text)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: class id {class_text!r} is not an integer") from None
-            if not 0 <= class_id <= MAX_CLASS_ID:
-                raise ValueError(f"{path}:{line_no}: class id {class_id} is outside [0, {MAX_CLASS_ID}]")
-            if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
-                raise ValueError(f"{path}:{line_no}: model id is longer than "
-                                 f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
-            if model_id in first_line:
-                raise ValueError(f"{path}:{line_no}: model id {model_id!r} repeats line "
-                                 f"{first_line[model_id]}")
-            first_line[model_id] = line_no
-            full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            try:
-                models.append((model_id, class_id, load_geometry(full)))
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, line in text_lines(path):
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{line_no}: expected `model_id class_id path`")
+        model_id, class_text, rel = parts
+        try:
+            class_id = int(class_text)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: class id {class_text!r} is not an integer") from None
+        if not 0 <= class_id <= MAX_CLASS_ID:
+            raise ValueError(f"{path}:{line_no}: class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+        if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
+            raise ValueError(f"{path}:{line_no}: model id is longer than "
+                             f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
+        if model_id in first_line:
+            raise ValueError(f"{path}:{line_no}: model id {model_id!r} repeats line "
+                             f"{first_line[model_id]}")
+        first_line[model_id] = line_no
+        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
+        try:
+            models.append((model_id, class_id, load_geometry(full)))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     if not models:
         raise ValueError(f"{path}:{line_no}: no model listed before the end of the file")
     return models

@@ -44,6 +44,7 @@ PLANES = 32
 # coordinate (see score_grid)
 _MARGIN = 64 * 2.0 ** -53
 RING_STEP_DEG = 30.0
+RING_DELTA_DEG = 40.0
 
 
 @dataclass
@@ -104,8 +105,10 @@ def _clear_of_edges(u, w, resolution: int, reach: float) -> bool:
     """Whether every pixel coordinate u*r, w*r lies more than 2e from an integer, e = reach*r."""
     gap = 2.0 * reach * resolution
     for unit in (u, w):
-        t = unit * resolution
-        frac = t - np.floor(t)
+        # coordinates near 1e308 overflow t to inf and frac to NaN, which fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = unit * resolution
+            frac = t - np.floor(t)
         if not (frac.min() > gap and frac.max() < 1.0 - gap):
             return False
     return True
@@ -407,11 +410,10 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
 
     Each iteration fits a plane through three random points and counts the
     points within the inlier tolerance of it; the normal of the first plane
-    with the largest count wins. The sign keeps whichever of the two normal
-    directions has the higher acquisition rate at ORIENTATION_RESOLUTION;
-    exact ties keep the normal as computed. Note that a plane normal carries
-    no information about which side the scanner stood on, so the sign is
-    effectively arbitrary. Deterministic for a fixed seed.
+    with the largest count wins, with the sign its cross product gives. A
+    plane normal carries no information about which side the scanner stood
+    on, and the acquisition rate is blind to that sign too (see the module
+    docstring). Deterministic for a fixed seed.
 
     The iterations run in blocks of PLANES. Each triple is still drawn by its
     own ``rng.choice`` call, in order, and the result is bit for bit that of
@@ -471,22 +473,20 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
             best_normal = normals[b]
     if best_normal is None:
         raise AllCollinear("no valid plane found in any iteration")
-    signs = score_grid(pts, [best_normal, -best_normal], (ORIENTATION_RESOLUTION,))
-    q_pos, q_neg = signs.quantity[:, 0]
-    return -best_normal if q_neg > q_pos else best_normal
+    return best_normal
 
 
-def multiview_ring(center, delta_deg: float = 40.0) -> np.ndarray:
-    """The center viewpoint plus 12 viewpoints on a cone of angle ``delta_deg``.
+def multiview_ring(center) -> np.ndarray:
+    """The center viewpoint plus 12 viewpoints on a cone of angle RING_DELTA_DEG.
 
-    Ring members are spaced every 30 degrees of azimuth around the center
+    Ring members are spaced every RING_STEP_DEG of azimuth around the center
     direction; all 13 results are unit vectors.
     """
     c = np.asarray(center, dtype=np.float64)
     if not abs(np.linalg.norm(c) - 1.0) <= 1e-9:   # also rejects NaN
         raise ValueError("center must be a unit vector")
     e1, e2 = orthonormal_basis(c)
-    delta = np.radians(delta_deg)
+    delta = np.radians(RING_DELTA_DEG)
     views = [c.copy()]
     for i in range(12):
         azimuth = np.radians(RING_STEP_DEG * i)

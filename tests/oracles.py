@@ -17,7 +17,6 @@ from viewret.errors import (AllCollinear, BadResolution, DimensionMismatch, Empt
 from viewret.features import PATCH, WINDOW, _describe_block, _windows
 from viewret.geometry import as_points, camera_frame, check_resolution
 from viewret.render import _EDGE_EPS, depth_to_intensity
-from viewret.select import ORIENTATION_RESOLUTION, score_grid
 
 
 # --- dense image measures ------------------------------------------------------
@@ -172,9 +171,7 @@ def ransac_viewpoint_oracle(cloud, iterations: int = 1000, inlier_tolerance: flo
             best_normal = normal
     if best_normal is None:
         raise AllCollinear("no valid plane found in any iteration")
-    signs = score_grid(pts, [best_normal, -best_normal], (ORIENTATION_RESOLUTION,))
-    q_pos, q_neg = signs.quantity[:, 0]
-    return -best_normal if q_neg > q_pos else best_normal
+    return best_normal
 
 
 # --- retrieval and descriptors ---------------------------------------------------

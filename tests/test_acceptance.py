@@ -251,7 +251,7 @@ class TestCriterion10:
         for _ in range(5):
             center = rng.normal(size=3)
             center /= np.linalg.norm(center)
-            ring = multiview_ring(center, delta_deg=40.0)
+            ring = multiview_ring(center)
             ok &= ring.shape == (13, 3)
             ok &= bool(np.array_equal(ring[0], center))
             angles = np.arccos(np.clip(ring[1:] @ center, -1, 1))

@@ -53,6 +53,22 @@ class TestExitCodes:
         assert run(["select", "--input", missing]) == 2
         assert "nope.xyz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--input", "--db", "--gmm", "--config"])
+    def test_missing_file_is_named_by_its_loader(self, cloud_file, tmp_path, capsys, flag):
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"cloud 0 {cloud_file.name}\n")
+        missing = str(tmp_path / f"{flag.lstrip('-')}.missing")
+        never_read = str(tmp_path / "never-read")
+        argv = {"--input": ["query", "--input", missing, "--db", never_read, "--gmm", never_read],
+                "--db": ["query", "--input", str(cloud_file), "--db", missing, "--gmm", never_read],
+                "--gmm": ["build-db", "--input", str(manifest), "--gmm", missing,
+                          "--output", str(tmp_path / "models.fvdb")],
+                "--config": ["select", "--input", str(cloud_file), "--config", missing]}[flag]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"viewret {argv[0]}: error: [Errno 2] ")
+        assert err.endswith(f"{missing!r}\n") and err.count("\n") == 1
+
     def test_codes_reach_the_shell(self, cloud_file, tmp_path):
         """``python -m viewret.cli`` runs `main`, which exits the process with `run`'s code."""
         paths = [os.path.dirname(os.path.dirname(viewret.__file__)), os.environ.get("PYTHONPATH")]
@@ -442,7 +458,11 @@ class TestCorruptInputs:
 
 
 class TestFuzzedTextFiles:
-    """An XYZ cloud or OBJ mesh cut short, with one byte set to any value, or with a NUL inserted."""
+    """An XYZ cloud, OBJ mesh, manifest or config file cut short, with one byte set to any value,
+    or with a NUL inserted."""
+
+    TETRA = ("# tetrahedron\nv 0 0 1\nv 0 1.5 0\nv 1 0 0.25\nv 0 0 0\n"
+             "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
 
     @staticmethod
     def mutate(data, kind, at, byte):
@@ -454,23 +474,37 @@ class TestFuzzedTextFiles:
         at = min(at, len(data) - 1)
         return data[:at] + bytes([byte]) + data[at + 1:]
 
+    def case(self, tmp_path, fmt):
+        """The file to mutate, its loader, and the command that reads it."""
+        cloud = tmp_path / "scan.xyz"
+        vio.save_xyz(np.random.default_rng(68).normal(size=(30, 3)), cloud)
+        tetra = tmp_path / "tetra.obj"
+        tetra.write_text(self.TETRA)
+        if fmt == "xyz":
+            return cloud, vio.load_xyz, ["select", "--input", str(cloud), "--resolutions", "32,64"]
+        if fmt == "obj":
+            return tetra, vio.load_obj, ["render", "--input", str(tetra), "--viewpoint-index", "3",
+                                         "--resolution", "32", "--output", str(tmp_path / "t.pgm")]
+        if fmt == "manifest":
+            path = tmp_path / "models.txt"
+            path.write_text("# models\ntetra 0 tetra.obj\ncloud 1 scan.xyz  # thirty points\n")
+            micro = tmp_path / "micro.cfg"
+            micro.write_text("n_keypoints = 10\ngaussians = 2\nresolutions = 32\n"
+                             "db_resolution = 32\ngmm_sample_cap = 200\n")
+            return path, vio.load_manifest, ["fit-gmm", "--input", str(path), "--config", str(micro),
+                                             "--output", str(tmp_path / "m.gmm")]
+        path = tmp_path / "select.cfg"
+        path.write_text("# select\nresolutions = 32,64\nransac_iterations = 50\n"
+                        "ransac_tolerance = 0.01  # plane\nseed = 3\n")
+        return path, _load_config_file, ["select", "--input", str(cloud), "--method", "ransac",
+                                         "--config", str(path)]
+
     @settings(derandomize=True, deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from(["xyz", "obj"]), st.sampled_from(["truncate", "byte", "nul"]),
-           st.integers(0, 2 ** 16), st.integers(0, 255))
+    @given(st.sampled_from(["xyz", "obj", "manifest", "config"]),
+           st.sampled_from(["truncate", "byte", "nul"]), st.integers(0, 2 ** 16), st.integers(0, 255))
     def test_loads_or_names_the_file_and_exits_0_or_2(self, tmp_path, capsys, fmt, kind, at, byte):
-        if fmt == "xyz":
-            path = tmp_path / "scan.xyz"
-            vio.save_xyz(np.random.default_rng(68).normal(size=(30, 3)), path)
-            load = vio.load_xyz
-            argv = ["select", "--input", str(path), "--resolutions", "32,64"]
-        else:
-            path = tmp_path / "tetra.obj"
-            path.write_text("# tetrahedron\nv 0 0 1\nv 0 1.5 0\nv 1 0 0.25\nv 0 0 0\n"
-                            "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
-            load = vio.load_obj
-            argv = ["render", "--input", str(path), "--viewpoint-index", "3", "--resolution", "32",
-                    "--output", str(tmp_path / "tetra.pgm")]
+        path, load, argv = self.case(tmp_path, fmt)
         path.write_bytes(self.mutate(path.read_bytes(), kind, at, byte))
         try:
             load(path)

@@ -22,10 +22,6 @@ class TestPrecisionRecallCurve:
     def test_single_relevant_item(self):
         assert precision_recall_curve(ranking(1, [1])) == [(1.0, 1.0)]
 
-    def test_truncated_ranking_with_missing_relevant(self):
-        points = precision_recall_curve(ranking(1, [0, 0, 0]), total_relevant=2)
-        assert points[-1] == (0.0, 0.0)
-
     def test_precision_bounds_and_recall_monotone(self):
         rng = np.random.default_rng(44)
         for _ in range(20):

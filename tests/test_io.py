@@ -170,6 +170,13 @@ class TestXyzAgainstLineReader:
         assert got.tobytes() == want.tobytes()
 
 
+class TestTextLines:
+    def test_every_line_numbered_as_text_mode_with_its_comment_cut(self, tmp_path):
+        path = tmp_path / "any.txt"
+        path.write_bytes(b"a # b\r\n\n  # c\r  d e\t\n#")
+        assert list(vio.text_lines(path)) == [(1, "a"), (2, ""), (3, ""), (4, "d e"), (5, "")]
+
+
 class TestNotUtf8:
     def test_xyz_names_the_line(self, tmp_path):
         path = tmp_path / "latin.xyz"
@@ -217,6 +224,13 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nf 1 2 3\n")
         with pytest.raises(ValueError, match=r"short\.obj: triangle index out of range"):
             vio.load_obj(path)
+
+    def test_hash_after_the_first_token_starts_a_comment(self, tmp_path):
+        path = tmp_path / "tri.obj"
+        path.write_text("v 0 0 0  # origin\nv 1 0 0#x\nv 0 1 0\nf 1 2 3 # tri\n")
+        mesh = vio.load_obj(path)
+        np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(mesh.triangles, [[0, 1, 2]])
 
     def test_quad_face_rejected(self, tmp_path):
         path = tmp_path / "quad.obj"
