@@ -96,8 +96,14 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _effective_config(args, base: PipelineConfig) -> PipelineConfig:
-    """The command's base config, overridden by --config file values, overridden by flags."""
+def _effective_config(args):
+    """The command's base config, overridden by --config file values, overridden by flags.
+
+    None for a command that has no base config, and so no config flags.
+    """
+    if args.base_config is None:
+        return None
+    base = args.base_config()
     config = base.override(**_load_config_file(args.config)) if args.config else base
     flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     return config.override(**{key: flag for key, flag in flags.items() if flag is not None})
@@ -114,11 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common(p, func, output="optional", base=PipelineConfig):
+        """Register ``func``; a command with a ``base`` config takes the config flags."""
         p.set_defaults(func=func, base_config=base)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and ignored; every command runs serially")
+        if base is not None:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--config", default=None)
+            p.add_argument("--threads", type=int, default=None,
+                           help="accepted for compatibility and ignored; every command runs serially")
         if output == "required":
             p.add_argument("--output", required=True)
         elif output == "optional":
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="pose-normalize a point cloud")
     p.add_argument("--input", required=True)
-    common(p, cmd_normalize)
+    common(p, cmd_normalize, base=None)
 
     p = sub.add_parser("render", help="render a depth image to PGM")
     p.add_argument("--input", required=True)
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument("--viewpoint-index", type=_viewpoint_index, default=None)
     where.add_argument("--viewpoint", type=_parse_vector, default=None)
     p.add_argument("--resolution", type=int, required=True)
-    common(p, cmd_render, output="required")
+    common(p, cmd_render, output="required", base=None)
 
     p = sub.add_parser("select", help="select viewpoint and resolution for a cloud")
     p.add_argument("--input", required=True)
@@ -155,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_scan_sim, output="required")
 
     p = sub.add_parser("fit-gmm", help="fit the mixture over pooled database features")
-    p.add_argument("--input", required=True,
-                   help="model manifest, or a binary feature dump")
+    p.add_argument("--input", required=True, help="model manifest")
     p.add_argument("--gaussians", type=int, default=None)
     common(p, cmd_fit_gmm, output="required")
 
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_normalize(args, config: PipelineConfig):
+def cmd_normalize(args, config: None):
     cloud = vio.load_xyz(args.input)
     points, transform = normalize_pose(cloud)
     if args.output:
@@ -207,7 +214,7 @@ def _resolve_viewpoint(args):
     return args.viewpoint / norm
 
 
-def cmd_render(args, config: PipelineConfig):
+def cmd_render(args, config: None):
     geometry = vio.load_geometry(args.input)
     viewpoint = _resolve_viewpoint(args)
     if isinstance(geometry, TriangleMesh):
@@ -255,13 +262,7 @@ def cmd_scan_sim(args, config: PipelineConfig):
 
 
 def cmd_fit_gmm(args, config: PipelineConfig):
-    with open(args.input, "rb") as fh:
-        magic = fh.read(4)
-    if magic == vio.FEATURES_MAGIC:
-        features = vio.read_features(args.input)
-    else:
-        models = vio.load_manifest(args.input)
-        features = pool_database_features(models, config)
+    features = pool_database_features(vio.load_manifest(args.input), config)
     gmm = fit_gmm(features, config.gaussians, seed=config.seed)
     vio.write_gmm(gmm, args.output)
     sys.stderr.write(f"fit-gmm: K={config.gaussians} over {len(features)} features -> {args.output}\n")
@@ -327,7 +328,7 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args, _effective_config(args, args.base_config()))
+        return args.func(args, _effective_config(args))
     except (ViewretError, OSError, ValueError) as exc:
         sys.stderr.write(f"viewret {args.command}: error: {exc}\n")
         return DATA_ERROR

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadResolution, DegenerateCloud, EmptyCloud
+from .errors import BadResolution, DegenerateCloud, EmptyCloud, EmptyMesh
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -66,6 +66,8 @@ class TriangleMesh:
 
     @property
     def centroid(self) -> np.ndarray:
+        if not len(self.vertices):
+            raise EmptyMesh("mesh has no vertices")
         return self.vertices.mean(axis=0)
 
 
@@ -112,6 +114,8 @@ def normalize_pose(cloud):
 
 def normalize_mesh(mesh: TriangleMesh):
     """Pose-normalize a mesh by its vertex set; returns (mesh, transform)."""
+    if not len(mesh.vertices):
+        raise EmptyMesh("mesh has no vertices")
     vertices, transform = normalize_pose(mesh.vertices)
     return TriangleMesh(vertices, mesh.triangles.copy()), transform
 

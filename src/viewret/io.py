@@ -1,4 +1,4 @@
-"""File formats: XYZ/OBJ geometry, PGM images (written only), binary feature/GMM/DB dumps.
+"""File formats: XYZ/OBJ geometry, PGM images (written only), binary mixture and database files.
 
 All binary layouts are little-endian with 32-bit IEEE floats.
 """
@@ -15,7 +15,6 @@ from .errors import CorruptFile
 from .features import DESCRIPTOR_SIZE
 from .geometry import TriangleMesh
 
-FEATURES_MAGIC = b"SFT1"
 GMM_MAGIC = b"GMM1"
 DB_MAGIC = b"FVDB"
 DB_VERSION = 1
@@ -197,30 +196,6 @@ class _BinaryReader:
                               f"after offset {self.pos}")
 
 
-def write_features(features, path):
-    """Write SFT1; a non-finite row, as stored in float32, is refused before the file is opened."""
-    feats = np.asarray(features, dtype=np.float32).reshape(-1, DESCRIPTOR_SIZE)
-    bad = ~np.isfinite(feats).all(axis=1)
-    if bad.any():
-        raise ValueError(f"feature row {int(np.argmax(bad))} holds a non-finite value")
-    with open(path, "wb") as fh:
-        fh.write(FEATURES_MAGIC)
-        fh.write(struct.pack("<I", len(feats)))
-        fh.write(feats.astype("<f4").tobytes())
-
-
-def read_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        reader = _BinaryReader(fh, path, FEATURES_MAGIC)
-        (count,) = reader.unpack("<I", "header")
-        data = reader.floats(count * DESCRIPTOR_SIZE, "features").reshape(count, DESCRIPTOR_SIZE)
-        reader.finish()
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        raise CorruptFile(f"{path}: feature row {int(np.argmax(bad))} holds a non-finite value")
-    return data.copy()
-
-
 def write_gmm(gmm: GmmParams, path):
     with open(path, "wb") as fh:
         fh.write(GMM_MAGIC)
@@ -237,16 +212,18 @@ def read_gmm(path) -> GmmParams:
         k, d = reader.unpack("<II", "header")
         if k < 1 or d < 1:
             raise CorruptFile(f"{path}: mixture shape K={k}, D={d} is empty")
-        weights = reader.floats(k, "weights").astype(np.float64)
-        means = reader.floats(k * d, "means").astype(np.float64).reshape(k, d)
-        sigmas = reader.floats(k * d, "sigmas").astype(np.float64).reshape(k, d)
+        weights = reader.floats(k, "weights")
+        means = reader.floats(k * d, "means").reshape(k, d)
+        sigmas = reader.floats(k * d, "sigmas").reshape(k, d)
         reader.finish()
+    # checked as float32: casting a signalling NaN to float64 warns of an invalid value
     for name, values in (("weights", weights), ("sigmas", sigmas)):
         if not np.all(np.isfinite(values) & (values > 0)):
             raise CorruptFile(f"{path}: mixture {name} must be finite and positive")
     if not np.all(np.isfinite(means)):
         raise CorruptFile(f"{path}: mixture means must be finite")
-    return GmmParams(weights=weights, means=means, sigmas=sigmas)
+    return GmmParams(weights=weights.astype(np.float64), means=means.astype(np.float64),
+                     sigmas=sigmas.astype(np.float64))
 
 
 def write_descriptor_db(db: DescriptorDb, path):

@@ -14,6 +14,7 @@ from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
 from viewret.encode import GmmParams
+from viewret.errors import ViewretError
 from viewret.evaluate import (desk_benchmark_config, make_synthetic_dataset,
                               precision_recall_curve, run_benchmark)
 from viewret.geometry import normalize_pose
@@ -68,6 +69,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"viewret {argv[0]}: error: [Errno 2] ")
         assert err.endswith(f"{missing!r}\n") and err.count("\n") == 1
+
+    def test_commands_that_read_no_config_take_no_config_flags(self, cloud_file, tmp_path,
+                                                                capsys):
+        for argv in (["normalize", "--input", str(cloud_file)],
+                     ["render", "--input", str(cloud_file), "--viewpoint-index", "0",
+                      "--resolution", "32", "--output", str(tmp_path / "img.pgm")]):
+            for flag, value in (("--seed", "3"), ("--config", "nope.cfg"), ("--threads", "2")):
+                capsys.readouterr()
+                assert run([*argv, flag, value]) == 1
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "img.pgm").exists()
 
     def test_codes_reach_the_shell(self, cloud_file, tmp_path):
         """``python -m viewret.cli`` runs `main`, which exits the process with `run`'s code."""
@@ -244,21 +256,14 @@ class TestPipelineEndToEnd:
                         "--config", str(config), "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_fit_gmm_from_feature_dump(self, tmp_path):
-        rng = np.random.default_rng(63)
-        vio.write_features(rng.random((80, 128)).astype(np.float32), tmp_path / "feats.bin")
-        out = tmp_path / "mixture.bin"
-        assert run(["fit-gmm", "--input", str(tmp_path / "feats.bin"), "--gaussians", "2",
-                    "--output", str(out)]) == 0
-        assert vio.read_gmm(out).n_components == 2
-
     def test_flags_override_config_file(self, tmp_path):
-        rng = np.random.default_rng(64)
-        vio.write_features(rng.random((80, 128)).astype(np.float32), tmp_path / "feats.bin")
+        vio.save_xyz(np.random.default_rng(64).normal(size=(500, 3)), tmp_path / "m.xyz")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text("m 0 m.xyz\n")
         config = tmp_path / "desk.cfg"
-        config.write_text("gaussians=4\n")
+        config.write_text("n_keypoints=30\ngaussians=4\nresolutions=32\ngmm_sample_cap=2000\n")
         out = tmp_path / "mixture.bin"
-        assert run(["fit-gmm", "--input", str(tmp_path / "feats.bin"), "--config", str(config),
+        assert run(["fit-gmm", "--input", str(manifest), "--config", str(config),
                     "--gaussians", "2", "--output", str(out)]) == 0
         assert vio.read_gmm(out).n_components == 2
 
@@ -320,16 +325,15 @@ class TestCorruptInputs:
             path.write_bytes(data)
         assert run(query) == 0
 
-    def test_truncated_feature_dump_is_data_error(self, tmp_path, capsys):
-        dump = tmp_path / "feats.bin"
-        vio.write_features(np.random.default_rng(67).random((80, 128)).astype(np.float32), dump)
-        data = dump.read_bytes()
-        for cut in (6, len(data) - 25):
-            dump.write_bytes(data[:cut])
+    def test_binary_file_given_to_fit_gmm_is_data_error(self, tmp_path, capsys):
+        _, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        for binary in (gmm_path, db_path):
             capsys.readouterr()
-            assert run(["fit-gmm", "--input", str(dump), "--gaussians", "2",
-                        "--output", str(tmp_path / "mixture.gmm")]) == 2
-            assert "Traceback" not in capsys.readouterr().err
+            assert run(["fit-gmm", "--input", str(binary), "--config", str(config),
+                        "--output", str(tmp_path / "refit.gmm")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"viewret fit-gmm: error: {binary}:") and err.count("\n") == 1
+        assert not (tmp_path / "refit.gmm").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_names_its_line(self, tmp_path, capsys, token):
@@ -364,21 +368,12 @@ class TestCorruptInputs:
         data = bytearray(db_path.read_bytes())
         data[-4:] = np.float32(np.nan).tobytes()       # the last value of the last of 20 entries
         db_path.write_bytes(bytes(data))
-        dump = tmp_path / "feats.bin"
-        vio.write_features(np.random.default_rng(68).random((80, 128)).astype(np.float32), dump)
-        data = bytearray(dump.read_bytes())
-        at = 8 + 4 * (41 * 128 + 3)                     # row 41, column 3, after magic and count
-        data[at:at + 4] = np.float32(np.inf).tobytes()
-        dump.write_bytes(bytes(data))
         capsys.readouterr()
-        for argv, where in ((["query", "--input", str(cloud), "--db", str(db_path), "--gmm",
-                              str(gmm_path), "--config", str(config)], f"{db_path}: entry 19"),
-                            (["fit-gmm", "--input", str(dump), "--gaussians", "2",
-                              "--output", str(tmp_path / "dump.gmm")], f"{dump}: feature row 41")):
-            assert run(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and "Traceback" not in captured.err and where in captured.err
-        assert not (tmp_path / "dump.gmm").exists()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                    "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{db_path}: entry 19" in captured.err
 
     def test_absurd_query_resolution_is_data_error(self, tmp_path, capsys):
         cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
@@ -435,6 +430,24 @@ class TestCorruptInputs:
             assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
+    def test_empty_mesh_is_one_error_line_that_says_mesh(self, tmp_path, capsys):
+        mesh = tmp_path / "empty.obj"
+        mesh.write_text("# no vertex\n")
+        (tmp_path / "models.txt").write_text("empty 0 empty.obj\n")
+        gmm_path = tmp_path / "mixture.gmm"
+        vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), gmm_path)
+        for argv in (["scan-sim", "--mesh", str(mesh), "--scanner-pos", "0,0,3",
+                      "--output", str(tmp_path / "scan.xyz")],
+                     ["render", "--input", str(mesh), "--viewpoint-index", "3",
+                      "--resolution", "32", "--output", str(tmp_path / "empty.pgm")],
+                     ["build-db", "--input", str(tmp_path / "models.txt"), "--gmm", str(gmm_path),
+                      "--output", str(tmp_path / "models.fvdb")]):
+            capsys.readouterr()
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"viewret {argv[0]}: error: mesh has no vertices\n"
+
+    @pytest.mark.filterwarnings("error")
     def test_huge_coordinate_is_data_error(self, tmp_path, capsys):
         cloud = tmp_path / "huge.xyz"
         cloud.write_text("1e300 0 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
@@ -457,22 +470,27 @@ class TestCorruptInputs:
             assert "--top-k" in capsys.readouterr().err
 
 
+def mutate(data, kind, at, byte):
+    """``data`` cut short at ``at``, with the byte there set to ``byte``, or with a NUL inserted."""
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "nul":
+        return data[:at] + b"\0" + data[at:]
+    at = min(at, len(data) - 1)
+    return data[:at] + bytes([byte]) + data[at + 1:]
+
+
+MUTATIONS = (st.sampled_from(["truncate", "byte", "nul"]), st.integers(0, 2 ** 16),
+             st.integers(0, 255))
+
+
 class TestFuzzedTextFiles:
     """An XYZ cloud, OBJ mesh, manifest or config file cut short, with one byte set to any value,
     or with a NUL inserted."""
 
     TETRA = ("# tetrahedron\nv 0 0 1\nv 0 1.5 0\nv 1 0 0.25\nv 0 0 0\n"
              "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
-
-    @staticmethod
-    def mutate(data, kind, at, byte):
-        at %= len(data) + 1
-        if kind == "truncate":
-            return data[:at]
-        if kind == "nul":
-            return data[:at] + b"\0" + data[at:]
-        at = min(at, len(data) - 1)
-        return data[:at] + bytes([byte]) + data[at + 1:]
 
     def case(self, tmp_path, fmt):
         """The file to mutate, its loader, and the command that reads it."""
@@ -501,11 +519,10 @@ class TestFuzzedTextFiles:
 
     @settings(derandomize=True, deadline=None, max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from(["xyz", "obj", "manifest", "config"]),
-           st.sampled_from(["truncate", "byte", "nul"]), st.integers(0, 2 ** 16), st.integers(0, 255))
+    @given(st.sampled_from(["xyz", "obj", "manifest", "config"]), *MUTATIONS)
     def test_loads_or_names_the_file_and_exits_0_or_2(self, tmp_path, capsys, fmt, kind, at, byte):
         path, load, argv = self.case(tmp_path, fmt)
-        path.write_bytes(self.mutate(path.read_bytes(), kind, at, byte))
+        path.write_bytes(mutate(path.read_bytes(), kind, at, byte))
         try:
             load(path)
         except ValueError as exc:
@@ -516,6 +533,48 @@ class TestFuzzedTextFiles:
         assert code in (0, 2) and "Traceback" not in err
         if code == 2:
             assert err.startswith(f"viewret {argv[0]}: error: ") and err.count("\n") == 1
+
+
+class TestFuzzedBinaryFiles:
+    """A GMM1 mixture or FVDB database mutated as in `TestFuzzedTextFiles`, then read by its loader
+    and by `build-db` or `query`; a warning fails the test, so the encoder may not make a NaN."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=120,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([("mixture", "build-db"), ("mixture", "query"), ("database", "query")]),
+           *MUTATIONS)
+    def test_loads_or_names_the_file_and_exits_0_or_2(self, tmp_path, capsys, case, kind, at, byte):
+        # hypothesis runs every example in one call of the test, so one tmp_path holds the pipeline
+        if not hasattr(self, "pipeline"):
+            self.pipeline = desk_pipeline(tmp_path)
+        cloud, gmm_path, db_path, config = self.pipeline
+        fuzzed, command = case
+        path, load = {"mixture": (gmm_path, vio.read_gmm),
+                      "database": (db_path, vio.read_descriptor_db)}[fuzzed]
+        argv = (["build-db", "--input", str(tmp_path / "models.txt"), "--output",
+                 str(tmp_path / "rebuilt.fvdb")] if command == "build-db" else
+                ["query", "--input", str(cloud), "--db", str(db_path)])
+        argv += ["--gmm", str(gmm_path), "--config", str(config)]
+        original = path.read_bytes()
+        path.write_bytes(mutate(original, kind, at, byte))
+        try:
+            try:
+                load(path)
+            except ViewretError as exc:
+                assert str(path) in str(exc)
+            capsys.readouterr()
+            code = run(argv)
+            captured = capsys.readouterr()
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 2) and "Traceback" not in captured.err
+        if code == 2:
+            assert (captured.err.startswith(f"viewret {command}: error: ")
+                    and captured.err.count("\n") == 1)
+        elif command == "query":
+            # one model, so the last token is its distance whatever its id holds
+            assert np.isfinite(float(captured.out.split()[-1]))
 
 
 class TestDumpGrid:

@@ -1,4 +1,5 @@
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -269,15 +270,6 @@ class TestImages:
 
 
 class TestBinaryDumps:
-    def test_features_round_trip(self, tmp_path):
-        rng = np.random.default_rng(53)
-        feats = rng.random((7, 128)).astype(np.float32)
-        path = tmp_path / "features.bin"
-        vio.write_features(feats, path)
-        assert path.read_bytes()[:4] == b"SFT1"
-        back = vio.read_features(path)
-        assert back.dtype == np.float32 and np.array_equal(back, feats)
-
     def test_gmm_round_trip(self, tmp_path):
         rng = np.random.default_rng(54)
         gmm = GmmParams(weights=np.array([0.25, 0.75]),
@@ -343,15 +335,11 @@ class TestBinaryDumps:
             vio.read_gmm(path)
         with pytest.raises(ValueError):
             vio.read_descriptor_db(path)
-        with pytest.raises(ValueError):
-            vio.read_features(path)
 
 
 def write_small_binaries(tmp_path):
-    """One valid feature dump, mixture and descriptor db; returns path -> (reader, header size)."""
+    """One valid mixture and descriptor db; returns path -> (reader, header size)."""
     rng = np.random.default_rng(57)
-    features = tmp_path / "features.bin"
-    vio.write_features(rng.random((3, 128)).astype(np.float32), features)
     gmm = tmp_path / "mixture.gmm"
     vio.write_gmm(GmmParams(weights=np.array([0.5, 0.5]), means=rng.normal(size=(2, 128)),
                             sigmas=rng.uniform(0.1, 1.0, size=(2, 128))), gmm)
@@ -359,8 +347,7 @@ def write_small_binaries(tmp_path):
     entries = [DbEntry(f"model-{i}", i, i, rng.normal(size=2 * 128 * 2).astype(np.float32))
                for i in range(2)]
     vio.write_descriptor_db(DescriptorDb(entries=entries), db)
-    return {features: (vio.read_features, 8), gmm: (vio.read_gmm, 12),
-            db: (vio.read_descriptor_db, 20)}
+    return {gmm: (vio.read_gmm, 12), db: (vio.read_descriptor_db, 20)}
 
 
 class TestCorruptBinaries:
@@ -383,24 +370,20 @@ class TestCorruptBinaries:
                 reader(path)
 
     def test_huge_count_fails_before_allocating(self, tmp_path):
-        path = tmp_path / "features.bin"
-        path.write_bytes(b"SFT1" + (2 ** 32 - 1).to_bytes(4, "little"))
-        with pytest.raises(CorruptFile):
-            vio.read_features(path)
+        """K·D = (2**32 - 1)**2 floats: refused by size, before any array is made."""
+        huge = struct.pack("<I", 2 ** 32 - 1)
+        gmm = tmp_path / "mixture.gmm"
+        gmm.write_bytes(b"GMM1" + huge * 2 + b"\0" * 64)
+        # a version-1 header, then one entry head with an empty model id
+        db = tmp_path / "models.fvdb"
+        db.write_bytes(b"FVDB" + struct.pack("<I", 1) + huge * 3 + b"\0" * 10 + b"\0" * 64)
+        for path, reader, field in ((gmm, vio.read_gmm, "weights"),
+                                    (db, vio.read_descriptor_db, "entry 0")):
+            with pytest.raises(CorruptFile, match=f"truncated in {field}: needs"):
+                reader(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_and_descriptors_raise(self, tmp_path, value):
-        path = tmp_path / "features.bin"
-        vio.write_features(np.zeros((4, 128), dtype=np.float32), path)
-        data = bytearray(path.read_bytes())
-        # row 2, column 77, after the 8-byte magic and count
-        at = 8 + 4 * (2 * 128 + 77)
-        data[at:at + 4] = np.float32(value).tobytes()
-        path.write_bytes(bytes(data))
-        message = f"{path}: feature row 2 holds a non-finite value"
-        with pytest.raises(CorruptFile, match=re.escape(message)):
-            vio.read_features(path)
-
         db = tmp_path / "models.fvdb"
         vio.write_descriptor_db(DescriptorDb(entries=[
             DbEntry(f"m{i}", 0, i, np.ones(2 * 128, dtype=np.float32)) for i in range(3)]), db)
@@ -413,16 +396,6 @@ class TestCorruptBinaries:
         with pytest.raises(CorruptFile, match=re.escape(message)):
             vio.read_descriptor_db(db)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
-    def test_non_finite_feature_row_raises_before_writing(self, tmp_path, value):
-        feats = np.zeros((4, 128))
-        feats[2, 77] = value                     # 1e39 overflows float32 to inf
-        path = tmp_path / "features.bin"
-        with pytest.raises(ValueError, match="feature row 2 holds a non-finite value"):
-            vio.write_features(feats, path)
-        assert not path.exists()
-
     @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
                                              ("sigmas", np.nan), ("weights", 0.0),
                                              ("weights", np.inf), ("means", np.nan)])
@@ -434,6 +407,18 @@ class TestCorruptBinaries:
         path = tmp_path / "mixture.gmm"
         vio.write_gmm(GmmParams(**params), path)
         with pytest.raises(CorruptFile):
+            vio.read_gmm(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, at", [("weights", 0), ("means", 2 + 5), ("sigmas", 2 + 8 + 3)])
+    def test_gmm_signalling_nan_is_refused_without_a_warning(self, tmp_path, field, at):
+        path = tmp_path / "mixture.gmm"
+        vio.write_gmm(GmmParams(np.array([0.5, 0.5]), np.zeros((2, 4)), np.ones((2, 4))), path)
+        data = bytearray(path.read_bytes())
+        # float `at` after the 12-byte header: a signalling NaN, which a cast to float64 flags
+        data[12 + 4 * at:16 + 4 * at] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFile, match=f"mixture {field} must be finite"):
             vio.read_gmm(path)
 
 
