@@ -179,7 +179,8 @@ def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarra
     if x.shape[1] != gmm.dim:
         raise DimensionMismatch(f"features have dim {x.shape[1]}, mixture expects {gmm.dim}")
     n = len(x)
-    s0, s1, s2 = _moments(x, x * x, gmm_posteriors(x, gmm))
+    x2 = x * x
+    s0, s1, s2 = _moments(x, x2, _posteriors(x, x2, gmm)[0])
     mu, sigma, s0 = gmm.means, gmm.sigmas, s0[:, None]
     u = (s1 - s0 * mu) / sigma
     v = (s2 - 2.0 * mu * s1 + s0 * mu * mu) / (sigma * sigma) - s0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadResolution, DegenerateCloud, EmptyCloud, EmptyMesh
+from .errors import BadResolution, DegenerateCloud, EmptyCloud, EmptyMesh, ViewretError
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -49,25 +49,31 @@ def as_points(cloud) -> np.ndarray:
 
 @dataclass
 class TriangleMesh:
-    """Indexed triangle soup: ``vertices`` (V, 3) float64, ``triangles`` (T, 3) int."""
+    """Indexed triangle soup: ``vertices`` (V, 3) float64, ``triangles`` (T, 3) int64.
+
+    Construction is the one check: a vertex and a triangle at least, finite
+    coordinates, and three distinct vertices in every triangle.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if len(self.triangles):
-            if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
-                raise ValueError("triangle index out of range")
-            t = self.triangles
-            if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
-                raise ValueError("triangle repeats a vertex index")
+        self.triangles = t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if not len(self.vertices):
+            raise EmptyMesh("mesh has no vertices")
+        if not len(t):
+            raise EmptyMesh("mesh has no triangles")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ViewretError("mesh vertex coordinates must be finite")
+        if t.min() < 0 or t.max() >= len(self.vertices):
+            raise ValueError("triangle index out of range")
+        if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
+            raise ValueError("triangle repeats a vertex index")
 
     @property
     def centroid(self) -> np.ndarray:
-        if not len(self.vertices):
-            raise EmptyMesh("mesh has no vertices")
         return self.vertices.mean(axis=0)
 
 
@@ -114,8 +120,6 @@ def normalize_pose(cloud):
 
 def normalize_mesh(mesh: TriangleMesh):
     """Pose-normalize a mesh by its vertex set; returns (mesh, transform)."""
-    if not len(mesh.vertices):
-        raise EmptyMesh("mesh has no vertices")
     vertices, transform = normalize_pose(mesh.vertices)
     return TriangleMesh(vertices, mesh.triangles.copy()), transform
 
@@ -123,20 +127,11 @@ def normalize_mesh(mesh: TriangleMesh):
 def _build_dodecahedron() -> np.ndarray:
     phi = GOLDEN_RATIO
     inv = 1.0 / phi
-    verts = []
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            for sz in (-1.0, 1.0):
-                verts.append((sx, sy, sz))
-    for sa in (-1.0, 1.0):
-        for sb in (-1.0, 1.0):
-            verts.append((0.0, sa * inv, sb * phi))
-    for sa in (-1.0, 1.0):
-        for sb in (-1.0, 1.0):
-            verts.append((sa * inv, sb * phi, 0.0))
-    for sa in (-1.0, 1.0):
-        for sb in (-1.0, 1.0):
-            verts.append((sa * phi, 0.0, sb * inv))
+    signs = [(sa, sb) for sa in (-1.0, 1.0) for sb in (-1.0, 1.0)]
+    verts = [(sx, sy, sz) for sx in (-1.0, 1.0) for sy, sz in signs]
+    verts += [(0.0, sa * inv, sb * phi) for sa, sb in signs]
+    verts += [(sa * inv, sb * phi, 0.0) for sa, sb in signs]
+    verts += [(sa * phi, 0.0, sb * inv) for sa, sb in signs]
     return np.asarray(verts) / np.sqrt(3.0)
 
 

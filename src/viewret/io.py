@@ -108,7 +108,7 @@ def load_obj(path) -> TriangleMesh:
     Vertex coordinates must be finite, so ``nan``, ``inf`` and overflowing
     tokens such as ``1e400`` are refused. A bad line, like an unparseable
     token or a byte that is not UTF-8, is reported as ``path:line``, and a
-    face the vertices cannot index as ``path``.
+    mesh that `TriangleMesh` refuses, such as one with no face, as ``path``.
     """
     vertices = []
     faces = []
@@ -131,8 +131,7 @@ def load_obj(path) -> TriangleMesh:
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
     try:
-        return TriangleMesh(np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
-                            np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+        return TriangleMesh(vertices, faces)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -161,6 +160,16 @@ def write_pgm(img, path):
 
 
 # --- binary dumps -------------------------------------------------------------
+
+def _check_model(model_id: str, class_id: int):
+    """Raise ValueError unless a database can store the record and `query` print its id."""
+    if not 0 <= class_id <= MAX_CLASS_ID:
+        raise ValueError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+    if model_id.split() != [model_id]:
+        raise ValueError("model id is empty or holds whitespace")
+    if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
+        raise ValueError(f"model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
+
 
 class _BinaryReader:
     """Reads the fields of an open binary file, raising `CorruptFile` on a short read.
@@ -235,24 +244,23 @@ def write_descriptor_db(db: DescriptorDb, path):
     if lengths or dim == 0 or dim % (2 * DESCRIPTOR_SIZE):
         raise ValueError(f"descriptors must share one length, a positive multiple of "
                          f"{2 * DESCRIPTOR_SIZE}")
-    heads = []
     for index, entry in enumerate(db.entries):
-        name = entry.model_id.encode("utf-8")
-        if len(name) > MAX_MODEL_ID_BYTES:
-            raise ValueError(f"entry {index}: model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
-        for what, value in (("class", entry.class_id), ("viewpoint", entry.viewpoint_id)):
-            if not 0 <= value <= MAX_CLASS_ID:
-                raise ValueError(f"entry {index}: {what} id {value} is outside [0, {MAX_CLASS_ID}]")
-        if not np.all(np.isfinite(entry.descriptor)):
-            raise ValueError(f"entry {index}: descriptor holds a non-finite value")
-        heads.append(struct.pack("<H", len(name)) + name
-                     + struct.pack("<II", entry.class_id, entry.viewpoint_id))
+        try:
+            _check_model(entry.model_id, entry.class_id)
+            if not 0 <= entry.viewpoint_id <= MAX_CLASS_ID:
+                raise ValueError(f"viewpoint id {entry.viewpoint_id} is outside [0, {MAX_CLASS_ID}]")
+            if not np.all(np.isfinite(entry.descriptor)):
+                raise ValueError("descriptor holds a non-finite value")
+        except ValueError as exc:
+            raise ValueError(f"entry {index}: {exc}") from None
     with open(path, "wb") as fh:
         fh.write(DB_MAGIC)
         fh.write(struct.pack("<IIII", DB_VERSION, dim // (2 * DESCRIPTOR_SIZE), DESCRIPTOR_SIZE,
                              len(db.entries)))
-        for head, entry in zip(heads, db.entries):
-            fh.write(head)
+        for entry in db.entries:
+            name = entry.model_id.encode("utf-8")
+            fh.write(struct.pack("<H", len(name)) + name
+                     + struct.pack("<II", entry.class_id, entry.viewpoint_id))
             fh.write(np.asarray(entry.descriptor, dtype="<f4").tobytes())
 
 
@@ -273,8 +281,12 @@ def read_descriptor_db(path) -> DescriptorDb:
                 raise CorruptFile(f"{path}: {field} model id is not UTF-8") from exc
             class_id, viewpoint_id = reader.unpack("<II", field)
             desc = reader.floats(dim, field).copy()
-            if not np.all(np.isfinite(desc)):
-                raise CorruptFile(f"{path}: {field} descriptor holds a non-finite value")
+            try:
+                _check_model(model_id, class_id)
+                if not np.all(np.isfinite(desc)):
+                    raise ValueError("descriptor holds a non-finite value")
+            except ValueError as exc:
+                raise CorruptFile(f"{path}: {field} {exc}") from None
             entries.append(DbEntry(model_id, class_id, viewpoint_id, desc))
         reader.finish()
     return DescriptorDb(entries=entries)
@@ -323,24 +335,19 @@ def load_manifest(path) -> list:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected `model_id class_id path`")
-        model_id, class_text, rel = parts
         try:
-            class_id = int(class_text)
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: class id {class_text!r} is not an integer") from None
-        if not 0 <= class_id <= MAX_CLASS_ID:
-            raise ValueError(f"{path}:{line_no}: class id {class_id} is outside [0, {MAX_CLASS_ID}]")
-        if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
-            raise ValueError(f"{path}:{line_no}: model id is longer than "
-                             f"{MAX_MODEL_ID_BYTES} UTF-8 bytes")
-        if model_id in first_line:
-            raise ValueError(f"{path}:{line_no}: model id {model_id!r} repeats line "
-                             f"{first_line[model_id]}")
-        first_line[model_id] = line_no
-        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        try:
+            if len(parts) != 3:
+                raise ValueError("expected `model_id class_id path`")
+            model_id, class_text, rel = parts
+            try:
+                class_id = int(class_text)
+            except ValueError:
+                raise ValueError(f"class id {class_text!r} is not an integer") from None
+            _check_model(model_id, class_id)
+            if model_id in first_line:
+                raise ValueError(f"model id {model_id!r} repeats line {first_line[model_id]}")
+            first_line[model_id] = line_no
+            full = rel if os.path.isabs(rel) else os.path.join(base, rel)
             models.append((model_id, class_id, load_geometry(full)))
         except (OSError, ValueError) as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None

@@ -15,8 +15,7 @@ image is that loop's, byte for byte.
 
 import numpy as np
 
-from .errors import EmptyMesh, ViewretError
-from .geometry import (TriangleMesh, _depths, _unit_coordinates, as_points, camera_frame,
+from .geometry import (TriangleMesh, _depths, _unit_coordinates, camera_frame,
                        check_resolution, project_points)
 
 # slack on normalized barycentric coordinates so shared edges rasterize
@@ -43,9 +42,7 @@ def render_point_cloud(cloud, viewpoint, resolution: int) -> np.ndarray:
     Every point covers exactly one pixel; when several points collide on a
     pixel only the one nearest the camera survives.
     """
-    pts = as_points(cloud)
-    frame = camera_frame(viewpoint)
-    rows, cols, depths = project_points(pts, frame, resolution)
+    rows, cols, depths = project_points(cloud, camera_frame(viewpoint), resolution)
     flat = rows * resolution + cols
     order = np.lexsort((depths, flat))
     flat_sorted = flat[order]
@@ -73,13 +70,8 @@ def render_mesh(mesh: TriangleMesh, viewpoint, resolution: int) -> np.ndarray:
     per-triangle loop, in the same order, and the z-buffer keeps the minimum,
     which does not depend on order: the image is the loop's, byte for byte.
     Time is O(covered pixels + box rows). Beyond the r x r z-buffer and a
-    dozen values per triangle, transients are O(BLOCK). Non-finite vertex
-    coordinates raise a ViewretError.
+    dozen values per triangle, transients are O(BLOCK).
     """
-    if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
-        raise EmptyMesh("mesh has no renderable triangles")
-    if not np.all(np.isfinite(mesh.vertices)):
-        raise ViewretError("mesh vertex coordinates must be finite")
     check_resolution(resolution)
     frame = camera_frame(viewpoint)
     r = resolution

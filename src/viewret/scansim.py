@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMesh, NoHits
+from .errors import NoHits
 from .geometry import TriangleMesh, orthonormal_basis
 
 _PARALLEL_EPS = 1e-12
@@ -43,10 +43,16 @@ class ScannerConfig:
         if _rays_per_side(self.fov_deg, self.angular_step_deg) > np.sqrt(MAX_RAYS):
             raise ValueError(f"fov_deg / angular_step_deg gives more than {MAX_RAYS} rays; "
                              f"use a larger step or a smaller field of view")
+        if self.fov_deg >= 180.0:
+            raise ValueError("fov_deg must be below 180, where lattice rows repeat directions")
+        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.target))):
+            raise ValueError("scanner position and target must be finite")
         if np.allclose(self.position, self.target):
             raise ValueError("scanner position must differ from the target")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError("max_range must be positive")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
 
 
 @dataclass
@@ -78,8 +84,6 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     scanner. Optional Gaussian range noise perturbs hit distances when
     ``noise_sigma`` is positive.
     """
-    if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
-        raise EmptyMesh("cannot scan an empty mesh")
     dirs = _ray_lattice(cfg)
     n_rays = len(dirs)
     t_buf = np.full(n_rays, np.inf)

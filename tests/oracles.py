@@ -7,8 +7,11 @@ oracles hold the whole n x n distance matrix that `select` forms in row
 blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
 evaluates over row spans in blocks, and the RANSAC baseline is the
 per-plane loop that `ransac_viewpoint` scores in blocks of planes. The
-readers check the files that the CLI writes but never reads back.
+readers check the files that the CLI writes but never reads back, and
+`fvdb_bytes` lays out database files that the writer refuses.
 """
+
+import struct
 
 import numpy as np
 
@@ -235,3 +238,15 @@ def read_scan_metadata(path) -> dict:
         out["ground_truth_viewpoint"] = np.asarray(
             [float(v) for v in out["ground_truth_viewpoint"].split()])
     return out
+
+
+def fvdb_bytes(k: int, d: int, entries) -> bytes:
+    """An FVDB file laid out field by field, with no check.
+
+    ``entries`` are (model id bytes, class id, viewpoint id, descriptor) tuples.
+    """
+    data = b"FVDB" + struct.pack("<IIII", 1, k, d, len(entries))
+    for name, class_id, viewpoint_id, descriptor in entries:
+        data += (struct.pack("<H", len(name)) + name + struct.pack("<II", class_id, viewpoint_id)
+                 + np.asarray(descriptor, dtype="<f4").tobytes())
+    return data

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import viewret
-from oracles import read_pgm, read_scan_metadata
+from oracles import fvdb_bytes, read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
@@ -209,6 +209,26 @@ class TestScanSim:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err and "rays" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--noise-sigma", "inf"], 2), (["--noise-sigma", "nan"], 2), (["--noise-sigma=-1"], 2),
+        (["--max-range", "nan"], 2), (["--max-range", "0"], 2),
+        (["--fov", "400", "--step", "1"], 2), (["--fov", "180", "--step", "1"], 2),
+        (["--scanner-pos", "nan,0,0"], 2), (["--target", "0,inf,0"], 2),
+        (["--scanner-pos", "1,2"], 1)])
+    def test_bad_setting_is_one_error_line_and_no_output(self, mesh_file, tmp_path, capsys,
+                                                         flags, code):
+        out = tmp_path / "scan.xyz"
+        argv = ["scan-sim", "--mesh", str(mesh_file), "--output", str(out), *flags]
+        if "--scanner-pos" not in flags:
+            argv += ["--scanner-pos", "3,1.8,1.2"]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        # a usage error prints the usage first, then its one error line
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1].startswith("viewret scan-sim: error: ")
+        assert code == 1 or err.count("\n") == 1
+        assert not out.exists() and not os.path.exists(f"{out}.meta")
 
 
 class TestPipelineEndToEnd:
@@ -429,23 +449,43 @@ class TestCorruptInputs:
             assert err.count("\n") == 1 and "Traceback" not in err and f"{manifest}:{line}:" in err
             assert not out.exists()
 
+    def test_model_id_holding_a_newline_is_data_error(self, tmp_path, capsys):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        entries = vio.read_descriptor_db(db_path).entries
+        # the writer refuses such an id, so the database is laid out by hand
+        db_path.write_bytes(fvdb_bytes(vio.read_gmm(gmm_path).n_components, 128, [
+            (b"two words\nthird 0.0" if i == 1 else e.model_id.encode(), e.class_id,
+             e.viewpoint_id, e.descriptor) for i, e in enumerate(entries)]))
+        capsys.readouterr()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                    "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"viewret query: error: {db_path}: entry 1 model id is empty or "
+                                f"holds whitespace\n")
+
     @pytest.mark.filterwarnings("error")
     def test_empty_mesh_is_one_error_line_that_says_mesh(self, tmp_path, capsys):
         mesh = tmp_path / "empty.obj"
-        mesh.write_text("# no vertex\n")
-        (tmp_path / "models.txt").write_text("empty 0 empty.obj\n")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text("empty 0 empty.obj\n")
         gmm_path = tmp_path / "mixture.gmm"
         vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), gmm_path)
-        for argv in (["scan-sim", "--mesh", str(mesh), "--scanner-pos", "0,0,3",
-                      "--output", str(tmp_path / "scan.xyz")],
-                     ["render", "--input", str(mesh), "--viewpoint-index", "3",
-                      "--resolution", "32", "--output", str(tmp_path / "empty.pgm")],
-                     ["build-db", "--input", str(tmp_path / "models.txt"), "--gmm", str(gmm_path),
-                      "--output", str(tmp_path / "models.fvdb")]):
-            capsys.readouterr()
-            assert run(argv) == 2
-            err = capsys.readouterr().err
-            assert err == f"viewret {argv[0]}: error: mesh has no vertices\n"
+        for text, message in (("# no vertex\n", "mesh has no vertices"),
+                              ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", "mesh has no triangles")):
+            mesh.write_text(text)
+            for argv, where in ((["scan-sim", "--mesh", str(mesh), "--scanner-pos", "0,0,3",
+                                  "--output", str(tmp_path / "scan.xyz")], mesh),
+                                (["render", "--input", str(mesh), "--viewpoint-index", "3",
+                                  "--resolution", "32", "--output", str(tmp_path / "empty.pgm")],
+                                 mesh),
+                                (["build-db", "--input", str(manifest), "--gmm", str(gmm_path),
+                                  "--output", str(tmp_path / "models.fvdb")],
+                                 f"{manifest}:1: {mesh}")):
+                capsys.readouterr()
+                assert run(argv) == 2
+                err = capsys.readouterr().err
+                assert err == f"viewret {argv[0]}: error: {where}: {message}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_huge_coordinate_is_data_error(self, tmp_path, capsys):

@@ -2,10 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viewret.errors import BadResolution, DegenerateCloud, EmptyCloud
-from viewret.geometry import (MAX_RESOLUTION, MIN_RESOLUTION, camera_frame,
-                              dodecahedron_viewpoints, normalize_pose, project_points)
+from viewret.errors import BadResolution, DegenerateCloud, EmptyCloud, ViewretError
+from viewret.geometry import (MAX_RESOLUTION, MIN_RESOLUTION, TriangleMesh, camera_frame,
+                              dodecahedron_viewpoints, normalize_mesh, normalize_pose,
+                              project_points)
+from viewret.render import render_mesh
+from viewret.scansim import ScannerConfig, simulate_scan
 
 
 def random_ball_points(rng, n):
@@ -177,3 +182,42 @@ class TestProject:
                 project_points([(0, 0, 0)], frame, resolution)
         for resolution in (MIN_RESOLUTION, MAX_RESOLUTION):
             assert project_points([(1, 1, 0)], frame, resolution)[1][0] == resolution - 1
+
+
+NON_FINITE_OR_HUGE = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+
+
+@st.composite
+def raw_meshes(draw):
+    """Vertex and triangle arrays that may break any rule of a mesh, or none."""
+    n = draw(st.integers(0, 6))
+    vertices = draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * n, max_size=3 * n))
+    if vertices and draw(st.integers(0, 3)) == 0:
+        vertices[draw(st.integers(0, 3 * n - 1))] = draw(st.sampled_from(NON_FINITE_OR_HUGE))
+    if n >= 3 and draw(st.integers(0, 3)):
+        triangle = st.permutations(range(n)).map(lambda p: p[:3])
+    else:
+        triangle = st.tuples(*[st.integers(-1, 7)] * 3)
+    triangles = [draw(triangle) for _ in range(draw(st.integers(0, 4)))]
+    return np.reshape(vertices, (-1, 3)), np.array(triangles, dtype=np.int64)
+
+
+class TestTriangleMesh:
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(raw_meshes())
+    def test_a_mesh_built_renders_and_scans_or_raises_a_viewret_error(self, raw):
+        """Construction is the one check: what it accepts, normalize_mesh, render_mesh and
+        simulate_scan take without checking again."""
+        try:
+            mesh = TriangleMesh(*raw)
+        except ValueError:
+            return
+        scanner = ScannerConfig(position=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                                angular_step_deg=2.0, max_range=10.0)
+        try:
+            mesh, _ = normalize_mesh(mesh)
+            render_mesh(mesh, np.array([0.0, 0.0, 1.0]), 32)
+            simulate_scan(mesh, scanner)
+        except ViewretError:
+            pass

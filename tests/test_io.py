@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import read_pgm, read_scan_metadata
+from oracles import fvdb_bytes, read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
 from viewret.errors import CorruptFile
@@ -310,6 +310,9 @@ class TestBinaryDumps:
          "entry 1: descriptor holds a non-finite value"),
         (dict(descriptor=np.r_[np.zeros(2 * 128 * 2 - 1), np.inf].astype(np.float32)),
          "entry 1: descriptor holds a non-finite value"),
+        (dict(model_id=""), "entry 1: model id is empty or holds whitespace"),
+        (dict(model_id="two words"), "entry 1: model id is empty or holds whitespace"),
+        (dict(model_id="m\nthird"), "entry 1: model id is empty or holds whitespace"),
     ])
     def test_unstorable_entry_raises_before_writing(self, tmp_path, second, message):
         first = DbEntry("ok", 0, 0, np.zeros(2 * 128 * 2, dtype=np.float32))
@@ -395,6 +398,16 @@ class TestCorruptBinaries:
         message = f"{db}: entry 1 descriptor holds a non-finite value"
         with pytest.raises(CorruptFile, match=re.escape(message)):
             vio.read_descriptor_db(db)
+
+    @pytest.mark.parametrize("name", [b"", b"two words", b"m\nthird 0.0", b"tab\t",
+                                      "\u2028".encode()])
+    def test_model_id_query_cannot_print_on_one_line_is_refused(self, tmp_path, name):
+        path = tmp_path / "models.fvdb"
+        entries = [(b"ok", 0, 0, np.ones(256)), (name, 1, 1, np.ones(256))]
+        path.write_bytes(fvdb_bytes(1, 128, entries))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: entry 1 model id is empty or "
+                                                        f"holds whitespace")):
+            vio.read_descriptor_db(path)
 
     @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
                                              ("sigmas", np.nan), ("weights", 0.0),

