@@ -17,7 +17,7 @@ from . import io as vio
 from .config import PipelineConfig
 from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
                      view_features)
-from .errors import NoRelevant, ViewretError
+from .errors import ViewretError
 from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case,
                        precision_recall_curve, run_benchmark)
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_vector(text):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 3:
-        raise ValueError(f"expected x,y,z but got {text!r}")
+        raise ViewretError(f"expected x,y,z but got {text!r}")
     return np.asarray(parts)
 
 
@@ -63,14 +63,14 @@ def _parse_resolutions(text):
     """A resolution ladder: integers separated by commas and/or whitespace."""
     values = tuple(int(v) for v in text.replace(",", " ").split())
     if not values:
-        raise ValueError("expected at least one resolution")
+        raise ViewretError("expected at least one resolution")
     return values
 
 
 def _finite_float(text):
     value = float(text)
     if not np.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
+        raise ViewretError(f"{text!r} is not finite")
     return value
 
 
@@ -88,11 +88,11 @@ def _load_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep or key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+            raise ViewretError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
+            raise ViewretError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -210,7 +210,7 @@ def _resolve_viewpoint(args):
     with np.errstate(over="ignore", under="ignore"):
         norm = np.linalg.norm(args.viewpoint)
     if not (np.isfinite(norm) and norm > 0):
-        raise ValueError("--viewpoint must be a non-zero vector of finite length")
+        raise ViewretError("--viewpoint must be a non-zero vector of finite length")
     return args.viewpoint / norm
 
 
@@ -296,7 +296,7 @@ def cmd_bench(args, config: PipelineConfig):
     cases = [parse_case(name) for name in args.cases.split(",") if name]
     if args.pr_data and args.scans_per_class == 1:
         # a query's only relevant models are the other scans of its class
-        raise NoRelevant("ranking has no relevant items in its universe")
+        raise ViewretError("ranking has no relevant items in its universe")
     dataset = make_synthetic_dataset(n_classes=args.classes,
                                      scans_per_class=args.scans_per_class,
                                      seed=config.seed)
@@ -329,7 +329,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args, _effective_config(args))
-    except (ViewretError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"viewret {args.command}: error: {exc}\n")
         return DATA_ERROR
 

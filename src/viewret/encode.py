@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
-                     TooFewFeatures, ZeroVector)
+from .errors import ViewretError
 from .features import describe, extract_features, keypoint_windows
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
@@ -116,12 +115,12 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError("features must be a 2-D array")
+        raise ViewretError("features must be a 2-D array")
     n = len(x)
     if n_components < 1:
-        raise ValueError("n_components must be at least 1")
+        raise ViewretError("n_components must be at least 1")
     if n < 10 * n_components:
-        raise TooFewFeatures(f"need at least {10 * n_components} features for K={n_components}, got {n}")
+        raise ViewretError(f"need at least {10 * n_components} features for K={n_components}, got {n}")
 
     x2 = x * x
     rng = np.random.default_rng(seed)
@@ -152,7 +151,7 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
         dead = s0 < n * 1e-12
         if dead.any():
             if reinitialized:
-                raise DegenerateComponent("component responsibility mass underflowed twice")
+                raise ViewretError("component responsibility mass underflowed twice")
             reinitialized = True
             gmm.means[dead] = x[np.argmin(log_px)]
             gmm.sigmas[dead] = global_sigma
@@ -164,20 +163,18 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     return gmm
 
 
-def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarray:
-    """Encode a feature set into a 2*D*K descriptor [u_1, v_1, ..., u_K, v_K].
+def _fisher_gradients(features, gmm: GmmParams) -> np.ndarray:
+    """The raw 2*D*K gradient vector [u_1, v_1, ..., u_K, v_K] of a feature set.
 
     ``u_k`` aggregates the soft-assigned standardized residuals against
     component k and ``v_k`` the corresponding deviation gradients, both
-    averaged over the feature count. With ``normalize`` the descriptor gets
-    the usual signed square root followed by L2 normalization; disable it to
-    obtain the raw gradient values.
+    averaged over the feature count.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.size == 0:
-        raise EmptyFeatureSet("cannot encode an empty feature set")
+        raise ViewretError("cannot encode an empty feature set")
     if x.shape[1] != gmm.dim:
-        raise DimensionMismatch(f"features have dim {x.shape[1]}, mixture expects {gmm.dim}")
+        raise ViewretError(f"features have dim {x.shape[1]}, mixture expects {gmm.dim}")
     n = len(x)
     x2 = x * x
     s0, s1, s2 = _moments(x, x2, _posteriors(x, x2, gmm)[0])
@@ -186,12 +183,20 @@ def fisher_vector(features, gmm: GmmParams, normalize: bool = True) -> np.ndarra
     v = (s2 - 2.0 * mu * s1 + s0 * mu * mu) / (sigma * sigma) - s0
     u /= n * np.sqrt(gmm.weights)[:, None]
     v /= n * np.sqrt(2.0 * gmm.weights)[:, None]
-    descriptor = np.stack([u, v], axis=1).ravel()
-    if normalize:
-        descriptor = np.sign(descriptor) * np.sqrt(np.abs(descriptor))
-        norm = np.linalg.norm(descriptor)
-        if norm > 0:
-            descriptor /= norm
+    return np.stack([u, v], axis=1).ravel()
+
+
+def fisher_vector(features, gmm: GmmParams) -> np.ndarray:
+    """Encode a feature set into its 2*D*K Fisher vector.
+
+    The raw gradients (see ``_fisher_gradients``) get the usual signed
+    square root followed by L2 normalization.
+    """
+    descriptor = _fisher_gradients(features, gmm)
+    descriptor = np.sign(descriptor) * np.sqrt(np.abs(descriptor))
+    norm = np.linalg.norm(descriptor)
+    if norm > 0:
+        descriptor /= norm
     return descriptor
 
 
@@ -280,9 +285,9 @@ def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
     """Encode one descriptor per (model, viewpoint) for all database models."""
     ids = [m[0] for m in models]
     if len(ids) == 0:
-        raise ValueError("need at least one model")
+        raise ViewretError("need at least one model")
     if len(set(ids)) != len(ids):
-        raise ValueError("model ids must be unique")
+        raise ViewretError("model ids must be unique")
     entries = []
     for m_idx, (model_id, class_id, geometry) in enumerate(models):
         feats = view_features(database_views(geometry, config), config, [config.seed, m_idx])
@@ -298,16 +303,16 @@ def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
     given.
     """
     if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
+        raise ViewretError(f"top_k must be at least 1, got {top_k}")
     if not db.entries:
-        raise EmptyDb("descriptor database is empty")
+        raise ViewretError("descriptor database is empty")
     queries = np.atleast_2d(np.asarray(query_descriptors, dtype=np.float64))
     dim = db.entries[0].descriptor.shape[0]
     if queries.shape[1] != dim:
-        raise DimensionMismatch(f"query dim {queries.shape[1]} does not match database dim {dim}")
+        raise ViewretError(f"query dim {queries.shape[1]} does not match database dim {dim}")
     qnorm = np.linalg.norm(queries, axis=1)
     if np.any(qnorm == 0):
-        raise ZeroVector("query descriptor has zero norm")
+        raise ViewretError("query descriptor has zero norm")
     qn = queries / qnorm[:, None]
 
     grouped = {}
@@ -319,7 +324,7 @@ def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
         mat = np.asarray(descriptors, dtype=np.float64)
         norms = np.linalg.norm(mat, axis=1)
         if np.any(norms == 0):
-            raise ZeroVector(f"database descriptor for {model_id} has zero norm")
+            raise ViewretError(f"database descriptor for {model_id} has zero norm")
         cos = np.clip(qn @ (mat / norms[:, None]).T, -1.0, 1.0)
         ranking.append((model_id, float((1.0 - cos).min())))
     ranking.sort(key=lambda pair: pair[1])

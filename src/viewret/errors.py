@@ -1,77 +1,10 @@
-"""Domain error types raised across the package.
+"""The one error type the package raises for any refusal.
 
-All of them derive from ValueError so callers that do not care about the
-specific failure can catch the usual thing.
+There is one type because no caller needs to tell refusals apart by class:
+each message names what was refused and, for a file, its ``path:line`` or
+field. It derives from ValueError so ``except ValueError`` keeps working.
 """
 
 
 class ViewretError(ValueError):
-    """Base class for every error raised by this package."""
-
-
-class EmptyCloud(ViewretError):
-    pass
-
-
-class DegenerateCloud(ViewretError):
-    pass
-
-
-class BadResolution(ViewretError):
-    pass
-
-
-class EmptyMesh(ViewretError):
-    pass
-
-
-class NoForeground(ViewretError):
-    pass
-
-
-class TooFewPoints(ViewretError):
-    pass
-
-
-class AllCollinear(ViewretError):
-    pass
-
-
-class TooFewFeatures(ViewretError):
-    pass
-
-
-class DegenerateComponent(ViewretError):
-    pass
-
-
-class EmptyFeatureSet(ViewretError):
-    pass
-
-
-class ZeroVector(ViewretError):
-    pass
-
-
-class DimensionMismatch(ViewretError):
-    pass
-
-
-class EmptyDb(ViewretError):
-    pass
-
-
-class NoHits(ViewretError):
-    pass
-
-
-class NoRelevant(ViewretError):
-    pass
-
-
-class MissingGroundTruth(ViewretError):
-    pass
-
-
-class CorruptFile(ViewretError):
-    """A binary file is truncated, oversized or holds invalid values."""
+    """A refusal of an input, argument or file by this package."""

@@ -12,7 +12,7 @@ import numpy as np
 from .config import PipelineConfig
 from .encode import (DescriptorDb, encode_views, fisher_vector, fit_gmm, pool_features,
                      query_db, view_features)
-from .errors import EmptyDb, MissingGroundTruth, NoRelevant
+from .errors import ViewretError
 from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
@@ -46,9 +46,9 @@ class CaseConfig:
 
     def __post_init__(self):
         if self.viewpoint_source not in VIEWPOINT_SOURCES:
-            raise ValueError(f"unknown viewpoint source {self.viewpoint_source!r}")
+            raise ViewretError(f"unknown viewpoint source {self.viewpoint_source!r}")
         if self.resolution_source not in RESOLUTION_SOURCES:
-            raise ValueError(f"unknown resolution source {self.resolution_source!r}")
+            raise ViewretError(f"unknown resolution source {self.resolution_source!r}")
 
     @property
     def name(self) -> str:
@@ -68,8 +68,8 @@ def parse_case(name: str) -> CaseConfig:
     for case in ALL_CASES:
         if case.name == name:
             return case
-    raise ValueError(f"unknown case {name!r}; expected one of "
-                     + ",".join(c.name for c in ALL_CASES))
+    raise ViewretError(f"unknown case {name!r}; expected one of "
+                       + ",".join(c.name for c in ALL_CASES))
 
 
 def precision_recall_curve(retrieval: RankedRetrieval) -> list:
@@ -77,7 +77,7 @@ def precision_recall_curve(retrieval: RankedRetrieval) -> list:
     rel = [cls == retrieval.query_class for _, cls, _ in retrieval.items]
     total = sum(rel)
     if total < 1:
-        raise NoRelevant("ranking has no relevant items in its universe")
+        raise ViewretError("ranking has no relevant items in its universe")
     points = []
     found = 0
     for rank, is_rel in enumerate(rel, start=1):
@@ -171,9 +171,9 @@ def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: i
                            step_deg: float = 0.5) -> list:
     """Simulated partial scans of jittered primitive meshes from random poses."""
     if not 1 <= n_classes <= len(_CLASS_MAKERS):
-        raise ValueError(f"n_classes must be 1 to {len(_CLASS_MAKERS)}, got {n_classes}")
+        raise ViewretError(f"n_classes must be 1 to {len(_CLASS_MAKERS)}, got {n_classes}")
     if scans_per_class < 1:
-        raise ValueError(f"scans_per_class must be at least 1, got {scans_per_class}")
+        raise ViewretError(f"scans_per_class must be at least 1, got {scans_per_class}")
     rng = np.random.default_rng(seed)
     entries = []
     for class_id, (name, make) in enumerate(_CLASS_MAKERS[:n_classes]):
@@ -250,7 +250,7 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     ransac = []
     for index, entry in enumerate(dataset):
         if entry.gt_viewpoint is None:
-            raise MissingGroundTruth(f"scan {entry.model_id} has no ground-truth viewpoint")
+            raise ViewretError(f"scan {entry.model_id} has no ground-truth viewpoint")
         state = _prepare_scan(entry, index, config, seed)
         proposed.append(angular_error(state.v_proposed, entry.gt_viewpoint))
         ransac.append(angular_error(state.v_ransac, entry.gt_viewpoint))
@@ -289,15 +289,15 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     """
     cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
     if len(dataset) < 2:
-        raise EmptyDb("leave-one-out needs at least two scans")
+        raise ViewretError("leave-one-out needs at least two scans")
     classes = {entry.model_id: entry.class_id for entry in dataset}
     if len(classes) != len(dataset):
-        raise ValueError("model ids must be unique")
+        raise ViewretError("model ids must be unique")
     for case in cases:
         if case.viewpoint_source == "ground_truth":
             for entry in dataset:
                 if entry.gt_viewpoint is None:
-                    raise MissingGroundTruth(
+                    raise ViewretError(
                         f"case {case.name} needs ground truth, but {entry.model_id} has none")
 
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]

@@ -8,7 +8,7 @@ invariance, so no dominant orientation is estimated.
 
 import numpy as np
 
-from .errors import BadResolution, NoForeground
+from .errors import ViewretError
 
 DESCRIPTOR_SIZE = 128
 PATCH = 16
@@ -28,7 +28,7 @@ def build_pyramid(img) -> list:
     """
     img = np.asarray(img)
     if img.ndim != 2 or min(img.shape) < MIN_LEVEL:
-        raise BadResolution(f"pyramid base must be at least {MIN_LEVEL}x{MIN_LEVEL}")
+        raise ViewretError(f"pyramid base must be at least {MIN_LEVEL}x{MIN_LEVEL}")
     levels = [img]
     while True:
         cur = levels[-1]
@@ -50,9 +50,9 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     gets no keypoint. Deterministic for a fixed seed.
     """
     if n_keypoints < 1:
-        raise ValueError("n_keypoints must be at least 1")
+        raise ViewretError("n_keypoints must be at least 1")
     if decay < 1:
-        raise ValueError("decay must be at least 1")
+        raise ViewretError("decay must be at least 1")
     rng = np.random.default_rng(seed)
     per_level = []
     saw_foreground = False
@@ -63,7 +63,7 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
         chosen = rng.choice(len(foreground), size=take, replace=False) if take > 0 else []
         per_level.append(foreground[chosen].T)
     if not saw_foreground:
-        raise NoForeground("no pyramid level has any foreground pixel")
+        raise ViewretError("no pyramid level has any foreground pixel")
     return per_level
 
 
@@ -140,7 +140,7 @@ def _windows(level_img, rows, cols) -> np.ndarray:
     """The (n, 18, 18) uint8 windows around keypoints; the rim feeds the central differences."""
     img = np.asarray(level_img)
     if img.dtype != np.uint8:
-        raise ValueError(f"depth images must be uint8, got {img.dtype}")
+        raise ViewretError(f"depth images must be uint8, got {img.dtype}")
     padded = np.pad(img, PATCH // 2 + 1)
     # a strided view of every window; indexing it copies only the n chosen ones
     every = np.lib.stride_tricks.sliding_window_view(padded, (WINDOW, WINDOW))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadResolution, DegenerateCloud, EmptyCloud, EmptyMesh, ViewretError
+from .errors import ViewretError
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -25,25 +25,25 @@ MAX_RESOLUTION = 8192
 
 
 def check_resolution(resolution) -> None:
-    """Raise BadResolution unless MIN_RESOLUTION <= resolution <= MAX_RESOLUTION."""
+    """Raise ViewretError unless MIN_RESOLUTION <= resolution <= MAX_RESOLUTION."""
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise BadResolution(f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
-                            f"got {resolution}")
+        raise ViewretError(f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
+                           f"got {resolution}")
 
 
 def as_points(cloud) -> np.ndarray:
     """Coerce ``cloud`` to a validated (N, 3) float64 array.
 
-    Raises EmptyCloud for zero points and ValueError for malformed or
-    non-finite input.
+    Raises ViewretError for zero points and for malformed or non-finite
+    input.
     """
     pts = np.asarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
+        raise ViewretError(f"expected an (N, 3) point array, got shape {pts.shape}")
     if pts.shape[0] == 0:
-        raise EmptyCloud("point cloud is empty")
+        raise ViewretError("point cloud is empty")
     if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
+        raise ViewretError("point coordinates must be finite")
     return pts
 
 
@@ -52,25 +52,28 @@ class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (V, 3) float64, ``triangles`` (T, 3) int64.
 
     Construction is the one check: a vertex and a triangle at least, finite
-    coordinates, and three distinct vertices in every triangle.
+    coordinates, and three distinct vertices in every triangle. The mesh
+    holds read-only copies of its arrays, so the check holds for its lifetime.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        self.vertices = np.array(self.vertices, dtype=np.float64, copy=True).reshape(-1, 3)
+        self.triangles = t = np.array(self.triangles, dtype=np.int64, copy=True).reshape(-1, 3)
+        self.vertices.setflags(write=False)
+        t.setflags(write=False)
         if not len(self.vertices):
-            raise EmptyMesh("mesh has no vertices")
+            raise ViewretError("mesh has no vertices")
         if not len(t):
-            raise EmptyMesh("mesh has no triangles")
+            raise ViewretError("mesh has no triangles")
         if not np.all(np.isfinite(self.vertices)):
             raise ViewretError("mesh vertex coordinates must be finite")
         if t.min() < 0 or t.max() >= len(self.vertices):
-            raise ValueError("triangle index out of range")
+            raise ViewretError("triangle index out of range")
         if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
-            raise ValueError("triangle repeats a vertex index")
+            raise ViewretError("triangle repeats a vertex index")
 
     @property
     def centroid(self) -> np.ndarray:
@@ -103,7 +106,7 @@ def normalize_pose(cloud):
 
     Returns ``(normalized_points, transform)``. Applying the transform to the
     input reproduces the normalized points exactly, so normalization is
-    idempotent up to floating-point noise. Raises DegenerateCloud when the
+    idempotent up to floating-point noise. Raises ViewretError when the
     points coincide, or when the centroid or radius overflows float64.
     """
     pts = as_points(cloud)
@@ -111,9 +114,9 @@ def normalize_pose(cloud):
         translation = -pts.mean(axis=0)
         max_radius = np.linalg.norm(pts + translation, axis=1).max()
     if not (np.isfinite(translation).all() and np.isfinite(max_radius)):
-        raise DegenerateCloud("coordinates too large: the centroid or radius overflows")
+        raise ViewretError("coordinates too large: the centroid or radius overflows")
     if max_radius < 1e-12:
-        raise DegenerateCloud("all points coincide; scale is undefined")
+        raise ViewretError("all points coincide; scale is undefined")
     transform = NormalizationTransform(translation=translation, scale=1.0 / max_radius)
     return transform.apply(pts), transform
 
@@ -121,7 +124,7 @@ def normalize_pose(cloud):
 def normalize_mesh(mesh: TriangleMesh):
     """Pose-normalize a mesh by its vertex set; returns (mesh, transform)."""
     vertices, transform = normalize_pose(mesh.vertices)
-    return TriangleMesh(vertices, mesh.triangles.copy()), transform
+    return TriangleMesh(vertices, mesh.triangles), transform
 
 
 def _build_dodecahedron() -> np.ndarray:
@@ -169,7 +172,7 @@ def camera_frame(viewpoint) -> CameraFrame:
     """Camera positioned at ``viewpoint`` on the unit sphere, aimed at the origin."""
     eye = np.asarray(viewpoint, dtype=np.float64)
     if not abs(np.linalg.norm(eye) - 1.0) <= 1e-9:   # also rejects NaN
-        raise ValueError("viewpoint must be a unit vector")
+        raise ViewretError("viewpoint must be a unit vector")
     forward = -eye
     right, up = orthonormal_basis(forward)
     return CameraFrame(eye=eye, forward=forward, right=right, up=up)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .encode import DbEntry, DescriptorDb, GmmParams
-from .errors import CorruptFile
+from .errors import ViewretError
 from .features import DESCRIPTOR_SIZE
 from .geometry import TriangleMesh
 
@@ -31,7 +31,7 @@ def text_lines(path):
     Blank and comment-only lines are yielded too, as ``''``. Lines are
     numbered as text-mode iteration numbers them: a line ends at ``\\n``,
     ``\\r`` or ``\\r\\n``, bytes that a UTF-8 sequence never holds. A byte
-    that is not UTF-8 raises ValueError naming ``path:line``.
+    that is not UTF-8 raises ViewretError naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -44,8 +44,8 @@ def text_lines(path):
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}:{line_no}: byte 0x{line[exc.start]:02x} "
-                                     f"is not UTF-8") from None
+                    raise ViewretError(f"{path}:{line_no}: byte 0x{line[exc.start]:02x} "
+                                       f"is not UTF-8") from None
             raise
 
 
@@ -54,7 +54,7 @@ def _coordinates(tokens) -> list:
     values = [float(token) for token in tokens]
     for token, value in zip(tokens, values):
         if not math.isfinite(value):
-            raise ValueError(f"coordinate {token!r} is not finite")
+            raise ViewretError(f"coordinate {token!r} is not finite")
     return values
 
 
@@ -89,10 +89,10 @@ def load_xyz(path) -> np.ndarray:
             continue
         try:
             if len(parts) != 3:
-                raise ValueError(f"expected 3 coordinates, got {len(parts)}")
+                raise ViewretError(f"expected 3 coordinates, got {len(parts)}")
             points.append(_coordinates(parts))
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
+            raise ViewretError(f"{path}:{line_no}: {exc}") from None
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
@@ -119,21 +119,21 @@ def load_obj(path) -> TriangleMesh:
         try:
             if parts[0] == "v":
                 if len(parts) < 4:
-                    raise ValueError("vertex needs 3 coordinates")
+                    raise ViewretError("vertex needs 3 coordinates")
                 vertices.append(_coordinates(parts[1:4]))
             elif parts[0] == "f":
                 if len(parts) != 4:
-                    raise ValueError("only triangulated faces are supported")
+                    raise ViewretError("only triangulated faces are supported")
                 idx = [int(token.split("/", 1)[0]) - 1 for token in parts[1:]]
                 if min(idx) < 0:
-                    raise ValueError("face indices must be positive")
+                    raise ViewretError("face indices must be positive")
                 faces.append(idx)
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
+            raise ViewretError(f"{path}:{line_no}: {exc}") from None
     try:
         return TriangleMesh(vertices, faces)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ViewretError(f"{path}: {exc}") from None
 
 
 def load_geometry(path):
@@ -162,17 +162,17 @@ def write_pgm(img, path):
 # --- binary dumps -------------------------------------------------------------
 
 def _check_model(model_id: str, class_id: int):
-    """Raise ValueError unless a database can store the record and `query` print its id."""
+    """Raise ViewretError unless a database can store the record and `query` print its id."""
     if not 0 <= class_id <= MAX_CLASS_ID:
-        raise ValueError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+        raise ViewretError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
     if model_id.split() != [model_id]:
-        raise ValueError("model id is empty or holds whitespace")
+        raise ViewretError("model id is empty or holds whitespace")
     if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
-        raise ValueError(f"model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
+        raise ViewretError(f"model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
 
 
 class _BinaryReader:
-    """Reads the fields of an open binary file, raising `CorruptFile` on a short read.
+    """Reads the fields of an open binary file, raising ViewretError on a short read.
 
     Sizes are checked against the bytes left before reading, so a corrupt
     count never becomes a huge allocation; `finish` rejects leftover bytes.
@@ -184,12 +184,12 @@ class _BinaryReader:
         self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
         if self.take(len(magic), "magic") != magic:
-            raise CorruptFile(f"{path}: bad magic, not a {magic.decode()} file")
+            raise ViewretError(f"{path}: bad magic, not a {magic.decode()} file")
 
     def take(self, size: int, field: str) -> bytes:
         if size > self.size - self.pos:
-            raise CorruptFile(f"{self.path}: truncated in {field}: needs {size} bytes at offset "
-                              f"{self.pos}, file has {self.size}")
+            raise ViewretError(f"{self.path}: truncated in {field}: needs {size} bytes at offset "
+                               f"{self.pos}, file has {self.size}")
         self.pos += size
         return self.fh.read(size)
 
@@ -201,8 +201,8 @@ class _BinaryReader:
 
     def finish(self):
         if self.pos != self.size:
-            raise CorruptFile(f"{self.path}: {self.size - self.pos} unexpected bytes "
-                              f"after offset {self.pos}")
+            raise ViewretError(f"{self.path}: {self.size - self.pos} unexpected bytes "
+                               f"after offset {self.pos}")
 
 
 def write_gmm(gmm: GmmParams, path):
@@ -220,7 +220,7 @@ def read_gmm(path) -> GmmParams:
         reader = _BinaryReader(fh, path, GMM_MAGIC)
         k, d = reader.unpack("<II", "header")
         if k < 1 or d < 1:
-            raise CorruptFile(f"{path}: mixture shape K={k}, D={d} is empty")
+            raise ViewretError(f"{path}: mixture shape K={k}, D={d} is empty")
         weights = reader.floats(k, "weights")
         means = reader.floats(k * d, "means").reshape(k, d)
         sigmas = reader.floats(k * d, "sigmas").reshape(k, d)
@@ -228,9 +228,9 @@ def read_gmm(path) -> GmmParams:
     # checked as float32: casting a signalling NaN to float64 warns of an invalid value
     for name, values in (("weights", weights), ("sigmas", sigmas)):
         if not np.all(np.isfinite(values) & (values > 0)):
-            raise CorruptFile(f"{path}: mixture {name} must be finite and positive")
+            raise ViewretError(f"{path}: mixture {name} must be finite and positive")
     if not np.all(np.isfinite(means)):
-        raise CorruptFile(f"{path}: mixture means must be finite")
+        raise ViewretError(f"{path}: mixture means must be finite")
     return GmmParams(weights=weights.astype(np.float64), means=means.astype(np.float64),
                      sigmas=sigmas.astype(np.float64))
 
@@ -238,21 +238,22 @@ def read_gmm(path) -> GmmParams:
 def write_descriptor_db(db: DescriptorDb, path):
     """Write FVDB; every entry is checked before the file is opened, so none is left partial."""
     if not db.entries:
-        raise ValueError("refusing to write an empty descriptor database")
+        raise ViewretError("refusing to write an empty descriptor database")
     lengths = {np.size(entry.descriptor) for entry in db.entries}
     dim = lengths.pop()
     if lengths or dim == 0 or dim % (2 * DESCRIPTOR_SIZE):
-        raise ValueError(f"descriptors must share one length, a positive multiple of "
-                         f"{2 * DESCRIPTOR_SIZE}")
+        raise ViewretError(f"descriptors must share one length, a positive multiple of "
+                           f"{2 * DESCRIPTOR_SIZE}")
     for index, entry in enumerate(db.entries):
         try:
             _check_model(entry.model_id, entry.class_id)
             if not 0 <= entry.viewpoint_id <= MAX_CLASS_ID:
-                raise ValueError(f"viewpoint id {entry.viewpoint_id} is outside [0, {MAX_CLASS_ID}]")
+                raise ViewretError(f"viewpoint id {entry.viewpoint_id} is outside "
+                                   f"[0, {MAX_CLASS_ID}]")
             if not np.all(np.isfinite(entry.descriptor)):
-                raise ValueError("descriptor holds a non-finite value")
+                raise ViewretError("descriptor holds a non-finite value")
         except ValueError as exc:
-            raise ValueError(f"entry {index}: {exc}") from None
+            raise ViewretError(f"entry {index}: {exc}") from None
     with open(path, "wb") as fh:
         fh.write(DB_MAGIC)
         fh.write(struct.pack("<IIII", DB_VERSION, dim // (2 * DESCRIPTOR_SIZE), DESCRIPTOR_SIZE,
@@ -269,7 +270,7 @@ def read_descriptor_db(path) -> DescriptorDb:
         reader = _BinaryReader(fh, path, DB_MAGIC)
         version, k, d, count = reader.unpack("<IIII", "header")
         if version != DB_VERSION:
-            raise CorruptFile(f"{path}: unsupported database version {version}")
+            raise ViewretError(f"{path}: unsupported database version {version}")
         dim = 2 * d * k
         entries = []
         for index in range(count):
@@ -278,15 +279,15 @@ def read_descriptor_db(path) -> DescriptorDb:
             try:
                 model_id = reader.take(name_len, field).decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise CorruptFile(f"{path}: {field} model id is not UTF-8") from exc
+                raise ViewretError(f"{path}: {field} model id is not UTF-8") from exc
             class_id, viewpoint_id = reader.unpack("<II", field)
             desc = reader.floats(dim, field).copy()
             try:
                 _check_model(model_id, class_id)
                 if not np.all(np.isfinite(desc)):
-                    raise ValueError("descriptor holds a non-finite value")
+                    raise ViewretError("descriptor holds a non-finite value")
             except ValueError as exc:
-                raise CorruptFile(f"{path}: {field} {exc}") from None
+                raise ViewretError(f"{path}: {field} {exc}") from None
             entries.append(DbEntry(model_id, class_id, viewpoint_id, desc))
         reader.finish()
     return DescriptorDb(entries=entries)
@@ -337,20 +338,20 @@ def load_manifest(path) -> list:
         parts = line.split()
         try:
             if len(parts) != 3:
-                raise ValueError("expected `model_id class_id path`")
+                raise ViewretError("expected `model_id class_id path`")
             model_id, class_text, rel = parts
             try:
                 class_id = int(class_text)
             except ValueError:
-                raise ValueError(f"class id {class_text!r} is not an integer") from None
+                raise ViewretError(f"class id {class_text!r} is not an integer") from None
             _check_model(model_id, class_id)
             if model_id in first_line:
-                raise ValueError(f"model id {model_id!r} repeats line {first_line[model_id]}")
+                raise ViewretError(f"model id {model_id!r} repeats line {first_line[model_id]}")
             first_line[model_id] = line_no
             full = rel if os.path.isabs(rel) else os.path.join(base, rel)
             models.append((model_id, class_id, load_geometry(full)))
         except (OSError, ValueError) as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
+            raise ViewretError(f"{path}:{line_no}: {exc}") from None
     if not models:
-        raise ValueError(f"{path}:{line_no}: no model listed before the end of the file")
+        raise ViewretError(f"{path}:{line_no}: no model listed before the end of the file")
     return models

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoHits
+from .errors import ViewretError
 from .geometry import TriangleMesh, orthonormal_basis
 
 _PARALLEL_EPS = 1e-12
@@ -39,20 +39,20 @@ class ScannerConfig:
         self.position = np.asarray(self.position, dtype=np.float64)
         self.target = np.asarray(self.target, dtype=np.float64)
         if not (0.0 < self.angular_step_deg <= self.fov_deg):
-            raise ValueError("need 0 < angular_step_deg <= fov_deg")
+            raise ViewretError("need 0 < angular_step_deg <= fov_deg")
         if _rays_per_side(self.fov_deg, self.angular_step_deg) > np.sqrt(MAX_RAYS):
-            raise ValueError(f"fov_deg / angular_step_deg gives more than {MAX_RAYS} rays; "
-                             f"use a larger step or a smaller field of view")
+            raise ViewretError(f"fov_deg / angular_step_deg gives more than {MAX_RAYS} rays; "
+                               f"use a larger step or a smaller field of view")
         if self.fov_deg >= 180.0:
-            raise ValueError("fov_deg must be below 180, where lattice rows repeat directions")
+            raise ViewretError("fov_deg must be below 180, where lattice rows repeat directions")
         if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.target))):
-            raise ValueError("scanner position and target must be finite")
+            raise ViewretError("scanner position and target must be finite")
         if np.allclose(self.position, self.target):
-            raise ValueError("scanner position must differ from the target")
+            raise ViewretError("scanner position must differ from the target")
         if not self.max_range > 0:
-            raise ValueError("max_range must be positive")
+            raise ViewretError("max_range must be positive")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError("noise_sigma must be finite and non-negative")
+            raise ViewretError("noise_sigma must be finite and non-negative")
 
 
 @dataclass
@@ -109,7 +109,7 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
 
     hit = np.isfinite(t_buf) & (t_buf <= cfg.max_range)
     if not hit.any():
-        raise NoHits("scanner rays missed the mesh entirely")
+        raise ViewretError("scanner rays missed the mesh entirely")
     t_hit = t_buf[hit]
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.seed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_RESOLUTIONS
-from .errors import AllCollinear, TooFewPoints
+from .errors import ViewretError
 from .geometry import (_pixel_indices, _unit_coordinates, as_points, camera_frame, check_resolution,
                        dodecahedron_viewpoints, orthonormal_basis)
 from .render import render_point_cloud
@@ -183,7 +183,7 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
     views = dodecahedron_viewpoints() if viewpoints is None else np.asarray(viewpoints, dtype=np.float64)
     res = tuple(DEFAULT_RESOLUTIONS if resolutions is None else resolutions)
     if len(views) == 0 or len(res) == 0:
-        raise ValueError("viewpoint and resolution sets must be non-empty")
+        raise ViewretError("viewpoint and resolution sets must be non-empty")
     for r in res:
         check_resolution(r)
     n = len(pts)
@@ -348,7 +348,7 @@ def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
 def _viewpoint_row(grid: ScoreGrid, viewpoint) -> int:
     row = viewpoint_index(grid.viewpoints, viewpoint)
     if row < 0:
-        raise ValueError("viewpoint is not a member of the grid's search set")
+        raise ViewretError("viewpoint is not a member of the grid's search set")
     return row
 
 
@@ -445,13 +445,13 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
     pts = as_points(cloud)
     n = len(pts)
     if n < 3:
-        raise TooFewPoints("plane fitting needs at least 3 points")
+        raise ViewretError("plane fitting needs at least 3 points")
     if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+        raise ViewretError("iterations must be at least 1")
     if not np.isfinite(inlier_tolerance):
-        raise ValueError(f"inlier tolerance must be finite, got {inlier_tolerance}")
+        raise ViewretError(f"inlier tolerance must be finite, got {inlier_tolerance}")
     if inlier_tolerance <= 0:
-        raise ValueError("inlier tolerance must be positive")
+        raise ViewretError("inlier tolerance must be positive")
     top = np.abs(pts).max()
     margin = _MARGIN * (top + inlier_tolerance) if top < 2.0 ** 1020 else np.inf
     rng = np.random.default_rng(seed)
@@ -472,7 +472,7 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
             best_count = counts[b]
             best_normal = normals[b]
     if best_normal is None:
-        raise AllCollinear("no valid plane found in any iteration")
+        raise ViewretError("no valid plane found in any iteration")
     return best_normal
 
 
@@ -484,7 +484,7 @@ def multiview_ring(center) -> np.ndarray:
     """
     c = np.asarray(center, dtype=np.float64)
     if not abs(np.linalg.norm(c) - 1.0) <= 1e-9:   # also rejects NaN
-        raise ValueError("center must be a unit vector")
+        raise ViewretError("center must be a unit vector")
     e1, e2 = orthonormal_basis(c)
     delta = np.radians(RING_DELTA_DEG)
     views = [c.copy()]

@@ -15,8 +15,7 @@ import struct
 
 import numpy as np
 
-from viewret.errors import (AllCollinear, BadResolution, DimensionMismatch, EmptyMesh, NoForeground,
-                            TooFewPoints, ZeroVector)
+from viewret.errors import ViewretError
 from viewret.features import PATCH, WINDOW, _describe_block, _windows
 from viewret.geometry import as_points, camera_frame, check_resolution
 from viewret.render import _EDGE_EPS, depth_to_intensity
@@ -38,7 +37,7 @@ def eight_connected_count(binary) -> int:
     """
     b = np.asarray(binary)
     if b.ndim != 2 or min(b.shape) < 3:
-        raise BadResolution("binary image must be at least 3x3")
+        raise ViewretError("binary image must be at least 3x3")
     p = np.pad(b.astype(np.int32), 1)
     h, w = b.shape
     total = np.zeros((h, w), dtype=np.int32)
@@ -63,7 +62,7 @@ def density(img) -> float:
     """Fraction of foreground pixels whose 8-neighborhood is fully foreground."""
     fg = foreground_count(img)
     if fg == 0:
-        raise NoForeground("image has no foreground pixels")
+        raise ViewretError("image has no foreground pixels")
     return eight_connected_count(to_binary(img)) / fg
 
 
@@ -72,7 +71,7 @@ def density(img) -> float:
 def render_mesh_oracle(mesh, viewpoint, resolution) -> np.ndarray:
     """The former `render_mesh`: each triangle's whole bounding box, one triangle at a time."""
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
-        raise EmptyMesh("mesh has no renderable triangles")
+        raise ViewretError("mesh has no renderable triangles")
     check_resolution(resolution)
     frame = camera_frame(viewpoint)
     r = resolution
@@ -152,7 +151,7 @@ def ransac_viewpoint_oracle(cloud, iterations: int = 1000, inlier_tolerance: flo
     pts = as_points(cloud)
     n = len(pts)
     if n < 3:
-        raise TooFewPoints("plane fitting needs at least 3 points")
+        raise ViewretError("plane fitting needs at least 3 points")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if inlier_tolerance <= 0:
@@ -173,7 +172,7 @@ def ransac_viewpoint_oracle(cloud, iterations: int = 1000, inlier_tolerance: flo
             best_count = count
             best_normal = normal
     if best_normal is None:
-        raise AllCollinear("no valid plane found in any iteration")
+        raise ViewretError("no valid plane found in any iteration")
     return best_normal
 
 
@@ -184,11 +183,11 @@ def cosine_distance(a, b) -> float:
     va = np.asarray(a, dtype=np.float64).ravel()
     vb = np.asarray(b, dtype=np.float64).ravel()
     if va.shape != vb.shape:
-        raise DimensionMismatch(f"descriptor sizes differ: {va.shape} vs {vb.shape}")
+        raise ViewretError(f"descriptor sizes differ: {va.shape} vs {vb.shape}")
     na = np.linalg.norm(va)
     nb = np.linalg.norm(vb)
     if na == 0 or nb == 0:
-        raise ZeroVector("cosine distance is undefined for zero vectors")
+        raise ViewretError("cosine distance is undefined for zero vectors")
     cos = np.clip(float(va @ vb) / (na * nb), -1.0, 1.0)
     return 1.0 - cos
 

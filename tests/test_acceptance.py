@@ -11,7 +11,7 @@ import pytest
 
 from viewret.cli import run
 from viewret.config import PipelineConfig
-from viewret.encode import GmmParams, fisher_vector, fit_gmm, gmm_posteriors
+from viewret.encode import GmmParams, _fisher_gradients, fit_gmm, gmm_posteriors
 from viewret.evaluate import (RankedRetrieval, desk_benchmark_config, make_synthetic_dataset,
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric,
                               run_benchmark, viewpoint_error_experiment)
@@ -133,7 +133,7 @@ class TestCriterion5:
                             means=rng.normal(size=(k, dim)),
                             sigmas=rng.uniform(0.5, 2.0, size=(k, dim)))
             x = rng.normal(size=(n, dim))
-            got = fisher_vector(x, gmm, normalize=False)
+            got = _fisher_gradients(x, gmm)
 
             parts = []
             for kk in range(k):

@@ -565,7 +565,7 @@ class TestFuzzedTextFiles:
         path.write_bytes(mutate(path.read_bytes(), kind, at, byte))
         try:
             load(path)
-        except ValueError as exc:
+        except ViewretError as exc:
             assert str(path) in str(exc)
         capsys.readouterr()
         code = run(argv)

@@ -7,11 +7,10 @@ from hypothesis.extra import numpy as hnp
 from oracles import cosine_distance
 from viewret import encode
 from viewret.config import PipelineConfig
-from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _kmeans_plus_plus,
-                            _log_joint, build_db, fisher_vector, fit_gmm,
+from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gradients,
+                            _kmeans_plus_plus, _log_joint, build_db, fisher_vector, fit_gmm,
                             gmm_posteriors, pool_database_features, pool_features, query_db)
-from viewret.errors import (DegenerateComponent, DimensionMismatch, EmptyDb, EmptyFeatureSet,
-                            NoForeground, TooFewFeatures, ZeroVector)
+from viewret.errors import ViewretError
 from viewret.features import DESCRIBE_BLOCK, extract_features
 from viewret.scansim import make_box, make_cone
 
@@ -96,7 +95,7 @@ def fit_gmm_oracle(features, n_components, seed=0, max_iterations=25, tol=1e-5):
         dead = mass < n * 1e-12
         if dead.any():
             if reinitialized:
-                raise DegenerateComponent("component responsibility mass underflowed twice")
+                raise ViewretError("component responsibility mass underflowed twice")
             reinitialized = True
             worst = int(np.argmin(lse))
             for k in np.nonzero(dead)[0]:
@@ -193,7 +192,7 @@ class TestFitGmm:
         assert np.array_equal(a.sigmas, b.sigmas)
 
     def test_too_few_features(self):
-        with pytest.raises(TooFewFeatures):
+        with pytest.raises(ViewretError, match="need at least 20 features for K=2, got 19"):
             fit_gmm(np.zeros((19, 4)), 2, seed=0)
 
     def test_default_parameter_set(self):
@@ -236,7 +235,7 @@ class TestFisherVector:
         gmm = GmmParams(weights=np.array([1.0]),
                         means=np.zeros((1, dim)),
                         sigmas=np.ones((1, dim)))
-        raw = fisher_vector(np.zeros((7, dim)), gmm, normalize=False)
+        raw = _fisher_gradients(np.zeros((7, dim)), gmm)
         np.testing.assert_allclose(raw[:dim], 0.0, atol=1e-15)
         np.testing.assert_allclose(raw[dim:], -1.0 / np.sqrt(2.0), atol=1e-12)
 
@@ -244,8 +243,8 @@ class TestFisherVector:
         rng = np.random.default_rng(31)
         gmm = random_gmm(rng, 3, 10)
         x = rng.normal(size=(1, 10))
-        once = fisher_vector(x, gmm, normalize=False)
-        tenfold = fisher_vector(np.repeat(x, 10, axis=0), gmm, normalize=False)
+        once = _fisher_gradients(x, gmm)
+        tenfold = _fisher_gradients(np.repeat(x, 10, axis=0), gmm)
         np.testing.assert_allclose(once, tenfold, atol=1e-12)
 
     def test_matches_naive_oracle(self):
@@ -255,7 +254,7 @@ class TestFisherVector:
             n = int(rng.integers(2, 40))
             gmm = random_gmm(rng, k, 9)
             x = rng.normal(size=(n, 9))
-            got = fisher_vector(x, gmm, normalize=False)
+            got = _fisher_gradients(x, gmm)
             want = fisher_oracle(x, gmm)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -265,9 +264,17 @@ class TestFisherVector:
         d = fisher_vector(rng.normal(size=(30, 8)), gmm)
         assert abs(np.linalg.norm(d) - 1.0) <= 1e-9
 
+    def test_is_the_gradients_power_and_l2_normalized(self):
+        rng = np.random.default_rng(35)
+        gmm = random_gmm(rng, 4, 8)
+        x = rng.normal(size=(30, 8))
+        g = _fisher_gradients(x, gmm)
+        powered = np.sign(g) * np.sqrt(np.abs(g))
+        assert np.array_equal(fisher_vector(x, gmm), powered / np.linalg.norm(powered))
+
     def test_empty_feature_set(self):
         gmm = random_gmm(np.random.default_rng(34), 2, 8)
-        with pytest.raises(EmptyFeatureSet):
+        with pytest.raises(ViewretError, match="cannot encode an empty feature set"):
             fisher_vector(np.zeros((0, 8)), gmm)
 
 
@@ -344,7 +351,7 @@ class TestAgainstPerComponentForms:
         v_bound = ((weight * (reach * reach + 1.0)).sum(axis=0)
                    / (n * np.sqrt(2 * gmm.weights))[:, None])
         bound = np.stack([u_bound, v_bound], axis=1).ravel()
-        got = fisher_vector(x, gmm, normalize=False)
+        got = _fisher_gradients(x, gmm)
         assert np.all(np.abs(got - fisher_oracle(x, gmm)) <= bound + 1e-300)
 
 
@@ -360,9 +367,9 @@ class TestCosineDistance:
         assert cosine_distance([1.0, -2.0], [-1.0, 2.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_errors(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(ViewretError, match="undefined for zero vectors"):
             cosine_distance([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ViewretError, match="descriptor sizes differ"):
             cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
@@ -456,7 +463,7 @@ class TestBuildAndQueryDb:
         entries = [DbEntry(f"m{i}", 0, v, rng.normal(size=16).astype(np.float32))
                    for i in range(3) for v in range(2)]
         entries[3].descriptor[:] = 0.0
-        with pytest.raises(ZeroVector, match="for m1 has zero norm"):
+        with pytest.raises(ViewretError, match="for m1 has zero norm"):
             query_db(DescriptorDb(entries=entries), rng.normal(size=(1, 16)))
 
     def test_tied_distances_keep_database_model_order(self):
@@ -480,7 +487,7 @@ class TestBuildAndQueryDb:
         assert [m for m, _ in query_db(db1, q)] == [m for m, _ in query_db(db2, 2.0 * q)]
 
     def test_empty_db(self):
-        with pytest.raises(EmptyDb):
+        with pytest.raises(ViewretError, match="descriptor database is empty"):
             query_db(DescriptorDb(entries=[]), np.ones((1, 8)))
 
 
@@ -535,9 +542,9 @@ class TestPoolDatabaseFeatures:
             return images
 
         monkeypatch.setattr(encode, "database_views", one_blank)
-        with pytest.raises(NoForeground) as want:
+        with pytest.raises(ViewretError, match="no pyramid level has any foreground") as want:
             pool_database_features_oracle(models, tiny_config())
-        with pytest.raises(NoForeground) as got:
+        with pytest.raises(ViewretError, match="no pyramid level has any foreground") as got:
             pool_database_features(models, tiny_config())
         assert str(got.value) == str(want.value)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import batch_descriptors, windows_oracle
-from viewret.errors import BadResolution, NoForeground
+from viewret.errors import ViewretError
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
                               CELLS, COMPONENT_CLAMP, DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH,
@@ -45,7 +45,7 @@ class TestBuildPyramid:
         assert [lvl.shape for lvl in pyr] == [(65, 65), (32, 32)]
 
     def test_too_small(self):
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match="pyramid base must be at least 32x32"):
             build_pyramid(np.full((16, 16), 9, dtype=np.uint8))
 
 
@@ -74,7 +74,7 @@ class TestSampleKeypoints:
             assert np.all(level_img[rows, cols] > 0)
 
     def test_no_foreground(self):
-        with pytest.raises(NoForeground):
+        with pytest.raises(ViewretError, match="no pyramid level has any foreground pixel"):
             sample_keypoints([np.zeros((32, 32), dtype=np.uint8)], 10, 1.0, seed=0)
 
     def test_deterministic(self):
@@ -119,7 +119,7 @@ class TestSiftDescriptor:
 
 class TestExtractFeatures:
     def test_all_background_raises(self):
-        with pytest.raises(NoForeground):
+        with pytest.raises(ViewretError, match="no pyramid level has any foreground pixel"):
             extract_features(np.zeros((64, 64), dtype=np.uint8), 10, 1.0, seed=0)
 
     def test_feature_count_over_levels(self):
@@ -183,7 +183,7 @@ def sample_keypoints_oracle(pyramid, n_keypoints, decay, seed):
             r, c = foreground[idx]
             keypoints.append(Keypoint(level, int(r), int(c)))
     if not saw_foreground:
-        raise NoForeground("no pyramid level has any foreground pixel")
+        raise ViewretError("no pyramid level has any foreground pixel")
     return keypoints
 
 
@@ -294,7 +294,7 @@ class TestAgainstKeypointOracle:
         # before one with foreground, which no built pyramid has
         levels = [np.zeros_like(img) if b else img for b in blank]
         if all(blank):
-            with pytest.raises(NoForeground):
+            with pytest.raises(ViewretError, match="no pyramid level has any foreground pixel"):
                 sample_keypoints(levels, n_keypoints, decay, seed)
             return
         per_level = sample_keypoints(levels, n_keypoints, decay, seed)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import fvdb_bytes, read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
-from viewret.errors import CorruptFile
+from viewret.errors import ViewretError
 from viewret.geometry import TriangleMesh
 from viewret.scansim import ScannerConfig, simulate_scan
 from viewret.select import ScoreGrid
@@ -362,14 +362,14 @@ class TestCorruptBinaries:
             # and one byte short of the end
             for cut in (2, header - 1, header + 1, len(data) - 1):
                 path.write_bytes(data[:cut])
-                with pytest.raises(CorruptFile):
+                with pytest.raises(ViewretError, match=re.escape(f"{path}: truncated in ")):
                     reader(path)
             path.write_bytes(data)
 
     def test_trailing_bytes_raise(self, tmp_path):
         for path, (reader, _) in write_small_binaries(tmp_path).items():
             path.write_bytes(path.read_bytes() + b"\0" * 4)
-            with pytest.raises(CorruptFile):
+            with pytest.raises(ViewretError, match=re.escape(f"{path}: 4 unexpected bytes")):
                 reader(path)
 
     def test_huge_count_fails_before_allocating(self, tmp_path):
@@ -382,7 +382,7 @@ class TestCorruptBinaries:
         db.write_bytes(b"FVDB" + struct.pack("<I", 1) + huge * 3 + b"\0" * 10 + b"\0" * 64)
         for path, reader, field in ((gmm, vio.read_gmm, "weights"),
                                     (db, vio.read_descriptor_db, "entry 0")):
-            with pytest.raises(CorruptFile, match=f"truncated in {field}: needs"):
+            with pytest.raises(ViewretError, match=f"truncated in {field}: needs"):
                 reader(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -396,7 +396,7 @@ class TestCorruptBinaries:
         data[end - 4:end] = np.float32(value).tobytes()
         db.write_bytes(bytes(data))
         message = f"{db}: entry 1 descriptor holds a non-finite value"
-        with pytest.raises(CorruptFile, match=re.escape(message)):
+        with pytest.raises(ViewretError, match=re.escape(message)):
             vio.read_descriptor_db(db)
 
     @pytest.mark.parametrize("name", [b"", b"two words", b"m\nthird 0.0", b"tab\t",
@@ -405,8 +405,8 @@ class TestCorruptBinaries:
         path = tmp_path / "models.fvdb"
         entries = [(b"ok", 0, 0, np.ones(256)), (name, 1, 1, np.ones(256))]
         path.write_bytes(fvdb_bytes(1, 128, entries))
-        with pytest.raises(CorruptFile, match=re.escape(f"{path}: entry 1 model id is empty or "
-                                                        f"holds whitespace")):
+        with pytest.raises(ViewretError, match=re.escape(f"{path}: entry 1 model id is empty or "
+                                                         f"holds whitespace")):
             vio.read_descriptor_db(path)
 
     @pytest.mark.parametrize("field,value", [("sigmas", -1.0), ("sigmas", 0.0),
@@ -419,7 +419,7 @@ class TestCorruptBinaries:
         params[field].flat[1] = value
         path = tmp_path / "mixture.gmm"
         vio.write_gmm(GmmParams(**params), path)
-        with pytest.raises(CorruptFile):
+        with pytest.raises(ViewretError, match=re.escape(f"{path}: mixture {field} must be finite")):
             vio.read_gmm(path)
 
     @pytest.mark.filterwarnings("error")
@@ -431,7 +431,7 @@ class TestCorruptBinaries:
         # float `at` after the 12-byte header: a signalling NaN, which a cast to float64 flags
         data[12 + 4 * at:16 + 4 * at] = struct.pack("<I", 0x7F800001)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptFile, match=f"mixture {field} must be finite"):
+        with pytest.raises(ViewretError, match=f"mixture {field} must be finite"):
             vio.read_gmm(path)
 
 

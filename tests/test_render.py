@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import density, eight_connected_count, quantity, render_mesh_oracle, to_binary
-from viewret.errors import BadResolution, EmptyCloud, EmptyMesh, NoForeground, ViewretError
+from viewret.errors import ViewretError
 from viewret.evaluate import desk_benchmark_config
 from viewret.geometry import (MAX_RESOLUTION, TriangleMesh, camera_frame, dodecahedron_viewpoints,
                               normalize_mesh)
@@ -63,11 +63,11 @@ class TestRenderPointCloud:
         assert np.array_equal(a, b)
 
     def test_errors(self):
-        with pytest.raises(EmptyCloud):
+        with pytest.raises(ViewretError, match="point cloud is empty"):
             render_point_cloud(np.zeros((0, 3)), VIEW_Z, 16)
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match="resolution must be in .*, got 4"):
             render_point_cloud([(0, 0, 0)], VIEW_Z, 4)
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match=f"resolution must be in .*, got {MAX_RESOLUTION + 1}"):
             render_point_cloud([(0, 0, 0)], VIEW_Z, MAX_RESOLUTION + 1)
 
 
@@ -120,20 +120,38 @@ class TestRenderMesh:
         assert np.array_equal(render_mesh(mesh, VIEW_Z, 64), render_mesh(mesh, VIEW_Z, 64))
 
     def test_errors(self):
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(ViewretError, match="mesh has no vertices"):
             render_mesh(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), VIEW_Z, 16)
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match="resolution must be in .*, got 4"):
             render_mesh(full_plane_triangle(0.0), VIEW_Z, 4)
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match=f"resolution must be in .*, got {MAX_RESOLUTION + 1}"):
             render_mesh(full_plane_triangle(0.0), VIEW_Z, MAX_RESOLUTION + 1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_is_refused(self, value):
         # refused where the mesh is built, so render_mesh never sees one
         mesh = full_plane_triangle(0.0)
-        mesh.vertices[2, 1] = value
+        vertices = mesh.vertices.copy()
+        vertices[2, 1] = value
         with pytest.raises(ViewretError, match="finite"):
-            TriangleMesh(mesh.vertices, mesh.triangles)
+            TriangleMesh(vertices, mesh.triangles)
+
+    def test_a_built_mesh_cannot_be_written_into(self):
+        # the check made at construction holds as long as the mesh does
+        mesh, _ = normalize_mesh(make_box())
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.triangles[0, 0] = mesh.triangles[0, 1]
+
+    def test_a_callers_arrays_stay_writable(self):
+        vertices = np.array([[-0.4, -0.3, -0.1], [0.5, -0.2, 0.2], [0.0, 0.6, 0.05]])
+        triangles = np.array([[0, 1, 2]])
+        mesh = TriangleMesh(vertices, triangles)
+        vertices[0, 0] = np.nan
+        triangles[0, 0] = 1
+        assert vertices.flags.writeable and triangles.flags.writeable
+        assert np.isfinite(mesh.vertices).all() and mesh.triangles[0, 0] == 0
 
     def test_transients_stay_within_blocks(self):
         # the per-triangle loop held several float64 arrays the size of a
@@ -288,7 +306,7 @@ class TestEightConnected:
             assert eight_connected_count(b) == neighbor_scan_oracle(b)
 
     def test_too_small(self):
-        with pytest.raises(BadResolution):
+        with pytest.raises(ViewretError, match="binary image must be at least 3x3"):
             eight_connected_count(np.ones((2, 2), dtype=np.uint8))
 
 
@@ -341,5 +359,5 @@ class TestDensity:
             assert density(img) < 1.0
 
     def test_no_foreground(self):
-        with pytest.raises(NoForeground):
+        with pytest.raises(ViewretError, match="image has no foreground pixels"):
             density(np.zeros((8, 8), dtype=np.uint8))

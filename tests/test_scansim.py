@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viewret.errors import EmptyMesh, NoHits
+from viewret.errors import ViewretError
 from viewret.geometry import TriangleMesh
 from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, make_box,
                              make_cone, make_cylinder, make_sphere, simulate_scan)
@@ -184,13 +184,13 @@ class TestSimulateScan:
     def test_no_hits(self):
         cfg = ScannerConfig(position=(0.0, 0.0, 5.0), target=(0.0, 0.0, 10.0),
                             fov_deg=10.0, angular_step_deg=1.0, max_range=20.0)
-        with pytest.raises(NoHits):
+        with pytest.raises(ViewretError, match="scanner rays missed the mesh entirely"):
             simulate_scan(single_triangle_mesh(), cfg)
 
     def test_empty_mesh(self):
         cfg = ScannerConfig(position=(0.0, 0.0, 5.0), target=(0.0, 0.0, 0.0),
                             fov_deg=10.0, angular_step_deg=1.0, max_range=20.0)
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(ViewretError, match="mesh has no vertices"):
             simulate_scan(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), cfg)
 
     def test_config_validation(self):
