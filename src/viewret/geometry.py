@@ -37,7 +37,10 @@ def as_points(cloud) -> np.ndarray:
     Raises ViewretError for zero points and for malformed or non-finite
     input.
     """
-    pts = np.asarray(cloud, dtype=np.float64)
+    try:
+        pts = np.asarray(cloud, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ViewretError(f"expected an (N, 3) point array: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ViewretError(f"expected an (N, 3) point array, got shape {pts.shape}")
     if pts.shape[0] == 0:
@@ -47,23 +50,37 @@ def as_points(cloud) -> np.ndarray:
     return pts
 
 
+def _rows_of_three(values, dtype, name) -> np.ndarray:
+    """A read-only (N, 3) copy of ``values``; raises ViewretError for any other shape."""
+    try:
+        rows = np.array(values, dtype=dtype, copy=True)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ViewretError(f"mesh {name} must be an (N, 3) array: {exc}") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ViewretError(f"mesh {name} must be an (N, 3) array, got shape {rows.shape}")
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass
 class TriangleMesh:
     """Indexed triangle soup: ``vertices`` (V, 3) float64, ``triangles`` (T, 3) int64.
 
-    Construction is the one check: a vertex and a triangle at least, finite
-    coordinates, and three distinct vertices in every triangle. The mesh
-    holds read-only copies of its arrays, so the check holds for its lifetime.
+    Construction is the one check: (V, 3) vertices and (T, 3) vertex indices
+    (an empty sequence is an empty array of either), a vertex and a triangle
+    at least, finite coordinates, and three distinct vertices in every
+    triangle. The mesh holds read-only copies of its arrays, so the check
+    holds for its lifetime.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.array(self.vertices, dtype=np.float64, copy=True).reshape(-1, 3)
-        self.triangles = t = np.array(self.triangles, dtype=np.int64, copy=True).reshape(-1, 3)
-        self.vertices.setflags(write=False)
-        t.setflags(write=False)
+        self.vertices = _rows_of_three(self.vertices, np.float64, "vertices")
+        self.triangles = t = _rows_of_three(self.triangles, np.int64, "triangles")
         if not len(self.vertices):
             raise ViewretError("mesh has no vertices")
         if not len(t):

@@ -6,9 +6,11 @@ pixels, which the score grid does without rendering. The orientation cue's
 oracles hold the whole n x n distance matrix that `select` forms in row
 blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
 evaluates over row spans in blocks, and the RANSAC baseline is the
-per-plane loop that `ransac_viewpoint` scores in blocks of planes. The
-readers check the files that the CLI writes but never reads back, and
-`fvdb_bytes` lays out database files that the writer refuses.
+per-plane loop that `ransac_viewpoint` scores in blocks of planes, and the
+scan oracle tests every triangle against every ray, where `simulate_scan`
+tests only a triangle's footprint. The readers check the files that the CLI
+writes but never reads back, and `fvdb_bytes` lays out database files that
+the writer refuses.
 """
 
 import struct
@@ -19,6 +21,8 @@ from viewret.errors import ViewretError
 from viewret.features import PATCH, WINDOW, _describe_block, _windows
 from viewret.geometry import as_points, camera_frame, check_resolution
 from viewret.render import _EDGE_EPS, depth_to_intensity
+from viewret.scansim import _EDGE_EPS as _SCAN_EDGE_EPS
+from viewret.scansim import _PARALLEL_EPS, ScanResult, _ray_lattice
 
 
 # --- dense image measures ------------------------------------------------------
@@ -249,3 +253,43 @@ def fvdb_bytes(k: int, d: int, entries) -> bytes:
         data += (struct.pack("<H", len(name)) + name + struct.pack("<II", class_id, viewpoint_id)
                  + np.asarray(descriptor, dtype="<f4").tobytes())
     return data
+
+
+# --- scan simulation -----------------------------------------------------------
+
+def simulate_scan_oracle(mesh, cfg) -> ScanResult:
+    """The former `simulate_scan`: every triangle against every ray of the lattice."""
+    dirs = _ray_lattice(cfg)[0].reshape(-1, 3)
+    n_rays = len(dirs)
+    t_buf = np.full(n_rays, np.inf)
+    corners = mesh.vertices[mesh.triangles]
+    for a, b, c in corners:
+        e1 = b - a
+        e2 = c - a
+        pvec = np.cross(dirs, e2)
+        det = pvec @ e1
+        ok = np.abs(det) > _PARALLEL_EPS
+        if not ok.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(ok, 1.0 / det, 0.0)
+        tvec = cfg.position - a
+        u = (pvec @ tvec) * inv
+        qvec = np.cross(tvec, e1)
+        v = (dirs @ qvec) * inv
+        t = float(e2 @ qvec) * inv
+        valid = (ok & (u >= -_SCAN_EDGE_EPS) & (v >= -_SCAN_EDGE_EPS)
+                 & (u + v <= 1.0 + _SCAN_EDGE_EPS) & (t > 0.0) & (t < t_buf))
+        t_buf[valid] = t[valid]
+
+    hit = np.isfinite(t_buf) & (t_buf <= cfg.max_range)
+    if not hit.any():
+        raise ViewretError("scanner rays missed the mesh entirely")
+    t_hit = t_buf[hit]
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(cfg.seed)
+        t_hit = t_hit + rng.normal(0.0, cfg.noise_sigma, size=len(t_hit))
+    cloud = cfg.position + t_hit[:, None] * dirs[hit]
+    gt = cfg.position - mesh.centroid
+    gt /= np.linalg.norm(gt)
+    return ScanResult(cloud=cloud, ground_truth_viewpoint=gt, config=cfg)

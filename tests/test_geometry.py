@@ -63,6 +63,12 @@ class TestNormalizePose:
             with pytest.raises(ViewretError, match="too large"):
                 normalize_pose(huge)
 
+    @pytest.mark.parametrize("cloud", [[[1, 2], [3]], "abc", [[1, 2, object()]], [[1e400, 0, 0]],
+                                       [[10 ** 400, 0, 0]]])
+    def test_ragged_or_non_numeric_input_is_a_viewret_error(self, cloud):
+        with pytest.raises(ViewretError, match="point"):
+            normalize_pose(cloud)
+
     def test_finite_radius_output_is_unchanged(self):
         rng = np.random.default_rng(4)
         for scale in (1e-9, 1.0, 1e150):
@@ -211,7 +217,7 @@ class TestTriangleMesh:
         simulate_scan take without checking again."""
         try:
             mesh = TriangleMesh(*raw)
-        except ValueError:
+        except ViewretError:
             return
         scanner = ScannerConfig(position=(0.0, 0.0, 3.0), target=(0.0, 0.0, 0.0), fov_deg=40.0,
                                 angular_step_deg=2.0, max_range=10.0)
@@ -221,3 +227,24 @@ class TestTriangleMesh:
             simulate_scan(mesh, scanner)
         except ViewretError:
             pass
+
+    @pytest.mark.parametrize("vertices, triangles, name", [
+        (np.zeros(4), [[0, 1, 2]], "vertices"),
+        (np.eye(3), [[0, 1]], "triangles"),
+        (np.eye(3), [[0, 1], [1, 2], [2, 0]], "triangles"),
+        (np.zeros((3, 2)), [[0, 1, 2]], "vertices"),
+        ([[0, 0, 0], [1, 0]], [[0, 1, 2]], "vertices"),
+        ("abc", [[0, 1, 2]], "vertices"),
+        (np.eye(3), [[0, 1, 2.0e30]], "triangles"),
+        (np.eye(3), [[0, 1, np.nan]], "triangles"),
+        (np.eye(3), [[0, 1, object()]], "triangles")])
+    def test_arrays_that_are_not_rows_of_three_are_a_viewret_error(self, vertices, triangles,
+                                                                   name):
+        with pytest.raises(ViewretError, match=f"mesh {name} must be an \\(N, 3\\) array"):
+            TriangleMesh(vertices, triangles)
+
+    def test_an_empty_sequence_is_an_empty_array(self):
+        with pytest.raises(ViewretError, match="mesh has no vertices"):
+            TriangleMesh([], [[0, 1, 2]])
+        with pytest.raises(ViewretError, match="mesh has no triangles"):
+            TriangleMesh(np.eye(3), [])
