@@ -16,10 +16,11 @@ import numpy as np
 from . import io as vio
 from .config import PipelineConfig
 from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
-                     view_features)
+                     view_windows)
 from .errors import ViewretError
 from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case,
                        precision_recall_curve, run_benchmark)
+from .features import describe
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
                        normalize_pose)
 from .render import render_mesh, render_point_cloud
@@ -285,7 +286,8 @@ def cmd_query(args, config: PipelineConfig):
     viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)
-    descriptors = [fisher_vector(f, gmm) for f in view_features(images, config, [config.seed])]
+    descriptors = [fisher_vector(describe(w), gmm)
+                   for w in view_windows(images, config, [config.seed])]
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
         for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
             fh.write(f"{model_id} {distance:.10f}\n")

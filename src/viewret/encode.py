@@ -1,10 +1,11 @@
 """Diagonal-covariance GMM estimation, Fisher-vector encoding and retrieval.
 
-The mixture is fit once over the pooled database features and reused for
-every image. An image's descriptor stacks, per component, the soft-assigned
-mean and deviation gradients of its feature set; two images are compared by
-the cosine distance of their descriptors.
-"""
+The mixture is fit once over a sample of the database features and reused
+for every image. An image's descriptor stacks, per component, the
+soft-assigned mean and deviation gradients of its feature set; two images
+are compared by the cosine distance of their descriptors. `fit-gmm`,
+`build-db` and the benchmark share one offline path: `view_windows`, then
+`pool_features` for the mixture and `encode_views` for the descriptors."""
 
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import ViewretError
-from .features import describe, extract_features, keypoint_windows
+from .features import describe, keypoint_windows
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
 from .select import propose
@@ -230,55 +231,43 @@ def database_views(geometry, config: PipelineConfig) -> list:
     return [render_point_cloud(pts, v, r_best) for v in views]
 
 
-def view_features(images, config: PipelineConfig, seed_prefix):
-    """Yield the features of each view image, lazily; view ``i`` uses seed ``[*seed_prefix, i]``.
-
-    A caller that encodes or pools each view as it arrives holds one view's
-    float32 features at a time.
-    """
+def view_windows(images, config: PipelineConfig, seed_prefix):
+    """Yield each view's uint8 keypoint windows; view ``i`` uses seed ``[*seed_prefix, i]``."""
     for v_idx, img in enumerate(images):
-        yield extract_features(img, config.n_keypoints, config.keypoint_decay,
+        yield keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
                                seed=[*seed_prefix, v_idx])
 
 
-def pool_features(chunks, cap: int, seed) -> np.ndarray:
-    """A seeded sample of at most ``cap`` rows of the chunks' concatenation, in pooled order.
+def pool_features(windows, cap: int, seed) -> np.ndarray:
+    """Float32 features of a seeded sample of at most ``cap`` rows of the windows' concatenation.
 
-    The sample is ``cap`` sorted row indices drawn without replacement; the
-    rows are gathered chunk by chunk, so the whole pool is never built. Rows
-    may be features or keypoint windows.
+    The sample is ``cap`` sorted row indices drawn without replacement, and
+    only the kept windows are described. A descriptor depends on its window
+    alone, so this equals describing every row, then sampling.
     """
-    chunks = list(chunks)
-    lengths = [len(c) for c in chunks]
+    windows = list(windows)
+    lengths = [len(w) for w in windows]
     ends = np.cumsum(lengths)
-    if sum(lengths) <= cap:
-        return np.concatenate(chunks, axis=0)
-    keep = np.sort(np.random.default_rng(seed).choice(int(ends[-1]), size=cap, replace=False))
-    per_chunk = np.split(keep, np.searchsorted(keep, ends[:-1]))
-    return np.concatenate([chunk[rows - start] for chunk, rows, start
-                           in zip(chunks, per_chunk, ends - lengths)], axis=0)
+    if sum(lengths) > cap:
+        keep = np.sort(np.random.default_rng(seed).choice(int(ends[-1]), size=cap, replace=False))
+        per_view = np.split(keep, np.searchsorted(keep, ends[:-1]))
+        windows = [w[rows - start] for w, rows, start in zip(windows, per_view, ends - lengths)]
+    return describe(np.concatenate(windows))
 
 
-def encode_views(model_id: str, class_id: int, features, gmm: GmmParams) -> list:
-    """One float32 Fisher-vector `DbEntry` per view feature set of one model."""
-    return [DbEntry(model_id, int(class_id), v_idx, fisher_vector(f, gmm).astype(np.float32))
-            for v_idx, f in enumerate(features)]
+def encode_views(model_id: str, class_id: int, windows, gmm: GmmParams) -> list:
+    """One float32 Fisher-vector `DbEntry` per view's keypoint windows of one model."""
+    return [DbEntry(model_id, int(class_id), v_idx,
+                    fisher_vector(describe(w), gmm).astype(np.float32))
+            for v_idx, w in enumerate(windows)]
 
 
 def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
-    """Features of every database view of every model, optionally subsampled.
-
-    Uses the same per-image seeds as `build_db`, so the pooled features match
-    the ones later encoded into descriptors. Every view is rendered and
-    keypoint-sampled, but only the rows the sample keeps are described: a
-    descriptor depends on its keypoint's window alone, so the pool holds uint8
-    windows and describes the kept ones.
-    """
+    """`pool_features` over the windows `build_db` encodes, at most ``gmm_sample_cap`` rows."""
     windows = (w for m_idx, (_, _, geometry) in enumerate(models)
-               for v_idx, img in enumerate(database_views(geometry, config))
-               for w in keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
-                                         seed=[config.seed, m_idx, v_idx]))
-    return describe(pool_features(windows, config.gmm_sample_cap, [config.seed, 0x9001]))
+               for w in view_windows(database_views(geometry, config), config,
+                                     [config.seed, m_idx]))
+    return pool_features(windows, config.gmm_sample_cap, [config.seed, 0x9001])
 
 
 def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
@@ -290,8 +279,8 @@ def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
         raise ViewretError("model ids must be unique")
     entries = []
     for m_idx, (model_id, class_id, geometry) in enumerate(models):
-        feats = view_features(database_views(geometry, config), config, [config.seed, m_idx])
-        entries.extend(encode_views(model_id, class_id, feats, gmm))
+        windows = view_windows(database_views(geometry, config), config, [config.seed, m_idx])
+        entries.extend(encode_views(model_id, class_id, windows, gmm))
     return DescriptorDb(entries=entries)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .encode import (DescriptorDb, encode_views, fisher_vector, fit_gmm, pool_features,
-                     query_db, view_features)
+                     query_db, view_windows)
 from .errors import ViewretError
 from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
@@ -257,29 +257,15 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
-def _loo_database(dataset, images, config: PipelineConfig, seed: int):
-    """The mixture and database of every scan's 20 view images, as `build_db` encodes them.
-
-    ``images`` holds one iterable of view images per scan, in dataset order.
-    """
-    feats = [list(view_features(views, config, [seed, 13, index]))
-             for index, views in enumerate(images)]
-    gmm = fit_gmm(pool_features((f for views in feats for f in views),
-                                config.gmm_sample_cap, [seed, 17]),
-                  config.gaussians, seed=[seed, 19])
-    db = DescriptorDb(entries=[e for entry, views in zip(dataset, feats)
-                               for e in encode_views(entry.model_id, entry.class_id, views, gmm)])
-    return gmm, db
-
-
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                   threads: int = 1) -> BenchmarkReport:
     """Leave-one-out retrieval over the dataset for every requested case.
 
     Each instance queries the database of all instances, with its own model
     dropped from the ranking. The database holds 20 views per instance,
-    built through the same feature, pooling, encoding and ranking code as
-    `build_db` and `query_db`. A case's resolution source sets the rung of
+    built through the functions `fit-gmm` and `build-db` use (`view_windows`,
+    `pool_features`, `encode_views`), with this run's own renders and seeds,
+    and ranked by `query_db`. A case's resolution source sets the rung of
     both its database views and its query: each scan's proposed rung for
     ``-prop``, FIXED_RESOLUTION for ``-fixed``. One mixture and database is
     built per resolution source that a requested case uses. Needs at least
@@ -303,10 +289,18 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     databases = {}
     for source in dict.fromkeys(case.resolution_source for case in cases):
-        rungs = [FIXED_RESOLUTION if source == "fixed_256" else s.r_proposed for s in states]
-        images = ((render_point_cloud(s.points, v, r) for v in dodecahedron_viewpoints())
-                  for s, r in zip(states, rungs))
-        databases[source] = _loo_database(dataset, images, config, seed)
+        windows = []
+        for index, state in enumerate(states):
+            rung = FIXED_RESOLUTION if source == "fixed_256" else state.r_proposed
+            images = (render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints())
+            windows.append(list(view_windows(images, config, [seed, 13, index])))
+        gmm = fit_gmm(pool_features((w for views in windows for w in views),
+                                    config.gmm_sample_cap, [seed, 17]),
+                      config.gaussians, seed=[seed, 19])
+        databases[source] = gmm, DescriptorDb(entries=[
+            e for entry, views in zip(dataset, windows)
+            for e in encode_views(entry.model_id, entry.class_id, views, gmm)])
+        del windows  # before the next source's windows are built
 
     report = BenchmarkReport()
     for case in cases:

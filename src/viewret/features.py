@@ -3,7 +3,9 @@
 Descriptors are upright 128-dimensional gradient-orientation histograms
 (4x4 spatial cells x 8 orientation bins) computed on a 16x16 patch around
 each keypoint. Depth images of pose-normalized objects need no rotation
-invariance, so no dominant orientation is estimated.
+invariance, so no dominant orientation is estimated. `describe` computes
+each keypoint's descriptor from its 18x18 uint8 window alone, so callers
+may hold and sample windows (324 bytes against 512) and describe later.
 """
 
 import numpy as np
@@ -190,18 +192,14 @@ def describe(windows) -> np.ndarray:
     return out
 
 
-def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> list:
-    """Pyramid and keypoint sampling: one (n, 18, 18) uint8 window array per level."""
+def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
+    """Pyramid and keypoint sampling: (n, 18, 18) uint8 windows, levels in sampling order."""
     pyramid = build_pyramid(img)
     per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
-    return [_windows(level_img, rows, cols) for level_img, (rows, cols) in zip(pyramid, per_level)]
+    return np.concatenate([_windows(level_img, rows, cols)
+                           for level_img, (rows, cols) in zip(pyramid, per_level)])
 
 
 def extract_features(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
-    """Pyramid, keypoint sampling and description in one call.
-
-    Returns an (n, 128) float32 array, level by level in sampling order, so
-    the result is deterministic for a fixed seed.
-    """
-    return np.concatenate([describe(windows)
-                           for windows in keypoint_windows(img, n_keypoints, decay, seed)])
+    """The (n, 128) float32 descriptors of `keypoint_windows`; deterministic for a fixed seed."""
+    return describe(keypoint_windows(img, n_keypoints, decay, seed))

@@ -53,7 +53,8 @@ def as_points(cloud) -> np.ndarray:
 def _rows_of_three(values, dtype, name) -> np.ndarray:
     """A read-only (N, 3) copy of ``values``; raises ViewretError for any other shape."""
     try:
-        rows = np.array(values, dtype=dtype, copy=True)
+        with np.errstate(invalid="ignore"):
+            rows = np.array(values, dtype=dtype, copy=True)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ViewretError(f"mesh {name} must be an (N, 3) array: {exc}") from None
     if rows.size == 0:
@@ -70,9 +71,9 @@ class TriangleMesh:
 
     Construction is the one check: (V, 3) vertices and (T, 3) vertex indices
     (an empty sequence is an empty array of either), a vertex and a triangle
-    at least, finite coordinates, and three distinct vertices in every
-    triangle. The mesh holds read-only copies of its arrays, so the check
-    holds for its lifetime.
+    at least, finite coordinates, integer indices (2.0 is one, 2.7 is not)
+    and three distinct vertices in every triangle. The mesh holds read-only
+    copies of its arrays, so the check holds for its lifetime.
     """
 
     vertices: np.ndarray
@@ -80,11 +81,14 @@ class TriangleMesh:
 
     def __post_init__(self):
         self.vertices = _rows_of_three(self.vertices, np.float64, "vertices")
-        self.triangles = t = _rows_of_three(self.triangles, np.int64, "triangles")
+        given = self.triangles
+        self.triangles = t = _rows_of_three(given, np.int64, "triangles")
         if not len(self.vertices):
             raise ViewretError("mesh has no vertices")
         if not len(t):
             raise ViewretError("mesh has no triangles")
+        if not np.array_equal(t, given):  # 2.7, NaN or 1e30 cast to another integer
+            raise ViewretError("mesh triangles must be integer vertex indices")
         if not np.all(np.isfinite(self.vertices)):
             raise ViewretError("mesh vertex coordinates must be finite")
         if t.min() < 0 or t.max() >= len(self.vertices):

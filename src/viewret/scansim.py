@@ -205,7 +205,8 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     """Scan a mesh; returns the partial cloud and the true viewpoint direction.
 
     The ground-truth viewpoint points from the mesh centroid toward the
-    scanner. Optional Gaussian range noise perturbs hit distances when
+    scanner, so a scanner at the centroid is refused before any ray is
+    cast. Optional Gaussian range noise perturbs hit distances when
     ``noise_sigma`` is positive.
 
     Each ray keeps the smallest t > 0 at which the Moller-Trumbore test
@@ -293,6 +294,10 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     So every triangle still tests each ray it could accept, in the same
     order, with the same values, and each ray's smallest t is unchanged.
     """
+    gt = cfg.position - mesh.centroid
+    gt_norm = np.linalg.norm(gt)
+    if not gt_norm > 0:
+        raise ViewretError("scanner position must differ from the mesh centroid")
     dirs, frame, offsets = _ray_lattice(cfg)
     n = len(offsets)
     t_buf = np.full((n, n), np.inf)
@@ -336,9 +341,7 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
         rng = np.random.default_rng(cfg.seed)
         t_hit = t_hit + rng.normal(0.0, cfg.noise_sigma, size=len(t_hit))
     cloud = cfg.position + t_hit[:, None] * dirs[hit]
-    gt = cfg.position - mesh.centroid
-    gt /= np.linalg.norm(gt)
-    return ScanResult(cloud=cloud, ground_truth_viewpoint=gt, config=cfg)
+    return ScanResult(cloud=cloud, ground_truth_viewpoint=gt / gt_norm, config=cfg)
 
 
 # ---------------------------------------------------------------------------

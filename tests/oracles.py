@@ -8,17 +8,22 @@ blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
 evaluates over row spans in blocks, and the RANSAC baseline is the
 per-plane loop that `ransac_viewpoint` scores in blocks of planes, and the
 scan oracle tests every triangle against every ray, where `simulate_scan`
-tests only a triangle's footprint. The readers check the files that the CLI
-writes but never reads back, and `fvdb_bytes` lays out database files that
-the writer refuses.
+tests only a triangle's footprint. The per-level feature extractor
+describes each pyramid level's windows apart, and the leave-one-out
+database describes every view and pools the float32 features, where the
+package keeps uint8 windows and describes only the rows it uses. The
+readers check the files that the CLI writes but never reads back, and
+`fvdb_bytes` lays out database files that the writer refuses.
 """
 
 import struct
 
 import numpy as np
 
+from viewret.encode import DbEntry, DescriptorDb, fisher_vector, fit_gmm
 from viewret.errors import ViewretError
-from viewret.features import PATCH, WINDOW, _describe_block, _windows
+from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid, describe,
+                              sample_keypoints)
 from viewret.geometry import as_points, camera_frame, check_resolution
 from viewret.render import _EDGE_EPS, depth_to_intensity
 from viewret.scansim import _EDGE_EPS as _SCAN_EDGE_EPS
@@ -209,6 +214,38 @@ def windows_oracle(level_img, rows, cols) -> np.ndarray:
 def batch_descriptors(level_img, rows, cols) -> np.ndarray:
     """Float64 descriptors for many keypoints of one pyramid level, one per row."""
     return _describe_block(_windows(level_img, rows, cols))
+
+
+def extract_features_per_level(img, n_keypoints, decay, seed) -> np.ndarray:
+    """The former `features.extract_features`: each level described apart, then concatenated."""
+    pyramid = build_pyramid(img)
+    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
+    return np.concatenate([describe(_windows(level_img, rows, cols))
+                           for level_img, (rows, cols) in zip(pyramid, per_level)])
+
+
+def loo_database_oracle(dataset, images, config, seed):
+    """The former `evaluate._loo_database`: the leave-one-out mixture and database.
+
+    ``images`` holds one list of view images per scan, in dataset order.
+    Every view is described, and its float32 features are held, pooled by
+    concatenating and sampling, and encoded.
+    """
+    feats = [[extract_features_per_level(img, config.n_keypoints, config.keypoint_decay,
+                                         seed=[seed, 13, index, v_idx])
+              for v_idx, img in enumerate(views)]
+             for index, views in enumerate(images)]
+    pooled = np.concatenate([f for views in feats for f in views])
+    if len(pooled) > config.gmm_sample_cap:
+        keep = np.random.default_rng([seed, 17]).choice(len(pooled), size=config.gmm_sample_cap,
+                                                        replace=False)
+        pooled = pooled[np.sort(keep)]
+    gmm = fit_gmm(pooled, config.gaussians, seed=[seed, 19])
+    db = DescriptorDb(entries=[DbEntry(entry.model_id, int(entry.class_id), v_idx,
+                                       fisher_vector(f, gmm).astype(np.float32))
+                               for entry, views in zip(dataset, feats)
+                               for v_idx, f in enumerate(views)])
+    return gmm, db
 
 
 # --- readers of CLI outputs -------------------------------------------------------

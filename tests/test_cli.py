@@ -18,7 +18,7 @@ from viewret.errors import ViewretError
 from viewret.evaluate import (desk_benchmark_config, make_synthetic_dataset,
                               precision_recall_curve, run_benchmark)
 from viewret.geometry import normalize_pose
-from viewret.scansim import make_sphere
+from viewret.scansim import make_cylinder, make_sphere
 
 
 @pytest.fixture
@@ -209,6 +209,19 @@ class TestScanSim:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err and "rays" in err
         assert not out.exists()
+
+    def test_scanner_at_the_mesh_centroid_is_one_error_line_and_no_output(self, tmp_path,
+                                                                             capsys):
+        mesh = tmp_path / "cylinder.obj"
+        vio.save_obj(make_cylinder(), mesh)
+        centroid = ",".join(repr(float(c)) for c in vio.load_obj(mesh).centroid)
+        out = tmp_path / "scan.xyz"
+        assert run(["scan-sim", "--mesh", str(mesh), f"--scanner-pos={centroid}",
+                    "--target", "1,0,0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("viewret scan-sim: error: scanner position must differ from the "
+                       "mesh centroid\n")
+        assert not out.exists() and not os.path.exists(f"{out}.meta")
 
     @pytest.mark.parametrize("flags, code", [
         (["--noise-sigma", "inf"], 2), (["--noise-sigma", "nan"], 2), (["--noise-sigma=-1"], 2),

@@ -11,7 +11,7 @@ from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gra
                             _kmeans_plus_plus, _log_joint, build_db, fisher_vector, fit_gmm,
                             gmm_posteriors, pool_database_features, pool_features, query_db)
 from viewret.errors import ViewretError
-from viewret.features import DESCRIBE_BLOCK, extract_features
+from viewret.features import DESCRIBE_BLOCK, WINDOW, describe, extract_features
 from viewret.scansim import make_box, make_cone
 
 
@@ -555,13 +555,14 @@ class TestPoolFeatures:
            st.integers(0, 2 ** 32 - 1))
     def test_matches_concatenate_then_sample(self, lengths, cap, seed):
         rng = np.random.default_rng(seed)
-        chunks = [rng.integers(0, 256, size=(n, 3, 2), dtype=np.uint8) for n in lengths]
-        pooled = np.concatenate(chunks)
+        windows = [rng.integers(0, 256, size=(n, WINDOW, WINDOW), dtype=np.uint8)
+                   for n in lengths]
+        pooled = np.concatenate(windows)
         if len(pooled) > cap:
             keep = np.random.default_rng([seed, 17]).choice(len(pooled), size=cap, replace=False)
             pooled = pooled[np.sort(keep)]
-        got = pool_features(iter(chunks), cap, [seed, 17])
-        assert got.dtype == np.uint8 and np.array_equal(got, pooled)
+        got = pool_features(iter(windows), cap, [seed, 17])
+        assert got.dtype == np.float32 and got.tobytes() == describe(pooled).tobytes()
 
     def test_no_chunks(self):
         with pytest.raises(ValueError):

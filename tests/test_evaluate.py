@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import loo_database_oracle
 from viewret.config import PipelineConfig
 from viewret.errors import ViewretError
 from viewret.evaluate import (CaseConfig, RankedRetrieval, angular_error, make_synthetic_dataset,
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric, nn_metric,
                               parse_case, precision_recall_curve, run_benchmark,
                               viewpoint_error_experiment)
+from viewret.features import DESCRIBE_BLOCK, keypoint_windows
 
 
 def ranking(query_class, labels, base_distance=0.1):
@@ -311,6 +313,67 @@ class TestRunBenchmark:
         ds[1].gt_viewpoint = None
         with pytest.raises(ViewretError, match="case gt-prop needs ground truth, but "):
             run_benchmark(ds, ["gt-prop"], micro_config(), seed=5)
+
+
+class TestLooDatabase:
+    """run_benchmark's mixture and database against describing, holding and pooling every view."""
+
+    SEED = 3
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        from viewret.evaluate import _prepare_scan
+        from viewret.geometry import dodecahedron_viewpoints
+        from viewret.render import render_point_cloud
+
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=self.SEED, step_deg=0.8)
+        config = micro_config().override(ransac_iterations=100)
+        images = [[render_point_cloud(state.points, v, state.r_proposed)
+                   for v in dodecahedron_viewpoints()]
+                  for state in (_prepare_scan(e, i, config, self.SEED) for i, e in enumerate(ds))]
+        total = sum(len(keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
+                                         seed=[self.SEED, 13, index, v_idx]))
+                    for index, views in enumerate(images) for v_idx, img in enumerate(views))
+        return ds, config, images, total
+
+    def test_pool_spans_many_describe_blocks(self, scans):
+        assert scans[3] > 10 * DESCRIBE_BLOCK
+
+    @pytest.mark.parametrize("cap", ["in-one-block", "over-blocks", "equal", "above"])
+    def test_matches_the_oracle_byte_for_byte(self, scans, cap, monkeypatch):
+        from viewret import evaluate
+
+        ds, config, images, total = scans
+        config = config.override(gmm_sample_cap={
+            "in-one-block": DESCRIBE_BLOCK // 2, "over-blocks": 5 * DESCRIBE_BLOCK + 17,
+            "equal": total, "above": total + 1}[cap])
+        fitted, queried = [], []
+
+        def fit_gmm(features, *args, **kwargs):
+            fitted.append((len(features), evaluate_fit_gmm(features, *args, **kwargs)))
+            return fitted[-1][1]
+
+        def query_db(db, *args, **kwargs):
+            queried.append(db)
+            return evaluate_query_db(db, *args, **kwargs)
+
+        evaluate_fit_gmm, evaluate_query_db = evaluate.fit_gmm, evaluate.query_db
+        monkeypatch.setattr(evaluate, "fit_gmm", fit_gmm)
+        monkeypatch.setattr(evaluate, "query_db", query_db)
+        run_benchmark(ds, ["prop-prop"], config, seed=self.SEED)
+        want_gmm, want_db = loo_database_oracle(ds, images, config, self.SEED)
+
+        assert len(fitted) == 1 and fitted[0][0] == min(config.gmm_sample_cap, total)
+        gmm = fitted[0][1]
+        for name in ("weights", "means", "sigmas"):
+            assert getattr(gmm, name).tobytes() == getattr(want_gmm, name).tobytes()
+        assert gmm.log_likelihoods == want_gmm.log_likelihoods
+        assert len(queried) == len(ds) and all(db is queried[0] for db in queried)
+        def rows(db):
+            return [(e.model_id, e.class_id, e.viewpoint_id, e.descriptor.dtype,
+                     e.descriptor.tobytes()) for e in db.entries]
+
+        assert len(queried[0].entries) == 20 * len(ds) and rows(queried[0]) == rows(want_db)
 
 
 class TestViewpointErrorExperiment:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_descriptors, windows_oracle
+from oracles import batch_descriptors, extract_features_per_level, windows_oracle
 from viewret.errors import ViewretError
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
@@ -126,6 +126,24 @@ class TestExtractFeatures:
         img = np.full((256, 256), 33, dtype=np.uint8)
         feats = extract_features(img, 1000, 1.0, seed=1)
         assert feats.shape == (4000, 128) and feats.dtype == np.float32
+
+    @pytest.mark.parametrize("rung", [32, 64, 128, 256, 512, 1024])
+    def test_matches_describing_each_level_apart(self, rung):
+        from viewret.geometry import dodecahedron_viewpoints, normalize_mesh
+        from viewret.render import render_mesh
+        from viewret.scansim import make_cone
+
+        mesh, _ = normalize_mesh(make_cone(radius=0.6, height=1.7))
+        for v_idx in (0, 7, 13):
+            img = render_mesh(mesh, dodecahedron_viewpoints()[v_idx], rung)
+            for n_keypoints, decay in ((150, 1.0), (350, 2.0)):
+                seed = [rung, v_idx, n_keypoints]
+                windows = keypoint_windows(img, n_keypoints, decay, seed)
+                assert windows.dtype == np.uint8 and windows.shape[1:] == (WINDOW, WINDOW)
+                want = extract_features_per_level(img, n_keypoints, decay, seed)
+                got = extract_features(img, n_keypoints, decay, seed)
+                assert got.dtype == want.dtype == np.float32 and len(got) == len(windows)
+                assert got.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -368,7 +386,7 @@ class TestDescribe:
         rng = np.random.default_rng(14)
         img = (rng.random((96, 96)) < 0.6).astype(np.uint8) * rng.integers(1, 256, size=(96, 96),
                                                                             dtype=np.uint8)
-        windows = np.concatenate(keypoint_windows(img, 120, 1.5, seed=15))
+        windows = keypoint_windows(img, 120, 1.5, seed=15)
         whole = features._describe_block(windows).astype(np.float32)
         assert np.array_equal(extract_features(img, 120, 1.5, seed=15), whole)
         monkeypatch.setattr(features, "DESCRIBE_BLOCK", 7)

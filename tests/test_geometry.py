@@ -243,6 +243,22 @@ class TestTriangleMesh:
         with pytest.raises(ViewretError, match=f"mesh {name} must be an \\(N, 3\\) array"):
             TriangleMesh(vertices, triangles)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("triangles", [
+        [[0, 1, 2.7]], [[0, 1, 1.5]], np.array([[0.0, 1.0, 2.0 - 1e-15]]),
+        np.array([[0.0, 1.0, np.nan]]), np.array([[0.0, 1.0, 1e30]]), [[0, 1, "2"]]])
+    def test_an_index_the_int64_cast_changes_is_refused(self, triangles):
+        with pytest.raises(ViewretError, match="mesh triangles must be integer vertex indices"):
+            TriangleMesh(np.eye(3), triangles)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("triangles", [
+        [[0, 1, 2.0]], np.array([[0.0, 1.0, 2.0]]), np.array([[0, 1, 2]], dtype=np.uint8),
+        np.array([[0, 1, 2]], dtype=np.int32)])
+    def test_integral_indices_of_any_type_are_kept(self, triangles):
+        mesh = TriangleMesh(np.eye(3), triangles)
+        assert mesh.triangles.dtype == np.int64 and mesh.triangles.tolist() == [[0, 1, 2]]
+
     def test_an_empty_sequence_is_an_empty_array(self):
         with pytest.raises(ViewretError, match="mesh has no vertices"):
             TriangleMesh([], [[0, 1, 2]])

@@ -230,6 +230,15 @@ class TestSimulateScan:
         with pytest.raises(ViewretError, match=f"scanner {next(iter(change))} must be 3 numbers"):
             ScannerConfig(**{**base, **change})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [make_cylinder, make_cone, make_sphere, make_box])
+    def test_a_scanner_at_the_mesh_centroid_is_refused(self, make):
+        mesh = make()
+        cfg = ScannerConfig(position=mesh.centroid, target=(1.0, 0.0, 0.0), fov_deg=40.0,
+                            angular_step_deg=1.0, max_range=10.0)
+        with pytest.raises(ViewretError, match="position must differ from the mesh centroid"):
+            simulate_scan(mesh, cfg)
+
     def test_ray_lattice_bound(self):
         # construction only: a lattice near the bound would take gigabytes to scan
         assert MAX_RAYS == 2048 * 2048
