@@ -286,8 +286,8 @@ def cmd_query(args, config: PipelineConfig):
     viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)
-    descriptors = [fisher_vector(describe(w), gmm)
-                   for w in view_windows(images, config, [config.seed])]
+    descriptors = [fisher_vector(describe(view[:]), gmm)
+                   for view in view_windows(images, config, [config.seed])]
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
         for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
             fh.write(f"{model_id} {distance:.10f}\n")

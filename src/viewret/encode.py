@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import ViewretError
-from .features import describe, keypoint_windows
+from .features import WINDOW, Keypoints, build_pyramid, cut_windows, describe, sample_keypoints
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
 from .select import propose
@@ -232,42 +232,69 @@ def database_views(geometry, config: PipelineConfig) -> list:
 
 
 def view_windows(images, config: PipelineConfig, seed_prefix):
-    """Yield each view's uint8 keypoint windows; view ``i`` uses seed ``[*seed_prefix, i]``."""
+    """Yield each view image held for `pool_features` and `encode_views`.
+
+    View ``i`` samples its keypoints with seed ``[*seed_prefix, i]``, once.
+    A held view indexes like its (n, 18, 18) uint8 keypoint windows: it is
+    a `features.Keypoints`, the keypoints and the image they are cut from,
+    unless the cut windows take no more bytes; then it is the windows.
+    """
     for v_idx, img in enumerate(images):
-        yield keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
-                               seed=[*seed_prefix, v_idx])
+        pyramid = build_pyramid(img)
+        per_level = sample_keypoints(pyramid, config.n_keypoints, config.keypoint_decay,
+                                     seed=[*seed_prefix, v_idx])
+        held = Keypoints(pyramid[0], per_level)
+        yield held if held.nbytes < len(held) * WINDOW * WINDOW else cut_windows(pyramid, per_level)
 
 
-def pool_features(windows, cap: int, seed) -> np.ndarray:
-    """Float32 features of a seeded sample of at most ``cap`` rows of the windows' concatenation.
+def pool_features(views, cap: int, seed) -> np.ndarray:
+    """Float32 features of a seeded sample of at most ``cap`` rows of the held views' windows.
 
-    The sample is ``cap`` sorted row indices drawn without replacement, and
-    only the kept windows are described. A descriptor depends on its window
+    A held view indexes like its (n, 18, 18) uint8 windows (see
+    `view_windows`). The sample is ``cap`` sorted row indices of the views'
+    concatenation, drawn without replacement from the row counts alone, and
+    only the kept rows' windows are cut and described. So the pool holds
+    the views (images and keypoints, or windows where those are smaller)
+    plus ``cap`` rows, not every window. A descriptor depends on its window
     alone, so this equals describing every row, then sampling.
     """
-    windows = list(windows)
-    lengths = [len(w) for w in windows]
+    if cap < 1:
+        raise ViewretError(f"gmm_sample_cap must be at least 1, got {cap}")
+    views = list(views)
+    if not views:
+        raise ViewretError("no views to pool")
+    lengths = np.array([len(v) for v in views])
     ends = np.cumsum(lengths)
-    if sum(lengths) > cap:
-        keep = np.sort(np.random.default_rng(seed).choice(int(ends[-1]), size=cap, replace=False))
-        per_view = np.split(keep, np.searchsorted(keep, ends[:-1]))
-        windows = [w[rows - start] for w, rows, start in zip(windows, per_view, ends - lengths)]
-    return describe(np.concatenate(windows))
+    total = int(ends[-1])
+    if total > cap:
+        keep = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
+    else:
+        keep = np.arange(total)
+    windows = np.empty((len(keep), WINDOW, WINDOW), dtype=np.uint8)
+    lo = 0
+    for view, start, hi in zip(views, ends - lengths, np.searchsorted(keep, ends)):
+        if hi > lo:
+            windows[lo:hi] = view[keep[lo:hi] - start]
+        lo = hi
+    return describe(windows)
 
 
-def encode_views(model_id: str, class_id: int, windows, gmm: GmmParams) -> list:
-    """One float32 Fisher-vector `DbEntry` per view's keypoint windows of one model."""
+def encode_views(model_id: str, class_id: int, views, gmm: GmmParams) -> list:
+    """One float32 Fisher-vector `DbEntry` per held view of one model, in view order.
+
+    Each view's windows are cut just before they are described, then dropped.
+    """
     return [DbEntry(model_id, int(class_id), v_idx,
-                    fisher_vector(describe(w), gmm).astype(np.float32))
-            for v_idx, w in enumerate(windows)]
+                    fisher_vector(describe(view[:]), gmm).astype(np.float32))
+            for v_idx, view in enumerate(views)]
 
 
 def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
-    """`pool_features` over the windows `build_db` encodes, at most ``gmm_sample_cap`` rows."""
-    windows = (w for m_idx, (_, _, geometry) in enumerate(models)
-               for w in view_windows(database_views(geometry, config), config,
-                                     [config.seed, m_idx]))
-    return pool_features(windows, config.gmm_sample_cap, [config.seed, 0x9001])
+    """`pool_features` over the views `build_db` encodes, at most ``gmm_sample_cap`` rows."""
+    views = (view for m_idx, (_, _, geometry) in enumerate(models)
+             for view in view_windows(database_views(geometry, config), config,
+                                      [config.seed, m_idx]))
+    return pool_features(views, config.gmm_sample_cap, [config.seed, 0x9001])
 
 
 def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
@@ -279,8 +306,8 @@ def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
         raise ViewretError("model ids must be unique")
     entries = []
     for m_idx, (model_id, class_id, geometry) in enumerate(models):
-        windows = view_windows(database_views(geometry, config), config, [config.seed, m_idx])
-        entries.extend(encode_views(model_id, class_id, windows, gmm))
+        views = view_windows(database_views(geometry, config), config, [config.seed, m_idx])
+        entries.extend(encode_views(model_id, class_id, views, gmm))
     return DescriptorDb(entries=entries)
 
 

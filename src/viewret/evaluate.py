@@ -265,11 +265,15 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     dropped from the ranking. The database holds 20 views per instance,
     built through the functions `fit-gmm` and `build-db` use (`view_windows`,
     `pool_features`, `encode_views`), with this run's own renders and seeds,
-    and ranked by `query_db`. A case's resolution source sets the rung of
-    both its database views and its query: each scan's proposed rung for
-    ``-prop``, FIXED_RESOLUTION for ``-fixed``. One mixture and database is
-    built per resolution source that a requested case uses. Needs at least
-    two scans with unique model ids. Deterministic for a fixed seed.
+    and ranked by `query_db`. Between pooling and encoding, each view is
+    held as its keypoints and the image they are cut from, or as its
+    windows where those are smaller; so a source's views take images plus
+    keypoints plus ``gmm_sample_cap`` pooled rows, not every window. A
+    case's resolution source sets the rung of both its database views and
+    its query: each scan's proposed rung for ``-prop``, FIXED_RESOLUTION for
+    ``-fixed``. One mixture and database is built per resolution source
+    that a requested case uses. Needs at least two scans with unique model
+    ids. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
@@ -289,18 +293,18 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     databases = {}
     for source in dict.fromkeys(case.resolution_source for case in cases):
-        windows = []
+        held = []
         for index, state in enumerate(states):
             rung = FIXED_RESOLUTION if source == "fixed_256" else state.r_proposed
             images = (render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints())
-            windows.append(list(view_windows(images, config, [seed, 13, index])))
-        gmm = fit_gmm(pool_features((w for views in windows for w in views),
+            held.append(list(view_windows(images, config, [seed, 13, index])))
+        gmm = fit_gmm(pool_features((view for views in held for view in views),
                                     config.gmm_sample_cap, [seed, 17]),
                       config.gaussians, seed=[seed, 19])
         databases[source] = gmm, DescriptorDb(entries=[
-            e for entry, views in zip(dataset, windows)
+            e for entry, views in zip(dataset, held)
             for e in encode_views(entry.model_id, entry.class_id, views, gmm)])
-        del windows  # before the next source's windows are built
+        del held  # before the next source's views are held
 
     report = BenchmarkReport()
     for case in cases:

@@ -5,7 +5,8 @@ Descriptors are upright 128-dimensional gradient-orientation histograms
 each keypoint. Depth images of pose-normalized objects need no rotation
 invariance, so no dominant orientation is estimated. `describe` computes
 each keypoint's descriptor from its 18x18 uint8 window alone, so callers
-may hold and sample windows (324 bytes against 512) and describe later.
+may hold and sample keypoints (`Keypoints`, 16 bytes a row plus the image)
+or windows (324 bytes against 512), and cut and describe later.
 """
 
 import numpy as np
@@ -138,11 +139,15 @@ def _spatial_terms():
 _SPATIAL = _spatial_terms()
 
 
+def _check_uint8(img) -> None:
+    if img.dtype != np.uint8:
+        raise ViewretError(f"depth images must be uint8, got {img.dtype}")
+
+
 def _windows(level_img, rows, cols) -> np.ndarray:
     """The (n, 18, 18) uint8 windows around keypoints; the rim feeds the central differences."""
     img = np.asarray(level_img)
-    if img.dtype != np.uint8:
-        raise ViewretError(f"depth images must be uint8, got {img.dtype}")
+    _check_uint8(img)
     padded = np.pad(img, PATCH // 2 + 1)
     # a strided view of every window; indexing it copies only the n chosen ones
     every = np.lib.stride_tricks.sliding_window_view(padded, (WINDOW, WINDOW))
@@ -192,12 +197,55 @@ def describe(windows) -> np.ndarray:
     return out
 
 
+def cut_windows(pyramid, per_level, index=slice(None)) -> np.ndarray:
+    """The (n, 18, 18) uint8 windows of per-level keypoints, levels in sampling order.
+
+    ``index`` (a slice or an integer array) picks rows of that order as it
+    would on the array of every window; only the picked windows are cut,
+    each from its own level.
+    """
+    counts = [kp.shape[1] for kp in per_level]
+    picked = np.arange(sum(counts))[index]
+    level_of = np.repeat(np.arange(len(counts)), counts)[picked]
+    starts = np.cumsum(counts) - counts
+    out = np.empty((len(picked), WINDOW, WINDOW), dtype=np.uint8)
+    for level, (level_img, (rows, cols)) in enumerate(zip(pyramid, per_level)):
+        mine = level_of == level
+        if mine.any():
+            local = picked[mine] - starts[level]
+            out[mine] = _windows(level_img, rows[local], cols[local])
+    return out
+
+
+class Keypoints:
+    """An image's per-level keypoints, held with the uint8 image they are cut from.
+
+    It indexes like the (n, 18, 18) uint8 array of its windows, levels in
+    sampling order: ``len`` is the keypoint count, and ``keypoints[index]``
+    rebuilds the pyramid and cuts the picked rows' windows. Until then it
+    holds the image and 16 bytes a keypoint, against 324 a window.
+    """
+
+    def __init__(self, image, per_level):
+        _check_uint8(image)
+        self.image = image
+        self.per_level = per_level
+
+    @property
+    def nbytes(self) -> int:
+        return self.image.nbytes + sum(kp.nbytes for kp in self.per_level)
+
+    def __len__(self) -> int:
+        return sum(kp.shape[1] for kp in self.per_level)
+
+    def __getitem__(self, index) -> np.ndarray:
+        return cut_windows(build_pyramid(self.image), self.per_level, index)
+
+
 def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
-    """Pyramid and keypoint sampling: (n, 18, 18) uint8 windows, levels in sampling order."""
+    """Sample keypoints, then cut them: (n, 18, 18) uint8 windows, levels in sampling order."""
     pyramid = build_pyramid(img)
-    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
-    return np.concatenate([_windows(level_img, rows, cols)
-                           for level_img, (rows, cols) in zip(pyramid, per_level)])
+    return cut_windows(pyramid, sample_keypoints(pyramid, n_keypoints, decay, seed))
 
 
 def extract_features(img, n_keypoints: int, decay: float, seed) -> np.ndarray:

@@ -12,6 +12,8 @@ tests only a triangle's footprint. The per-level feature extractor
 describes each pyramid level's windows apart, and the leave-one-out
 database describes every view and pools the float32 features, where the
 package keeps uint8 windows and describes only the rows it uses. The
+window pool holds every view's cut windows before it samples, where the
+package holds each view's keypoints and cuts only the rows it keeps. The
 readers check the files that the CLI writes but never reads back, and
 `fvdb_bytes` lays out database files that the writer refuses.
 """
@@ -222,6 +224,18 @@ def extract_features_per_level(img, n_keypoints, decay, seed) -> np.ndarray:
     per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
     return np.concatenate([describe(_windows(level_img, rows, cols))
                            for level_img, (rows, cols) in zip(pyramid, per_level)])
+
+
+def pool_features_oracle(windows, cap, seed) -> np.ndarray:
+    """The former `encode.pool_features`: every view's windows held, then sampled and described."""
+    windows = list(windows)
+    lengths = [len(w) for w in windows]
+    ends = np.cumsum(lengths)
+    if sum(lengths) > cap:
+        keep = np.sort(np.random.default_rng(seed).choice(int(ends[-1]), size=cap, replace=False))
+        per_view = np.split(keep, np.searchsorted(keep, ends[:-1]))
+        windows = [w[rows - start] for w, rows, start in zip(windows, per_view, ends - lengths)]
+    return describe(np.concatenate(windows))
 
 
 def loo_database_oracle(dataset, images, config, seed):

@@ -775,3 +775,44 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("viewret bench: error: ")
         assert not report.exists()
+
+
+class TestConfigRefusals:
+    """A negative seed or a cap below one is refused where the config is built."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be non-negative, got -1"),
+        ("gmm_sample_cap", 0, "gmm_sample_cap must be at least 1, got 0"),
+        ("gmm_sample_cap", -5, "gmm_sample_cap must be at least 1, got -5")])
+    def test_the_config_refuses_it(self, key, value, message):
+        with pytest.raises(ViewretError, match=message):
+            PipelineConfig(**{key: value})
+        with pytest.raises(ViewretError, match=message):
+            desk_benchmark_config().override(**{key: value})
+
+    @pytest.mark.parametrize("command", ["fit-gmm", "bench"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_fit_gmm_and_bench_refuse_before_any_view(self, tmp_path, capsys, monkeypatch,
+                                                      mesh_file, command, how):
+        monkeypatch.setattr("viewret.encode.database_views", _refused_before_this)
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"sphere 0 {mesh_file}\n")
+        config = tmp_path / "bad.cfg"
+        config.write_text("gmm_sample_cap = -5\n")
+        argv = (["fit-gmm", "--input", str(manifest), "--output", str(tmp_path / "m.gmm")]
+                if command == "fit-gmm" else ["bench", "--report", str(tmp_path / "r.csv")])
+        argv += ["--seed", "-1"] if how == "flag" else ["--config", str(config)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        key = "seed" if how == "flag" else "gmm_sample_cap"
+        assert err.count("\n") == 1 and err.startswith(f"viewret {command}: error: {key} ")
+        assert not any(p.suffix in (".gmm", ".csv") for p in tmp_path.iterdir())
+
+    def test_scan_sim_refuses_a_negative_seed(self, mesh_file, tmp_path, capsys):
+        out = tmp_path / "scan.xyz"
+        assert run(["scan-sim", "--mesh", str(mesh_file), "--scanner-pos", "3,1.8,1.2",
+                    "--noise-sigma", "0.01", "--seed", "-1", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "viewret scan-sim: error: seed must be non-negative, got -1\n"
+        assert not out.exists()

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cosine_distance
+from oracles import cosine_distance, pool_features_oracle
 from viewret import encode
 from viewret.config import PipelineConfig
 from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gradients,
                             _kmeans_plus_plus, _log_joint, build_db, fisher_vector, fit_gmm,
-                            gmm_posteriors, pool_database_features, pool_features, query_db)
+                            gmm_posteriors, pool_database_features, pool_features, query_db,
+                            view_windows)
 from viewret.errors import ViewretError
-from viewret.features import DESCRIBE_BLOCK, WINDOW, describe, extract_features
+from viewret.features import (DESCRIBE_BLOCK, WINDOW, Keypoints, build_pyramid, cut_windows,
+                              describe, extract_features, keypoint_windows, sample_keypoints)
 from viewret.scansim import make_box, make_cone
 
 
@@ -567,3 +571,106 @@ class TestPoolFeatures:
     def test_no_chunks(self):
         with pytest.raises(ValueError):
             pool_features([], 10, seed=0)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_a_cap_below_one_is_refused_before_any_view_is_made(self, cap):
+        def views():
+            raise AssertionError("a view was made")
+            yield
+
+        with pytest.raises(ViewretError, match=f"gmm_sample_cap must be at least 1, got {cap}"):
+            pool_features(views(), cap, seed=0)
+
+
+def view_image(rng, side, faint):
+    """A random depth image; faint pixels (1 or 2) vanish from the coarser pyramid levels."""
+    top = 3 if faint else 256
+    img = rng.integers(0, top, size=(side, side), dtype=np.uint8)
+    img[rng.random((side, side)) < rng.uniform(0.2, 0.9)] = 0
+    img[side // 2, side // 2] = 1
+    return img
+
+
+def held_view(img, n_keypoints, decay, seed, as_windows):
+    """A view held as the windows or the keypoints of `view_windows`, whichever is asked for."""
+    pyramid = build_pyramid(img)
+    per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
+    return cut_windows(pyramid, per_level) if as_windows else Keypoints(pyramid[0], per_level)
+
+
+@st.composite
+def views_and_caps(draw):
+    """Views of random images, held as keypoints or windows, some with empty levels; a cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    specs = draw(st.lists(st.tuples(st.integers(32, 140), st.booleans(), st.integers(1, 200),
+                                    st.sampled_from([1.0, 2.0, 300.0]), st.booleans()),
+                          min_size=1, max_size=8))
+    views, windows = [], []
+    for index, (side, faint, n_keypoints, decay, as_windows) in enumerate(specs):
+        img = view_image(rng, side, faint)
+        views.append(held_view(img, n_keypoints, decay, [index], as_windows))
+        windows.append(keypoint_windows(img, n_keypoints, decay, [index]))
+    total = sum(len(w) for w in windows)
+    cap = draw(st.one_of(st.integers(1, total), st.integers(total, 2 * total + 1)))
+    return views, windows, cap
+
+
+class TestPoolFromKeypoints:
+    """`pool_features` over held views against holding every view's cut windows."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(views_and_caps(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_window_pool_byte_for_byte(self, drawn, seed):
+        views, windows, cap = drawn
+        got = pool_features(iter(views), cap, [seed, 17])
+        want = pool_features_oracle(windows, cap, [seed, 17])
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cap", ["in-one-block", "over-blocks", "equal", "above"])
+    def test_a_cap_over_many_blocks_and_empty_levels(self, cap):
+        rng = np.random.default_rng(29)
+        views, windows = [], []
+        for index in range(12):
+            img = view_image(rng, 128 if index % 3 else 300, faint=index % 4 == 1)
+            decay = 300.0 if index % 5 == 2 else 1.5
+            views.append(held_view(img, 150, decay, [index], as_windows=index % 2 == 0))
+            windows.append(keypoint_windows(img, 150, decay, [index]))
+        levels = [v.per_level for v in views if isinstance(v, Keypoints)]
+        assert any(kp.shape[1] == 0 for per_level in levels for kp in per_level)
+        total = sum(len(w) for w in windows)
+        assert total > 20 * DESCRIBE_BLOCK
+        cap = {"in-one-block": DESCRIBE_BLOCK // 2, "over-blocks": 13 * DESCRIBE_BLOCK + 5,
+               "equal": total, "above": total + 1}[cap]
+        got = pool_features(views, cap, [4, 17])
+        want = pool_features_oracle(windows, cap, [4, 17])
+        assert len(got) == min(cap, total) and got.tobytes() == want.tobytes()
+
+    def test_memory_stays_below_every_window(self):
+        # holding every window, as the former pool did, would take 160,000 rows of 324 bytes
+        config = tiny_config().override(n_keypoints=1000, keypoint_decay=1.0)
+        rng = np.random.default_rng(8)
+        images = (rng.integers(1, 256, size=(256, 256), dtype=np.uint8) for _ in range(40))
+        tracemalloc.start()
+        try:
+            pooled = pool_features(view_windows(images, config, [9]), 500, [9, 17])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        every_window = 40 * 4 * 1000 * WINDOW * WINDOW
+        assert pooled.shape == (500, 128)
+        assert peak < every_window / 5
+
+
+class TestViewWindows:
+    @pytest.mark.parametrize("side, held", [(64, Keypoints), (2048, np.ndarray)])
+    def test_a_view_is_held_in_the_fewer_bytes(self, side, held):
+        config = tiny_config()
+        rng = np.random.default_rng(side)
+        images = [rng.integers(1, 256, size=(side, side), dtype=np.uint8) for _ in range(2)]
+        views = list(view_windows(images, config, [5]))
+        for v_idx, (img, view) in enumerate(zip(images, views)):
+            want = keypoint_windows(img, config.n_keypoints, config.keypoint_decay, [5, v_idx])
+            assert type(view) is held and len(view) == len(want)
+            assert view[:].dtype == np.uint8 and np.array_equal(view[:], want)
+            nbytes = img.nbytes + 16 * len(want)
+            assert (nbytes < want.nbytes) == (held is Keypoints)

@@ -10,8 +10,8 @@ from viewret.errors import ViewretError
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
                               CELLS, COMPONENT_CLAMP, DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH,
-                              WINDOW, _windows, build_pyramid, describe, extract_features,
-                              keypoint_windows, sample_keypoints)
+                              WINDOW, Keypoints, _windows, build_pyramid, cut_windows, describe,
+                              extract_features, keypoint_windows, sample_keypoints)
 
 
 def descriptor(level_img, row, col):
@@ -356,6 +356,38 @@ class TestGradientTables:
         img[::5] = 0
         for r, c in ((0, 0), (20, 21), (47, 46)):
             assert np.array_equal(descriptor(img, r, c), batch_descriptors_oracle(img, [r], [c])[0])
+
+
+class TestKeypoints:
+    """A held view's keypoints index like the array of every window they cut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(32, 150), st.integers(1, 120), st.sampled_from([1.0, 2.0, 300.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_indexes_like_its_windows(self, side, n_keypoints, decay, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(side, side), dtype=np.uint8)
+        img[rng.random((side, side)) < 0.5] = 0
+        img[0, 0] = 9
+        pyramid = build_pyramid(img)
+        per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
+        windows = keypoint_windows(img, n_keypoints, decay, seed)
+        held = Keypoints(img, per_level)
+        n = len(windows)
+        assert len(held) == n
+        assert held.nbytes == img.nbytes + 16 * n
+        indices = (slice(None), slice(1, None, 3), slice(n, None), np.sort(rng.choice(n, n // 2)),
+                   rng.permutation(n), rng.integers(0, n, size=7), np.array([], dtype=np.int64))
+        for index in indices:
+            got = held[index]
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert np.array_equal(got, windows[index])
+            assert np.array_equal(cut_windows(pyramid, per_level, index), windows[index])
+
+    def test_refuses_a_non_uint8_image_when_held(self):
+        img = np.full((40, 40), 7.0)
+        with pytest.raises(ViewretError, match="depth images must be uint8, got float64"):
+            Keypoints(img, sample_keypoints(build_pyramid(img), 5, 1.0, 0))
 
 
 class TestDescribe:
