@@ -216,19 +216,23 @@ class DescriptorDb:
     entries: list
 
 
-def database_views(geometry, config: PipelineConfig) -> list:
-    """Render the 20 database views of one model.
+def database_views(geometry, config: PipelineConfig):
+    """Yield the 20 database views of one model, rendering each when it is taken.
 
     Meshes render at the fixed database resolution; point clouds render at
-    the resolution the selector proposes for them.
+    the resolution the selector proposes for them. One image is held at a
+    time, so a model's views cost one render however large the resolution.
     """
     views = dodecahedron_viewpoints()
     if isinstance(geometry, TriangleMesh):
         mesh, _ = normalize_mesh(geometry)
-        return [render_mesh(mesh, v, config.db_resolution) for v in views]
+        for v in views:
+            yield render_mesh(mesh, v, config.db_resolution)
+        return
     pts, _ = normalize_pose(geometry)
     _, r_best, _ = propose(pts, config.resolutions)
-    return [render_point_cloud(pts, v, r_best) for v in views]
+    for v in views:
+        yield render_point_cloud(pts, v, r_best)
 
 
 def view_windows(images, config: PipelineConfig, seed_prefix):

@@ -173,6 +173,22 @@ def dodecahedron_viewpoints() -> np.ndarray:
     return _DODECAHEDRON.copy()
 
 
+def _cross(a, b, out) -> np.ndarray:
+    """``np.cross`` of ``a`` and ``b``, each given as its (x, y, z) components, into ``out``.
+
+    The components may be arrays or floats that broadcast together; ``out``
+    has their shape plus a last axis of 3. The steps are numpy's own,
+    ``a1*b2 - a2*b1`` and so on, so the bits are those of ``np.cross``,
+    without its set-up cost.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 def orthonormal_basis(forward):
     """Deterministic right-handed (right, up) pair for a unit ``forward``.
 
@@ -183,9 +199,9 @@ def orthonormal_basis(forward):
     hint = np.array([0.0, 0.0, 1.0])
     if abs(float(f @ hint)) > _UP_FALLBACK_DOT:
         hint = np.array([0.0, 1.0, 0.0])
-    right = np.cross(f, hint)
+    right = _cross(f, hint, np.empty(3))
     right /= np.linalg.norm(right)
-    up = np.cross(right, f)
+    up = _cross(right, f, np.empty(3))
     return right, up
 
 

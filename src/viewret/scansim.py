@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ViewretError
-from .geometry import TriangleMesh, orthonormal_basis
+from .geometry import TriangleMesh, _cross, orthonormal_basis
 
 _PARALLEL_EPS = 1e-12
 _EDGE_EPS = 1e-12
@@ -129,22 +129,6 @@ def _ray_lattice(cfg: ScannerConfig):
                                           + np.sin(azimuth)[:, None] * right)
             + np.sin(elevation)[:, None] * up)
     return dirs.reshape(steps, steps, 3), (forward, right, up), offsets
-
-
-def _cross(a, b, out) -> np.ndarray:
-    """``np.cross`` of ``a`` and ``b``, each given as its (x, y, z) components, into ``out``.
-
-    The components may be arrays or floats that broadcast together; ``out``
-    has their shape plus a last axis of 3. The steps are numpy's own,
-    ``a1*b2 - a2*b1`` and so on, so the bits are those of ``np.cross``,
-    without its set-up cost.
-    """
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
-    return out
 
 
 def _footprints(corners, cfg: ScannerConfig, frame, offsets):

@@ -10,7 +10,11 @@ O(N log N) in the cloud size N, whatever the resolution.
 Orthographic projection makes the acquisition rate blind to the sign of the
 view axis: a cloud occupies exactly the same number of pixels seen from v
 and from -v. When given the cloud, the selector therefore fixes the axis
-first and then orients it with the depth-based test in `orient_axis`.
+first and then orients it with the depth-based test in `orient_axis`. Its
+spacing cue needs each sampled point's 16th-nearest-neighbour distance;
+cubic cells of about that size hand each point about a hundred candidates
+instead of the whole sample, and a proven margin keeps every distance
+exact (`_kth_neighbour_sq_distances`).
 
 The grid uses the same symmetry: the image from -v is the left-right mirror
 of the image from v, so a viewpoint whose antipode came earlier copies that
@@ -18,7 +22,14 @@ row wherever a rounding margin proves the cells equal, and is computed only
 where a point lies within the margin of a column or row edge. On the
 dodecahedron, 10 of the 20 viewpoints are computed, each cell in
 O(N log N); one O(N) margin test per pair covers a ladder of divisors of its
-largest rung.
+largest rung. A computed viewpoint floors its coordinates once per root
+rung, and every rung r 2^s below it shifts the root's rows and columns.
+
+On the seed-42 `query` scans of 1,922, 34,246 and 2,780 points, at the
+8-rung default ladder, `orient_axis` takes 4.3, 4.4 and 5.0 ms and
+`score_grid` 3.9, 33.3 and 4.6 ms, against 14.8, 14.7 and 14.4 ms and
+6.2, 46.2 and 7.3 ms with the full distance matrix and every rung floored
+itself (minimum of 30 runs, 2 cores, numpy 2.4.6, one BLAS thread).
 """
 
 from dataclasses import dataclass
@@ -27,8 +38,8 @@ import numpy as np
 
 from .config import DEFAULT_RESOLUTIONS
 from .errors import ViewretError
-from .geometry import (_pixel_indices, _unit_coordinates, as_points, camera_frame, check_resolution,
-                       dodecahedron_viewpoints, orthonormal_basis)
+from .geometry import (MAX_RESOLUTION, _pixel_indices, _unit_coordinates, as_points, camera_frame,
+                       check_resolution, dodecahedron_viewpoints, orthonormal_basis)
 from .render import render_point_cloud
 
 ORIENTATION_RESOLUTION = 256
@@ -37,6 +48,16 @@ SPACING_SAMPLE = 1500
 SPACING_NEIGHBOR = 16
 # sample rows whose distances to the whole sample are held at once
 BLOCK = 32
+# the cell side of the k-th neighbour search: the probe rows' k-th distance at this rank
+CELL_RANK = 0.7
+# candidate distances the cell search holds at once
+CELL_CHUNK = 1 << 15
+# cell indices stay below this, and a cell pass's gap below its row's by _GAP_SLACK
+# (see _kth_neighbour_sq_distances)
+_MAX_CELLS = 2.0 ** 20
+_GAP_SLACK = 2.0 ** -19
+# the (a, b) offsets of a 3 x 3 x 3 block of cells; each spans c - 1 to c + 1
+_BLOCK_COLUMNS = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
 # RANSAC planes scored by one matrix product
 PLANES = 32
 # 64u: times M + tol, the margin that covers RANSAC's block rounding (see
@@ -57,15 +78,16 @@ class ScoreGrid:
     density: np.ndarray         # (N_v, N_r)
 
 
-def _occupied_pixels(u, w, resolution: int) -> np.ndarray:
-    """Sorted flat indices of the pixels hit by unit image coordinates u, w.
+def _occupied_pixels(rows, cols, resolution: int) -> np.ndarray:
+    """Sorted keys ``row * (r + 1) + col`` of the pixels hit, from uint32 rows and cols.
 
-    These are exactly the foreground pixels of `render_point_cloud`'s image.
-    The keys are uint32, which is exact since r * r <= MAX_RESOLUTION ** 2 =
-    2**26; 34k of them sorted in 127 us, against 274 us as int64 (numpy 2.4).
+    These are exactly the foreground pixels of `render_point_cloud`'s image,
+    one key per pixel. Column r, which no pixel has, keeps each image row
+    apart from the next (see `_surrounded_count`). The keys are uint32,
+    which is exact since r (r + 1) <= MAX_RESOLUTION (MAX_RESOLUTION + 1) <
+    2**27; 34k of them sorted in 127 us, against 274 us as int64 (numpy 2.4).
     """
-    rows, cols = _pixel_indices(u, w, resolution)
-    flat = (rows * resolution + cols).astype(np.uint32)
+    flat = rows * (resolution + 1) + cols
     flat.sort()
     # same result as np.unique, which measured about 7x slower here (numpy 2.4)
     return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
@@ -77,28 +99,33 @@ def _surrounded_count(occupied, resolution: int) -> int:
     Equals the 3x3 neighbourhood count of the rendered foreground mask that
     the tests keep as the reference (``eight_connected_count`` in
     ``tests/oracles.py``).
-    In the sorted set, pixel f has both row neighbours f - 1 and f + 1 when
-    its predecessor and successor are exactly those; its 3x3 block is full
-    when f and the pixels f - r and f + r above and below it (found by binary
-    search) all have both row neighbours. A border pixel has a neighbour
-    outside the image, which counts as empty: in the top row the uint32
-    f - r wraps to 2**32 - r or more, and in the bottom row f + r is r*r or
-    more, so neither is ever occupied; in the first and last columns f -+ 1
-    would wrap onto the adjacent row, so those columns are excluded
-    explicitly.
+    With rows r + 1 keys apart, pixel f has both row neighbours f - 1 and
+    f + 1 when its predecessor and successor in the sorted set are exactly
+    those; its 3x3 block is full when f and the pixels f -+ (r + 1) above and
+    below it (found by binary search) all have both row neighbours. A border
+    pixel has a neighbour outside the image, which counts as empty: in the
+    first and last columns f -+ 1 is the unused column r, in the top row the
+    uint32 f - (r + 1) wraps to 2**32 - r - 1 or more, and in the bottom row
+    f + r + 1 is r (r + 1) or more, so none of them is ever occupied.
     """
-    r = resolution
+    stride = resolution + 1
     n = len(occupied)
+    step = occupied[1:] - occupied[:-1] == 1
     sides = np.zeros(n, dtype=bool)
-    sides[1:-1] = (occupied[1:-1] - occupied[:-2] == 1) & (occupied[2:] - occupied[1:-1] == 1)
-    # f % r: 22 us on 34k uint32 keys, against 88 us for % (145 us on int64, numpy 2.4)
-    cols = occupied - occupied // r * r
-    centre = occupied[sides & (cols > 0) & (cols < r - 1)]
-    full = np.ones(len(centre), dtype=bool)
-    for neighbour in (centre - r, centre + r):
-        at = np.minimum(np.searchsorted(occupied, neighbour), n - 1)
-        full &= (occupied[at] == neighbour) & sides[at]
-    return int(full.sum())
+    np.logical_and(step[:-1], step[1:], out=sides[1:-1])
+    centre = occupied[sides]
+    # the pixels above every centre, then those below
+    neighbour = np.concatenate((centre - stride, centre + stride))
+    at = np.minimum(np.searchsorted(occupied, neighbour), n - 1)
+    full = (occupied[at] == neighbour) & sides[at]
+    return int(np.count_nonzero(full[:len(centre)] & full[len(centre):]))
+
+
+def _ladder_roots(resolutions) -> dict:
+    """Each rung r's root: ``(R, s)`` with R = r * 2**s the largest such rung of the ladder."""
+    rungs = set(resolutions)
+    return {r: max((r << s, s) for s in range(MAX_RESOLUTION.bit_length()) if r << s in rungs)
+            for r in rungs}
 
 
 def _clear_of_edges(u, w, resolution: int, reach: float) -> bool:
@@ -176,8 +203,24 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
     - Coordinates large enough to overflow make e infinite, or leave no
       fraction, and fail the test.
 
-    A margin test costs O(N) and a computed cell O(N log N), for its sort,
-    whatever the resolution.
+    A computed viewpoint floors and clamps its coordinates once per root
+    rung: a rung r's root is the largest rung of the ladder equal to
+    R = r 2^s, and r takes the root's rows and columns shifted right by s
+    (`_ladder_roots`; a rung with no such larger rung is its own root, at
+    s = 0). That equals flooring and clamping u r itself:
+
+    - Scaling by 2^s is exact, so the computed u R is the computed u r
+      times 2^s. The exceptions clamp alike: a u r below 2^-1022 in size
+      leaves both products in (-1, 1), which clamp to 0, and a u R that
+      overflows leaves u r beyond [0, r), on the same side.
+    - For an integer a, a >> s = floor(a / 2^s), and
+      floor(floor(y 2^s) / 2^s) = floor(y), so floor(u R) >> s = floor(u r).
+    - The shift is monotone and maps 0 to 0 and R - 1 to r - 1, so clamping
+      into [0, R - 1] and shifting equals shifting and clamping into
+      [0, r - 1].
+
+    A margin test costs O(N), a root rung's floors O(N) and a computed cell
+    O(N log N), for its sort, whatever the resolution.
     """
     pts = as_points(cloud)
     views = dodecahedron_viewpoints() if viewpoints is None else np.asarray(viewpoints, dtype=np.float64)
@@ -196,6 +239,7 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
         else:
             antipode[i] = source
     sources = set(antipode.values())
+    roots = _ladder_roots(res)
     reach = _MARGIN * (1.0 + np.abs(pts).sum(axis=1).max())
     q = np.zeros((len(views), len(res)))
     d = np.zeros((len(views), len(res)))
@@ -210,8 +254,13 @@ def score_grid(cloud, viewpoints=None, resolutions=None) -> ScoreGrid:
                 continue
         frame = camera_frame(viewpoint)
         u, w = _unit_coordinates(pts, frame)
+        pixels = {}   # a root rung -> its uint32 (rows, cols)
         for j in np.flatnonzero(~copied):
-            occupied = _occupied_pixels(u, w, res[j])
+            root, shift = roots[res[j]]
+            if root not in pixels:
+                pixels[root] = [a.astype(np.uint32) for a in _pixel_indices(u, w, root)]
+            rows, cols = pixels[root]
+            occupied = _occupied_pixels(rows >> shift, cols >> shift, res[j])
             q[i, j] = len(occupied) / n
             d[i, j] = _surrounded_count(occupied, res[j]) / len(occupied)
         if i in sources:
@@ -249,30 +298,174 @@ def _intensity_centrality_covariance(points, axis, resolution):
     return float(np.mean((inten - inten.mean()) * (centrality - centrality.mean())))
 
 
+def _squared_distances(out, scratch, rows, columns):
+    """``out`` = (x - X)^2 + (y - Y)^2 + (z - Z)^2 of (m, 3) ``rows`` against ``columns``.
+
+    ``columns`` holds the other points' x, y and z, each as an array that
+    broadcasts against (m, 1); ``scratch`` is a second buffer of ``out``'s
+    shape. Each element takes the same float64 steps, x then y then z, as
+    summing an (n, n, 3) difference array over its last axis (``0 + dx^2``
+    is exact).
+    """
+    for axis, other in enumerate(columns):
+        dest = out if axis == 0 else scratch
+        np.subtract(rows[:, axis, None], other, out=dest)
+        np.square(dest, out=dest)
+        if axis:
+            np.add(out, scratch, out=out)
+    return out
+
+
+def _full_rows(points, rows, k):
+    """The k-th smallest squared distance of each of ``rows`` to every other point.
+
+    BLOCK rows at a time against all n points, so memory is O(BLOCK * n).
+    """
+    n = len(points)
+    columns = [np.ascontiguousarray(points[:, axis]) for axis in range(3)]
+    out = np.empty(len(rows))
+    buffers = np.empty((2, min(BLOCK, len(rows)), n))
+    for start in range(0, len(rows), BLOCK):
+        take = rows[start:start + BLOCK]
+        d2 = _squared_distances(buffers[0, :len(take)], buffers[1, :len(take)], points[take],
+                                columns)
+        d2[np.arange(len(take)), take] = np.inf
+        d2.partition(k - 1, axis=1)
+        out[start:start + BLOCK] = d2[:, k - 1]
+    return out
+
+
+def _cell_pass(points, rows, k, h):
+    """The k-th values of ``rows`` that cubic cells of side ``h`` prove exact.
+
+    Returns ``(proven rows, their values)``; see `_kth_neighbour_sq_distances`
+    for the proof. A row's candidates are the points in the 3 x 3 x 3 block of
+    cells around its own. The block's nine (a, b) columns are nine runs of
+    consecutive cell keys, so they are nine runs of the key-sorted points.
+    Rows run in chunks of at most CELL_CHUNK candidate distances. Returns no
+    row when the cells would hold more than half of every pending row's
+    distances, where they cannot pay for themselves.
+    """
+    n = len(points)
+    none = rows[:0], np.empty(0)
+    t = (points - points.min(axis=0)) / h
+    if not t.max() < _MAX_CELLS:   # also an extent that overflows
+        return none
+    cell_of = np.floor(t)
+    gap = np.minimum(cell_of + 2.0 - t, t - cell_of + 1.0).min(axis=1)
+    index = cell_of.astype(np.int64) + 1
+    size = index.max(axis=0) + 2
+    key = (index[:, 0] * size[1] + index[:, 1]) * size[2] + index[:, 2]
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    cells = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    centre = cells[:, None] + _BLOCK_COLUMNS @ [size[1] * size[2], size[2]]
+    start = np.searchsorted(keys, centre - 1, "left")
+    runs = np.searchsorted(keys, centre + 1, "right") - start
+    width = runs.sum(axis=1)
+    cell = np.searchsorted(cells, key[rows])
+    enough = width[cell] > k     # k others besides the row itself
+    rows, cell = rows[enough], cell[enough]
+    work = width[cell]
+    if not len(rows) or 2 * int(work.sum()) > len(rows) * n:
+        return none
+    by = np.lexsort((cell, -work))    # widest first, a cell's rows together
+    rows, cell, work = rows[by], cell[by], work[by]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    # the row itself lies in the middle run, the fifth
+    itself = runs[cell, :4].sum(axis=1) + position[rows] - start[cell, 4]
+    # key-sorted coordinates, then +inf, which pads a short block to infinite distances
+    columns = [np.append(points[order, axis], np.inf) for axis in range(3)]
+    values = np.empty(len(rows))
+    space = np.empty((5, max(CELL_CHUNK, int(work[0]))))
+    lo = 0
+    while lo < len(rows):
+        w = int(work[lo])
+        hi = min(len(rows), lo + max(1, CELL_CHUNK // w))
+        m = hi - lo
+        own = cell[lo:hi]
+        first = np.concatenate(([True], own[1:] != own[:-1]))
+        block_cells = own[first]
+        lengths = runs[block_cells].ravel()
+        ends = np.cumsum(lengths)
+        members = np.arange(ends[-1]) + np.repeat(start[block_cells].ravel() - ends + lengths,
+                                                  lengths)
+        picks = np.full((len(block_cells), w), n)
+        picks[np.arange(w) < width[block_cells, None]] = members
+        of_row = np.cumsum(first) - 1
+        d2, scratch, *gathered = (buf[:m * w].reshape(m, w) for buf in space)
+        for column, dest in zip(columns, gathered):
+            np.take(column[picks], of_row, axis=0, out=dest)
+        _squared_distances(d2, scratch, points[rows[lo:hi]], gathered)
+        d2[np.arange(m), itself[lo:hi]] = np.inf
+        d2.partition(k - 1, axis=1)
+        values[lo:hi] = d2[:, k - 1]
+        lo = hi
+    reach = h * (gap[rows] - _GAP_SLACK)
+    proven = values <= reach * reach
+    return rows[proven], values[proven]
+
+
 def _kth_neighbour_sq_distances(points, k):
     """Squared distance from each point to its k-th nearest other point.
 
-    The distances are formed BLOCK rows at a time against all n points, so
-    memory is O(BLOCK * n) and no n x n matrix exists. The result is bit for
-    bit that of partitioning the full matrix (``kth_neighbour_sq_distances``
-    in ``tests/oracles.py``): each element adds the x, y then z squared
-    differences in that order, the same float64 operations as summing an
-    (n, n, 3) difference array over its last axis (the first square stands
-    in for 0 + dx^2, which is exact), and the k-th smallest value of a row is
-    an order statistic, whatever rows it is selected alongside.
+    Bit for bit that of partitioning the full n x n matrix
+    (``kth_neighbour_sq_distances`` in ``tests/oracles.py``), found without
+    it. BLOCK probe rows, evenly spaced, are computed against every point
+    (`_full_rows`). Their k-th distance at rank CELL_RANK sets a cell side
+    h, and `_cell_pass` runs at h and then 2h over the rows still open; the
+    rows neither proves are computed in full. Memory is O(BLOCK * n +
+    CELL_CHUNK). A distance element takes the same float64 steps wherever
+    it is formed (`_squared_distances`), and the k-th smallest value of a
+    set is an order statistic, whatever else is selected alongside. So the
+    question is only which points a row must see.
+
+    A cell pass buckets every point by t = (p - lo) / h per axis, lo the
+    axis minimum, into cells c = floor(t), and gives each row the points of
+    the 3 x 3 x 3 block around its cell. Let q be an outsider, a point off
+    that block, and G the row's computed gap: the least, over the three axes,
+    of c + 2 - t and t - c + 1. With u = 2^-53 and the rounding model of
+    Higham (Accuracy and Stability of Numerical Algorithms, 2.2):
+
+    - Each t is within 2u t + 2^-1075 of its exact value tau = (p - lo) / h
+      (a subnormal difference is exact). A pass needs every t below
+      2^20 (_MAX_CELLS), so that error is below 2^-30, and h at least
+      2^-900 and finite. G, computed from t and the integer c, is within
+      2^-52 of its exact value.
+    - For some axis, q's cell lies two or more from the row's. If above,
+      t(q) >= c + 2; if below, t(q) < c - 1. Either way the exact
+      |tau(q) - tau(p)| is at least G - 2^-52 - 2^-29, so the exact
+      coordinate gap |q_j - p_j| exceeds h (G - 2^-20). The computed
+      D = h (G - 2^-19) (_GAP_SLACK) rounds up by less than that margin,
+      as G - 2^-19 lies in [0.99, 2] and h times it is a normal number.
+    - Rounding is monotone. So |fl(p_j - q_j)| >= D, its computed square is
+      at least fl(D * D), and the computed distance, a sum of three
+      non-negative squares rounded twice, is at least each of them.
+
+    So every outsider's distance is at least fl(D * D). When the row has
+    k candidates besides itself and their k-th smallest value is at most
+    fl(D * D), that value is the row's k-th smallest: at least k values lie
+    at or below it, and a value below it would be a candidate's. Overflow
+    and underflow keep rounding monotone, so the test holds at any scale.
+    Where cells cannot help, the work test in `_cell_pass` or the checks on
+    h and t send every row to `_full_rows`: a cloud of repeated points (h is
+    0), one whose extent overflows, or one too sparse for its cells.
     """
     n = len(points)
     out = np.empty(n)
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        block = points[start:stop]
-        d2 = (block[:, 0, None] - points[:, 0]) ** 2
-        d2 += (block[:, 1, None] - points[:, 1]) ** 2
-        d2 += (block[:, 2, None] - points[:, 2]) ** 2
-        rows = np.arange(stop - start)
-        d2[rows, start + rows] = np.inf
-        d2.partition(k - 1, axis=1)
-        out[start:stop] = d2[:, k - 1]
+    probe = np.arange(0, n, max(1, n // BLOCK))[:BLOCK]
+    out[probe] = _full_rows(points, probe, k)
+    open_rows = np.ones(n, dtype=bool)
+    open_rows[probe] = False
+    h = float(np.sqrt(np.sort(out[probe])[int(CELL_RANK * (len(probe) - 1))]))
+    if 2.0 ** -900 <= h < np.inf:
+        for side in (h, 2.0 * h):
+            proven, values = _cell_pass(points, np.flatnonzero(open_rows), k, side)
+            out[proven] = values
+            open_rows[proven] = False
+    rest = np.flatnonzero(open_rows)
+    out[rest] = _full_rows(points, rest, k)
     return out
 
 

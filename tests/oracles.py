@@ -2,10 +2,14 @@
 
 None of these runs in the pipeline. The dense image measures are the form
 that `select.score_grid` replaced: they render an image and count its
-pixels, which the score grid does without rendering. The orientation cue's
-oracles hold the whole n x n distance matrix that `select` forms in row
-blocks. The mesh rasterizer is the per-triangle loop that `render_mesh`
-evaluates over row spans in blocks, and the RANSAC baseline is the
+pixels, which the score grid does without rendering. The grid's former
+per-rung loop floors every rung's coordinates itself, where the grid
+shifts those of a root rung. The frame oracle keeps the ``np.cross`` that
+`geometry._cross` replaced. The orientation cue's oracles hold the whole
+n x n distance matrix, where `select` searches cells of nearby points and
+forms in row blocks only the rows the cells cannot prove. The mesh
+rasterizer is the per-triangle loop that `render_mesh` evaluates over row
+spans in blocks, and the RANSAC baseline is the
 per-plane loop that `ransac_viewpoint` scores in blocks of planes, and the
 scan oracle tests every triangle against every ray, where `simulate_scan`
 tests only a triangle's footprint. The per-level feature extractor
@@ -26,7 +30,8 @@ from viewret.encode import DbEntry, DescriptorDb, fisher_vector, fit_gmm
 from viewret.errors import ViewretError
 from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid, describe,
                               sample_keypoints)
-from viewret.geometry import as_points, camera_frame, check_resolution
+from viewret.geometry import (_pixel_indices, _unit_coordinates, as_points, camera_frame,
+                              check_resolution)
 from viewret.render import _EDGE_EPS, depth_to_intensity
 from viewret.scansim import _EDGE_EPS as _SCAN_EDGE_EPS
 from viewret.scansim import _PARALLEL_EPS, ScanResult, _ray_lattice
@@ -122,6 +127,48 @@ def render_mesh_oracle(mesh, viewpoint, resolution) -> np.ndarray:
     covered = np.isfinite(zbuf)
     img[covered] = depth_to_intensity(zbuf[covered])
     return img
+
+
+def score_grid_per_rung_oracle(cloud, viewpoints, resolutions):
+    """The former per-rung loop of `score_grid`: every cell floors and clamps u * r itself.
+
+    Each cell's keys are ``row * r + col``, and the column test of the former
+    `_surrounded_count` keeps the first and last columns out; no antipodal
+    row is copied.
+    """
+    pts = as_points(cloud)
+    q = np.zeros((len(viewpoints), len(resolutions)))
+    d = np.zeros((len(viewpoints), len(resolutions)))
+    for i, viewpoint in enumerate(viewpoints):
+        u, w = _unit_coordinates(pts, camera_frame(viewpoint))
+        for j, r in enumerate(resolutions):
+            rows, cols = _pixel_indices(u, w, r)
+            flat = np.unique((rows * r + cols).astype(np.uint32))
+            n = len(flat)
+            sides = np.zeros(n, dtype=bool)
+            sides[1:-1] = (flat[1:-1] - flat[:-2] == 1) & (flat[2:] - flat[1:-1] == 1)
+            centre = flat[sides & (flat % r > 0) & (flat % r < r - 1)]
+            full = np.ones(len(centre), dtype=bool)
+            for neighbour in (centre - r, centre + r):
+                at = np.minimum(np.searchsorted(flat, neighbour), n - 1)
+                full &= (flat[at] == neighbour) & sides[at]
+            q[i, j] = n / len(pts)
+            d[i, j] = int(full.sum()) / n
+    return q, d
+
+
+# --- camera frames ---------------------------------------------------------------
+
+def orthonormal_basis_oracle(forward):
+    """The former `geometry.orthonormal_basis`, with its two ``np.cross`` calls."""
+    f = np.asarray(forward, dtype=np.float64)
+    hint = np.array([0.0, 0.0, 1.0])
+    if abs(float(f @ hint)) > 0.999:
+        hint = np.array([0.0, 1.0, 0.0])
+    right = np.cross(f, hint)
+    right /= np.linalg.norm(right)
+    up = np.cross(right, f)
+    return right, up
 
 
 # --- orientation cue -------------------------------------------------------------

@@ -541,7 +541,7 @@ class TestPoolDatabaseFeatures:
         views = encode.database_views
 
         def one_blank(geometry, config):
-            images = views(geometry, config)
+            images = list(views(geometry, config))
             images[7] = np.zeros_like(images[7])
             return images
 
@@ -551,6 +551,22 @@ class TestPoolDatabaseFeatures:
         with pytest.raises(ViewretError, match="no pyramid level has any foreground") as got:
             pool_database_features(models, tiny_config())
         assert str(got.value) == str(want.value)
+
+
+class TestDatabaseViews:
+    def test_views_are_rendered_one_at_a_time(self):
+        # twenty 2048^2 views held at once came to 161.6 MiB here; one at a time, the peak is
+        # one render and its keypoint sampling
+        config = tiny_config().override(db_resolution=2048, n_keypoints=8)
+        views = encode.database_views(make_box(), config)
+        assert not isinstance(views, list)
+        tracemalloc.start()
+        try:
+            pooled = pool_database_features([("box", 0, make_box())], config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pooled) > 0 and peak < 100 * 2 ** 20
 
 
 class TestPoolFeatures:

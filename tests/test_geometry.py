@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import orthonormal_basis_oracle
 from viewret.errors import ViewretError
 from viewret.geometry import (MAX_RESOLUTION, MIN_RESOLUTION, TriangleMesh, camera_frame,
                               dodecahedron_viewpoints, normalize_mesh, normalize_pose,
-                              project_points)
+                              orthonormal_basis, project_points)
 from viewret.render import render_mesh
 from viewret.scansim import ScannerConfig, simulate_scan
 
@@ -131,6 +132,19 @@ class TestCameraFrame:
             assert abs(frame.up @ frame.forward) <= 1e-9
             # right-handed: right x up points back at the eye
             np.testing.assert_allclose(np.cross(frame.right, frame.up), v, atol=1e-9)
+
+    def test_frames_match_the_np_cross_form_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        directions = rng.normal(size=(20000, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        # the poles, and either side of the |forward . z| > 0.999 switch to the +y hint
+        edge = np.sqrt(1.0 - 0.999 ** 2)
+        special = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (edge, 0.0, 0.999), (0.0, -edge, -0.999),
+                   (0.0447, 0.0, 0.999), (0.0448, 0.0, 0.999), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+        for forward in np.concatenate([directions, special]):
+            want = orthonormal_basis_oracle(forward)
+            got = orthonormal_basis(forward)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_rejects_non_unit(self):
         for bad in ((1.0, 1.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, 0.0)):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import simulate_scan_oracle
 from viewret.errors import ViewretError
-from viewret.geometry import TriangleMesh
-from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, _cross,
-                             _footprints, _ray_lattice, make_box, make_cone, make_cylinder,
-                             make_sphere, simulate_scan)
+from viewret.geometry import TriangleMesh, _cross
+from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, _footprints,
+                             _ray_lattice, make_box, make_cone, make_cylinder, make_sphere,
+                             simulate_scan)
 
 
 def ray_triangle_intersect(origin, direction, triangle):

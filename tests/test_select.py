@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (density, foreground_count, kth_neighbour_sq_distances, quantity,
-                     ransac_viewpoint_oracle, spacing_depth_correlation_oracle)
+                     ransac_viewpoint_oracle, score_grid_per_rung_oracle,
+                     spacing_depth_correlation_oracle)
 from viewret import select
 from viewret.errors import ViewretError
 from viewret.evaluate import angular_error
@@ -255,6 +256,44 @@ def cloud_of_shape(rng, n, shape):
     return rng.normal(size=(max(1, n // 4), 3))[rng.integers(0, max(1, n // 4), size=n)]
 
 
+@st.composite
+def neighbour_clouds(draw):
+    """A cloud and a k for the k-th neighbour search, at one of several scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["surface", "cap", "collinear", "planar", "repeats", "clusters",
+                                 "few", "edges"]))
+    n = draw(st.integers(2, 18)) if kind == "few" else draw(st.integers(40, 700))
+    if kind == "surface":
+        # a height field sampled densely at one corner and sparsely at the other, as a scan is
+        xy = rng.random((n, 2)) ** 2
+        points = np.column_stack([xy, 0.3 * np.sin(4.0 * xy[:, 0]) * np.cos(3.0 * xy[:, 1])])
+    elif kind == "cap":
+        # a sphere cap seen at a slant folds onto any two coordinate axes
+        d = _unit(rng.normal(size=3)) + 0.8 * rng.normal(size=(n, 3)) / np.sqrt(3.0)
+        points = d / np.linalg.norm(d, axis=1)[:, None] + rng.normal(scale=0.003, size=(n, 3))
+    elif kind == "collinear":
+        points = rng.normal(size=3) + rng.random(n)[:, None] * rng.normal(size=3)
+    elif kind == "planar":
+        points = rng.normal(size=3) + rng.random((n, 2)) @ rng.normal(size=(2, 3))
+    elif kind == "repeats":
+        distinct = rng.normal(size=(draw(st.integers(1, 30)), 3))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "clusters":
+        points = rng.normal(size=(n, 3)) * 0.05
+        points[:rng.integers(1, n)] += 1000.0
+    elif kind == "few":
+        points = rng.normal(size=(n, 3))
+    else:
+        # distinct sites of a lattice of step 1/4 in a coordinate plane: with k = 1 or 4 the
+        # cell side is often one step, so points sit on cell edges
+        sites = rng.choice(24 * 24, size=min(n, 24 * 24), replace=False)
+        points = np.column_stack([sites // 24, sites % 24, np.zeros(len(sites))]) / 4.0
+        points = np.roll(points, draw(st.integers(0, 2)), axis=1)
+    points = points * draw(st.sampled_from([1.0, 1e-150, 1e150, 1e-160, 1e160]))
+    k = draw(st.sampled_from([1, 4, SPACING_NEIGHBOR, len(points) - 1]))
+    return points, min(k, len(points) - 1)
+
+
 class TestSpacingDepthCorrelationAgainstOracle:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.sampled_from([1, 2, 3, 17, 200, 1499, 1500, 1501, 2500]),
@@ -292,6 +331,39 @@ class TestKthNeighbourSqDistances:
             want = kth_neighbour_sq_distances(points, k)
             got = _kth_neighbour_sq_distances(points, k)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(neighbour_clouds())
+    def test_cell_search_matches_the_full_matrix(self, case):
+        points, k = case
+        with np.errstate(over="ignore"):
+            want = kth_neighbour_sq_distances(points, k)
+            got = _kth_neighbour_sq_distances(points, k)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["scan", "lattice", "blob"])
+    def test_cells_prove_most_rows(self, monkeypatch, case):
+        # rows the cells cannot prove go to the full-row loop; count them
+        if case == "scan":
+            points, _ = normalize_pose(simulate_scan(
+                make_sphere(radius=1.0, rings=24, segments=36),
+                ScannerConfig(position=(1.2, -2.0, 2.0), target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                              angular_step_deg=0.5, max_range=12.0)).cloud)
+            k = SPACING_NEIGHBOR
+        elif case == "lattice":
+            # k = 1 makes the cell side the lattice step, so every point lies on a cell edge
+            points = np.stack(np.meshgrid(np.arange(30), np.arange(30), [0]), -1).reshape(-1, 3) / 4
+            k = 1
+        else:
+            points = np.random.default_rng(3).normal(size=(SPACING_SAMPLE, 3))
+            k = SPACING_NEIGHBOR
+        full = []
+        full_rows = select._full_rows
+        monkeypatch.setattr(select, "_full_rows",
+                            lambda pts, rows, k: full.append(len(rows)) or full_rows(pts, rows, k))
+        got = _kth_neighbour_sq_distances(points, k)
+        assert got.tobytes() == kth_neighbour_sq_distances(points, k).tobytes()
+        assert full[0] == BLOCK and sum(full) < BLOCK + len(points) // 10
 
     def test_memory_stays_below_the_full_matrix(self):
         # the n x n form peaked at 34.5 MB on a 1500-point sample
@@ -401,6 +473,58 @@ class TestScoreGridAgainstDenseOracle:
         q, d = score_grid_dense_oracle(points, views, grid.resolutions)
         assert np.array_equal(grid.quantity, q)
         assert np.array_equal(grid.density, d)
+
+
+@st.composite
+def clouds_on_pixel_edges(draw):
+    """Clouds, axis and random viewpoints and ladders with repeated, non-power-of-two rungs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        # dyadic coordinates: from an axis viewpoint, u r and w r are integers at many rungs
+        points = rng.integers(0, 129, size=(n, 3)) / 64.0 - 1.0
+    else:
+        points = rng.normal(size=(n, 3)) * rng.uniform(0.05, 0.6, size=3)
+    views = [np.eye(3)[i] * sign for i in range(3) for sign in (1.0, -1.0)]
+    views = [views[i] for i in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))]
+    views += [_unit(rng.normal(size=3)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        views.append(-views[0])
+    ladder = draw(st.lists(st.sampled_from([8, 12, 13, 24, 32, 48, 64, 96, 100, 128, 256, 512,
+                                            1024, 2048, 4096, MAX_RESOLUTION]),
+                           min_size=1, max_size=6))
+    return points, np.asarray(views), tuple(ladder)
+
+
+class TestScoreGridAgainstPerRungLoop:
+    """Rungs shifted from their root against every rung floored and clamped itself."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(clouds_on_pixel_edges())
+    def test_bit_identical_to_the_per_rung_loop(self, case):
+        points, views, ladder = case
+        grid = score_grid(points, views, ladder)
+        q, d = score_grid_per_rung_oracle(points, views, ladder)
+        assert np.array_equal(grid.quantity, q)
+        assert np.array_equal(grid.density, d)
+
+    def test_default_ladder_on_a_scan(self):
+        points, _ = normalize_pose(simulate_scan(
+            make_sphere(radius=1.0, rings=24, segments=36),
+            ScannerConfig(position=(1.2, -2.0, 2.0), target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                          angular_step_deg=0.5, max_range=12.0)).cloud)
+        grid = score_grid(points)
+        q, d = score_grid_per_rung_oracle(points, grid.viewpoints, grid.resolutions)
+        assert np.array_equal(grid.quantity, q)
+        assert np.array_equal(grid.density, d)
+        assert d.max() > 0
+
+    def test_roots(self):
+        roots = select._ladder_roots((8, 9, 13, 32, 64, 100, 128, 256, 32))
+        assert roots == {8: (256, 5), 9: (9, 0), 13: (13, 0), 32: (256, 3), 64: (256, 2),
+                         100: (100, 0), 128: (256, 1), 256: (256, 0)}
+        assert select._ladder_roots((24, 96, 8192, 48)) == {24: (96, 2), 48: (96, 1), 96: (96, 0),
+                                                           8192: (8192, 0)}
 
 
 class TestAntipodalReuse:
