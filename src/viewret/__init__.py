@@ -14,7 +14,7 @@ from .evaluate import (ALL_CASES, CaseConfig, RankedRetrieval, ScanEntry, angula
                        desk_benchmark_config, make_synthetic_dataset, map_metric, ndcg_metric,
                        nn_metric, precision_recall_curve, run_benchmark,
                        viewpoint_error_experiment)
-from .features import build_pyramid, extract_features, sample_keypoints
+from .features import build_pyramid, sample_keypoints
 from .geometry import (CameraFrame, NormalizationTransform, TriangleMesh, camera_frame,
                        dodecahedron_viewpoints, normalize_mesh, normalize_pose)
 from .render import render_mesh, render_point_cloud

@@ -15,12 +15,11 @@ import numpy as np
 
 from . import io as vio
 from .config import PipelineConfig
-from .encode import (build_db, fisher_vector, fit_gmm, pool_database_features, query_db,
+from .encode import (build_db, fisher_vectors, fit_gmm, pool_database_features, query_db,
                      view_windows)
 from .errors import ViewretError
-from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_case,
+from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_cases,
                        precision_recall_curve, run_benchmark)
-from .features import describe
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
                        normalize_pose)
 from .render import render_mesh, render_point_cloud
@@ -286,8 +285,7 @@ def cmd_query(args, config: PipelineConfig):
     viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)
-    descriptors = [fisher_vector(describe(view[:]), gmm)
-                   for view in view_windows(images, config, [config.seed])]
+    descriptors = list(fisher_vectors(view_windows(images, config, [config.seed]), gmm))
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
         for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
             fh.write(f"{model_id} {distance:.10f}\n")
@@ -295,7 +293,7 @@ def cmd_query(args, config: PipelineConfig):
 
 
 def cmd_bench(args, config: PipelineConfig):
-    cases = [parse_case(name) for name in args.cases.split(",") if name]
+    cases = parse_cases(name for name in args.cases.split(",") if name)
     if args.pr_data and args.scans_per_class == 1:
         # a query's only relevant models are the other scans of its class
         raise ViewretError("ranking has no relevant items in its universe")

@@ -4,8 +4,11 @@ The mixture is fit once over a sample of the database features and reused
 for every image. An image's descriptor stacks, per component, the
 soft-assigned mean and deviation gradients of its feature set; two images
 are compared by the cosine distance of their descriptors. `fit-gmm`,
-`build-db` and the benchmark share one offline path: `view_windows`, then
-`pool_features` for the mixture and `encode_views` for the descriptors."""
+`build-db`, `query` and the benchmark share one path from a view image to
+its features: `view_windows` samples each image once and holds the view,
+`pool_features` samples held views for the mixture, and `fisher_vectors`
+encodes held views one at a time, for the database (`encode_views`) and
+the queries alike."""
 
 from dataclasses import dataclass, field
 
@@ -283,14 +286,16 @@ def pool_features(views, cap: int, seed) -> np.ndarray:
     return describe(windows)
 
 
-def encode_views(model_id: str, class_id: int, views, gmm: GmmParams) -> list:
-    """One float32 Fisher-vector `DbEntry` per held view of one model, in view order.
+def fisher_vectors(views, gmm: GmmParams):
+    """Yield each held view's float64 Fisher vector in turn, cutting its windows just then."""
+    for view in views:
+        yield fisher_vector(describe(view[:]), gmm)
 
-    Each view's windows are cut just before they are described, then dropped.
-    """
-    return [DbEntry(model_id, int(class_id), v_idx,
-                    fisher_vector(describe(view[:]), gmm).astype(np.float32))
-            for v_idx, view in enumerate(views)]
+
+def encode_views(model_id: str, class_id: int, views, gmm: GmmParams) -> list:
+    """One float32 Fisher-vector `DbEntry` per held view of one model, in view order."""
+    return [DbEntry(model_id, int(class_id), v_idx, descriptor.astype(np.float32))
+            for v_idx, descriptor in enumerate(fisher_vectors(views, gmm))]
 
 
 def pool_database_features(models, config: PipelineConfig) -> np.ndarray:

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .encode import (DescriptorDb, encode_views, fisher_vector, fit_gmm, pool_features,
+from .encode import (DescriptorDb, encode_views, fisher_vectors, fit_gmm, pool_features,
                      query_db, view_windows)
 from .errors import ViewretError
-from .features import extract_features
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
 from .scansim import ScannerConfig, make_box, make_cone, make_cylinder, make_sphere, simulate_scan
@@ -70,6 +69,18 @@ def parse_case(name: str) -> CaseConfig:
             return case
     raise ViewretError(f"unknown case {name!r}; expected one of "
                        + ",".join(c.name for c in ALL_CASES))
+
+
+def parse_cases(cases) -> list:
+    """Case names or `CaseConfig`s as a list of `CaseConfig`s; refuses none or a repeat."""
+    cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
+    if not cases:
+        raise ViewretError("no case requested")
+    names = [case.name for case in cases]
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ViewretError(f"case {name} is requested twice")
+    return cases
 
 
 def precision_recall_curve(retrieval: RankedRetrieval) -> list:
@@ -257,6 +268,19 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
+def _query_image(case, entry, state, config) -> np.ndarray:
+    """The view a case renders of one scan to query with."""
+    v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
+               "ransac": state.v_ransac}[case.viewpoint_source]
+    if case.resolution_source == "fixed_256":
+        r_query = FIXED_RESOLUTION
+    elif case.viewpoint_source == "proposed":
+        r_query = state.r_proposed
+    else:
+        r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
+    return render_point_cloud(state.points, v_query, r_query)
+
+
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
                   threads: int = 1) -> BenchmarkReport:
     """Leave-one-out retrieval over the dataset for every requested case.
@@ -269,15 +293,18 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     held as its keypoints and the image they are cut from, or as its
     windows where those are smaller; so a source's views take images plus
     keypoints plus ``gmm_sample_cap`` pooled rows, not every window. A
+    case's queries take `query`'s path: rendered in dataset order, then
+    `view_windows` (seed prefix ``[seed, 23, case.tag]``) and `fisher_vectors`. A
     case's resolution source sets the rung of both its database views and
     its query: each scan's proposed rung for ``-prop``, FIXED_RESOLUTION for
     ``-fixed``. One mixture and database is built per resolution source
-    that a requested case uses. Needs at least two scans with unique model
-    ids. Deterministic for a fixed seed.
+    that a requested case uses. Needs at least one case, none repeated, and
+    at least two scans with unique model ids; it refuses others before any
+    scan is prepared. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
-    cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
+    cases = parse_cases(cases)
     if len(dataset) < 2:
         raise ViewretError("leave-one-out needs at least two scans")
     classes = {entry.model_id: entry.class_id for entry in dataset}
@@ -309,21 +336,12 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     report = BenchmarkReport()
     for case in cases:
         gmm, db = databases[case.resolution_source]
+        images = (_query_image(case, entry, state, config) for entry, state in zip(dataset, states))
+        descriptors = fisher_vectors(view_windows(images, config, [seed, 23, case.tag]), gmm)
         retrievals = []
-        for index, (entry, state) in enumerate(zip(dataset, states)):
-            v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
-                       "ransac": state.v_ransac}[case.viewpoint_source]
-            if case.resolution_source == "fixed_256":
-                r_query = FIXED_RESOLUTION
-            elif case.viewpoint_source == "proposed":
-                r_query = state.r_proposed
-            else:
-                r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
-            img = render_point_cloud(state.points, v_query, r_query)
-            feats = extract_features(img, config.n_keypoints, config.keypoint_decay,
-                                     seed=[seed, 23, case.tag, index])
+        for entry, descriptor in zip(dataset, descriptors):
             items = [(model_id, classes[model_id], distance)
-                     for model_id, distance in query_db(db, fisher_vector(feats, gmm))
+                     for model_id, distance in query_db(db, descriptor)
                      if model_id != entry.model_id]
             retrievals.append(RankedRetrieval(query_class=entry.class_id, items=items))
         report.cases[case.name] = CaseResult(

@@ -6,7 +6,11 @@ each keypoint. Depth images of pose-normalized objects need no rotation
 invariance, so no dominant orientation is estimated. `describe` computes
 each keypoint's descriptor from its 18x18 uint8 window alone, so callers
 may hold and sample keypoints (`Keypoints`, 16 bytes a row plus the image)
-or windows (324 bytes against 512), and cut and describe later.
+or windows (324 bytes against 512), and cut and describe later. This
+module has the steps, not a path through them: every command takes an
+image to its features through `encode.view_windows` (`build_pyramid`,
+`sample_keypoints`, then a held view) and `encode.fisher_vectors`
+(`describe` of the view's cut windows).
 """
 
 import numpy as np
@@ -48,9 +52,11 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     """Draw keypoints uniformly without replacement from each level's foreground.
 
     Level ``l`` receives ``round(n_keypoints / decay**l)`` samples, clamped to
-    the number of foreground pixels actually present. Returns one (2, n) int
+    the number of foreground pixels actually present. Returns one (2, n) int64
     array per level that unpacks as ``rows, cols``; n is 0 where the level
-    gets no keypoint. Deterministic for a fixed seed.
+    gets no keypoint. Deterministic for a fixed seed. The draw picks among
+    the foreground pixels' row-major flat indices, and only the picked ones
+    are split into row and column.
     """
     if n_keypoints < 1:
         raise ViewretError("n_keypoints must be at least 1")
@@ -60,11 +66,12 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     per_level = []
     saw_foreground = False
     for level, img in enumerate(pyramid):
-        foreground = np.argwhere(np.asarray(img) > 0)
+        img = np.asarray(img)
+        foreground = np.flatnonzero(img > 0)
         saw_foreground = saw_foreground or len(foreground) > 0
         take = min(int(np.rint(n_keypoints / decay ** level)), len(foreground))
         chosen = rng.choice(len(foreground), size=take, replace=False) if take > 0 else []
-        per_level.append(foreground[chosen].T)
+        per_level.append(np.array(np.divmod(foreground[chosen], img.shape[1])))
     if not saw_foreground:
         raise ViewretError("no pyramid level has any foreground pixel")
     return per_level
@@ -247,14 +254,3 @@ class Keypoints:
 
     def __getitem__(self, index) -> np.ndarray:
         return cut_windows(build_pyramid(self.image), self.per_level, index)
-
-
-def keypoint_windows(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
-    """Sample keypoints, then cut them: (n, 18, 18) uint8 windows, levels in sampling order."""
-    pyramid = build_pyramid(img)
-    return cut_windows(pyramid, sample_keypoints(pyramid, n_keypoints, decay, seed))
-
-
-def extract_features(img, n_keypoints: int, decay: float, seed) -> np.ndarray:
-    """The (n, 128) float32 descriptors of `keypoint_windows`; deterministic for a fixed seed."""
-    return describe(keypoint_windows(img, n_keypoints, decay, seed))

@@ -12,8 +12,12 @@ rasterizer is the per-triangle loop that `render_mesh` evaluates over row
 spans in blocks, and the RANSAC baseline is the
 per-plane loop that `ransac_viewpoint` scores in blocks of planes, and the
 scan oracle tests every triangle against every ray, where `simulate_scan`
-tests only a triangle's footprint. The per-level feature extractor
-describes each pyramid level's windows apart, and the leave-one-out
+tests only a triangle's footprint. The keypoint sampler draws from every
+foreground pixel's coordinates, where the package draws flat indices and
+splits only the chosen ones. The one-image feature extractor samples, cuts
+and describes an image in one call, where the package holds each view
+between sampling and describing, and the per-level one describes each
+pyramid level's windows apart. The leave-one-out
 database describes every view and pools the float32 features, where the
 package keeps uint8 windows and describes only the rows it uses. The
 window pool holds every view's cut windows before it samples, where the
@@ -28,8 +32,8 @@ import numpy as np
 
 from viewret.encode import DbEntry, DescriptorDb, fisher_vector, fit_gmm
 from viewret.errors import ViewretError
-from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid, describe,
-                              sample_keypoints)
+from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid,
+                              cut_windows, describe, sample_keypoints)
 from viewret.geometry import (_pixel_indices, _unit_coordinates, as_points, camera_frame,
                               check_resolution)
 from viewret.render import _EDGE_EPS, depth_to_intensity
@@ -265,8 +269,35 @@ def batch_descriptors(level_img, rows, cols) -> np.ndarray:
     return _describe_block(_windows(level_img, rows, cols))
 
 
+def sample_keypoints_argwhere(pyramid, n_keypoints, decay, seed) -> list:
+    """The former `features.sample_keypoints`: draws rows of every foreground pixel's (row, col)."""
+    rng = np.random.default_rng(seed)
+    per_level = []
+    saw_foreground = False
+    for level, img in enumerate(pyramid):
+        foreground = np.argwhere(np.asarray(img) > 0)
+        saw_foreground = saw_foreground or len(foreground) > 0
+        take = min(int(np.rint(n_keypoints / decay ** level)), len(foreground))
+        chosen = rng.choice(len(foreground), size=take, replace=False) if take > 0 else []
+        per_level.append(foreground[chosen].T)
+    if not saw_foreground:
+        raise ViewretError("no pyramid level has any foreground pixel")
+    return per_level
+
+
+def keypoint_windows_oracle(img, n_keypoints, decay, seed) -> np.ndarray:
+    """The former `features.keypoint_windows`: sample, then cut every window of one image."""
+    pyramid = build_pyramid(img)
+    return cut_windows(pyramid, sample_keypoints_argwhere(pyramid, n_keypoints, decay, seed))
+
+
+def extract_features_oracle(img, n_keypoints, decay, seed) -> np.ndarray:
+    """The former `features.extract_features`: sample, cut and describe, in that order."""
+    return describe(keypoint_windows_oracle(img, n_keypoints, decay, seed))
+
+
 def extract_features_per_level(img, n_keypoints, decay, seed) -> np.ndarray:
-    """The former `features.extract_features`: each level described apart, then concatenated."""
+    """An earlier `features.extract_features`: each level described apart, then concatenated."""
     pyramid = build_pyramid(img)
     per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
     return np.concatenate([describe(_windows(level_img, rows, cols))

@@ -766,6 +766,20 @@ class TestBench:
         assert err.count("\n") == 1 and "no relevant items" in err
         assert not report.exists() and not pr.exists()
 
+    @pytest.mark.parametrize("cases, message", [
+        (",", "no case requested"), ("", "no case requested"),
+        ("prop-prop,prop-prop", "case prop-prop is requested twice")])
+    def test_no_case_or_a_repeated_one_writes_no_file(self, tmp_path, capsys, monkeypatch,
+                                                      cases, message):
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
+        monkeypatch.setattr("viewret.cli.run_benchmark", _refused_before_this)
+        report, pr = tmp_path / "report.csv", tmp_path / "pr.csv"
+        assert run(["bench", "--cases", cases, "--classes", "2", "--scans-per-class", "2",
+                    "--report", str(report), "--pr-data", str(pr)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"viewret bench: error: {message}\n"
+        assert not report.exists() and not pr.exists()
+
     @pytest.mark.parametrize("flags", [["--classes", "9"], ["--classes", "0"],
                                        ["--classes", "-1"], ["--scans-per-class", "0"]])
     def test_dataset_size_out_of_range_is_data_error(self, tmp_path, capsys, monkeypatch, flags):

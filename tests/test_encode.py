@@ -6,16 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import cosine_distance, pool_features_oracle
+from oracles import (cosine_distance, extract_features_oracle, keypoint_windows_oracle,
+                     pool_features_oracle)
 from viewret import encode
 from viewret.config import PipelineConfig
 from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gradients,
-                            _kmeans_plus_plus, _log_joint, build_db, fisher_vector, fit_gmm,
-                            gmm_posteriors, pool_database_features, pool_features, query_db,
-                            view_windows)
+                            _kmeans_plus_plus, _log_joint, build_db, encode_views,
+                            fisher_vector, fisher_vectors, fit_gmm, gmm_posteriors,
+                            pool_database_features, pool_features, query_db, view_windows)
 from viewret.errors import ViewretError
+from viewret.evaluate import desk_benchmark_config
 from viewret.features import (DESCRIBE_BLOCK, WINDOW, Keypoints, build_pyramid, cut_windows,
-                              describe, extract_features, keypoint_windows, sample_keypoints)
+                              describe, sample_keypoints)
+from viewret.geometry import dodecahedron_viewpoints, normalize_mesh
+from viewret.render import render_mesh
 from viewret.scansim import make_box, make_cone
 
 
@@ -498,8 +502,8 @@ class TestBuildAndQueryDb:
 # --- the pool it replaced: describe every view, then sample the rows ----------
 
 def pool_database_features_oracle(models, config):
-    feats = [extract_features(img, config.n_keypoints, config.keypoint_decay,
-                              seed=[config.seed, m_idx, v_idx])
+    feats = [extract_features_oracle(img, config.n_keypoints, config.keypoint_decay,
+                                     seed=[config.seed, m_idx, v_idx])
              for m_idx, (_, _, geometry) in enumerate(models)
              for v_idx, img in enumerate(encode.database_views(geometry, config))]
     pooled = np.concatenate(feats, axis=0)
@@ -625,7 +629,7 @@ def views_and_caps(draw):
     for index, (side, faint, n_keypoints, decay, as_windows) in enumerate(specs):
         img = view_image(rng, side, faint)
         views.append(held_view(img, n_keypoints, decay, [index], as_windows))
-        windows.append(keypoint_windows(img, n_keypoints, decay, [index]))
+        windows.append(keypoint_windows_oracle(img, n_keypoints, decay, [index]))
     total = sum(len(w) for w in windows)
     cap = draw(st.one_of(st.integers(1, total), st.integers(total, 2 * total + 1)))
     return views, windows, cap
@@ -650,7 +654,7 @@ class TestPoolFromKeypoints:
             img = view_image(rng, 128 if index % 3 else 300, faint=index % 4 == 1)
             decay = 300.0 if index % 5 == 2 else 1.5
             views.append(held_view(img, 150, decay, [index], as_windows=index % 2 == 0))
-            windows.append(keypoint_windows(img, 150, decay, [index]))
+            windows.append(keypoint_windows_oracle(img, 150, decay, [index]))
         levels = [v.per_level for v in views if isinstance(v, Keypoints)]
         assert any(kp.shape[1] == 0 for per_level in levels for kp in per_level)
         total = sum(len(w) for w in windows)
@@ -685,8 +689,75 @@ class TestViewWindows:
         images = [rng.integers(1, 256, size=(side, side), dtype=np.uint8) for _ in range(2)]
         views = list(view_windows(images, config, [5]))
         for v_idx, (img, view) in enumerate(zip(images, views)):
-            want = keypoint_windows(img, config.n_keypoints, config.keypoint_decay, [5, v_idx])
+            want = keypoint_windows_oracle(img, config.n_keypoints, config.keypoint_decay,
+                                           [5, v_idx])
             assert type(view) is held and len(view) == len(want)
             assert view[:].dtype == np.uint8 and np.array_equal(view[:], want)
             nbytes = img.nbytes + 16 * len(want)
             assert (nbytes < want.nbytes) == (held is Keypoints)
+
+
+@st.composite
+def images_and_keypoint_settings(draw):
+    """1 to 4 view images and keypoint settings; a few keypoints on a wide image hold windows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sides = draw(st.lists(st.integers(32, 140), min_size=1, max_size=4))
+    faint = draw(st.booleans())
+    images = [view_image(rng, side, faint) for side in sides]
+    return images, draw(st.integers(1, 200)), draw(st.sampled_from([1.0, 2.0, 300.0]))
+
+
+class TestFisherVectors:
+    """Held views encoded one at a time, against sampling, cutting and describing each image."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(images_and_keypoint_settings(), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_one_image_extractor_byte_for_byte(self, drawn, prefix, k, gmm_seed):
+        images, n_keypoints, decay = drawn
+        config = tiny_config().override(n_keypoints=n_keypoints, keypoint_decay=decay)
+        gmm = random_gmm(np.random.default_rng(gmm_seed), k, 128)
+        views = list(view_windows(images, config, [prefix, 23]))
+        got = list(fisher_vectors(views, gmm))
+        assert len(got) == len(images)
+        for index, (img, descriptor) in enumerate(zip(images, got)):
+            want = fisher_vector(extract_features_oracle(img, n_keypoints, decay,
+                                                         [prefix, 23, index]), gmm)
+            assert descriptor.dtype == want.dtype == np.float64
+            assert descriptor.tobytes() == want.tobytes()
+        entries = encode_views("m", 3, views, gmm)
+        assert [(e.model_id, e.class_id, e.viewpoint_id) for e in entries] == [
+            ("m", 3, v_idx) for v_idx in range(len(images))]
+        assert all(e.descriptor.dtype == np.float32
+                   and e.descriptor.tobytes() == d.astype(np.float32).tobytes()
+                   for e, d in zip(entries, got))
+
+    @pytest.mark.parametrize("rung, held", [(128, Keypoints), (512, np.ndarray),
+                                            (1024, np.ndarray)])
+    def test_views_held_either_way_at_desk_keypoints(self, rung, held):
+        config = desk_benchmark_config(seed=4)
+        mesh, _ = normalize_mesh(make_cone(radius=0.6, height=1.7))
+        images = [render_mesh(mesh, dodecahedron_viewpoints()[v_idx], rung) for v_idx in (2, 9)]
+        gmm = random_gmm(np.random.default_rng(rung), 3, 128)
+        views = list(view_windows(images, config, [4, 23, 10]))
+        assert all(type(view) is held for view in views)
+        for index, (img, descriptor) in enumerate(zip(images, fisher_vectors(views, gmm))):
+            want = fisher_vector(extract_features_oracle(img, config.n_keypoints,
+                                                         config.keypoint_decay,
+                                                         [4, 23, 10, index]), gmm)
+            assert descriptor.tobytes() == want.tobytes()
+
+    def test_views_are_taken_one_at_a_time(self):
+        gmm = random_gmm(np.random.default_rng(6), 2, 128)
+        taken = []
+
+        def images():
+            for side in (64, 80, 96):
+                taken.append(side)
+                yield np.full((side, side), 90, dtype=np.uint8)
+
+        vectors = fisher_vectors(view_windows(images(), tiny_config(), [1]), gmm)
+        assert taken == []
+        next(vectors)
+        assert taken == [64]
+        assert len(list(vectors)) == 2 and taken == [64, 80, 96]

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import loo_database_oracle
+from oracles import extract_features_oracle, keypoint_windows_oracle, loo_database_oracle
 from viewret.config import PipelineConfig
 from viewret.errors import ViewretError
 from viewret.evaluate import (CaseConfig, RankedRetrieval, angular_error, make_synthetic_dataset,
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric, nn_metric,
                               parse_case, precision_recall_curve, run_benchmark,
                               viewpoint_error_experiment)
-from viewret.features import DESCRIBE_BLOCK, keypoint_windows
+from viewret.features import DESCRIBE_BLOCK
 
 
 def ranking(query_class, labels, base_distance=0.1):
@@ -181,7 +181,6 @@ def loo_reference(dataset, case, config, seed):
     """
     from viewret.encode import fisher_vector, fit_gmm
     from viewret.evaluate import FIXED_RESOLUTION, _prepare_scan
-    from viewret.features import extract_features
     from viewret.geometry import dodecahedron_viewpoints
     from viewret.render import render_point_cloud
     from viewret.select import best_resolution_for_viewpoint
@@ -191,9 +190,9 @@ def loo_reference(dataset, case, config, seed):
     for index, state in enumerate(states):
         rung = FIXED_RESOLUTION if case.resolution_source == "fixed_256" else state.r_proposed
         images = [render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints()]
-        per_instance.append([np.asarray(extract_features(img, config.n_keypoints,
-                                                         config.keypoint_decay,
-                                                         seed=[seed, 13, index, view_id]),
+        per_instance.append([np.asarray(extract_features_oracle(img, config.n_keypoints,
+                                                                config.keypoint_decay,
+                                                                seed=[seed, 13, index, view_id]),
                                         dtype=np.float32)
                              for view_id, img in enumerate(images)])
     pooled = np.concatenate([f for feats in per_instance for f in feats], axis=0)
@@ -214,9 +213,9 @@ def loo_reference(dataset, case, config, seed):
             r_query = state.r_proposed
         else:
             r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
-        feats = extract_features(render_point_cloud(state.points, v_query, r_query),
-                                 config.n_keypoints, config.keypoint_decay,
-                                 seed=[seed, 23, case.tag, index])
+        feats = extract_features_oracle(render_point_cloud(state.points, v_query, r_query),
+                                        config.n_keypoints, config.keypoint_decay,
+                                        seed=[seed, 23, case.tag, index])
         q_desc = fisher_vector(feats, gmm)
         items = []
         for other_idx, other in enumerate(dataset):
@@ -287,6 +286,23 @@ class TestRunBenchmark:
         assert list(alone.rows()) == [row for row in both.rows() if row[0] == "prop-prop"]
         assert alone.cases["prop-prop"].retrievals == both.cases["prop-prop"].retrievals
 
+    @pytest.mark.parametrize("cases, message", [
+        ([], "no case requested"),
+        (["prop-prop", "prop-prop"], "case prop-prop is requested twice"),
+        (["gt-fixed", "prop-prop", parse_case("gt-fixed")], "case gt-fixed is requested twice"),
+    ])
+    def test_no_case_or_a_repeated_one_is_refused_before_any_scan(self, cases, message,
+                                                                  monkeypatch):
+        from viewret import evaluate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan was prepared")
+
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=4, step_deg=1.0)
+        monkeypatch.setattr(evaluate, "_prepare_scan", refuse)
+        with pytest.raises(ViewretError, match=f"^{message}$"):
+            run_benchmark(ds, cases, micro_config(), seed=4)
+
     def test_duplicate_model_ids_rejected(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=10, step_deg=1.0)
         ds[2].model_id = ds[0].model_id
@@ -331,8 +347,8 @@ class TestLooDatabase:
         images = [[render_point_cloud(state.points, v, state.r_proposed)
                    for v in dodecahedron_viewpoints()]
                   for state in (_prepare_scan(e, i, config, self.SEED) for i, e in enumerate(ds))]
-        total = sum(len(keypoint_windows(img, config.n_keypoints, config.keypoint_decay,
-                                         seed=[self.SEED, 13, index, v_idx]))
+        total = sum(len(keypoint_windows_oracle(img, config.n_keypoints, config.keypoint_decay,
+                                                seed=[self.SEED, 13, index, v_idx]))
                     for index, views in enumerate(images) for v_idx, img in enumerate(views))
         return ds, config, images, total
 
@@ -374,6 +390,42 @@ class TestLooDatabase:
                      e.descriptor.tobytes()) for e in db.entries]
 
         assert len(queried[0].entries) == 20 * len(ds) and rows(queried[0]) == rows(want_db)
+
+    @pytest.mark.parametrize("name", ["prop-prop", "gt-fixed"])
+    def test_queries_match_the_one_image_extractor_byte_for_byte(self, scans, name,
+                                                                 monkeypatch):
+        from viewret import evaluate
+        from viewret.encode import fisher_vector
+        from viewret.evaluate import FIXED_RESOLUTION, _prepare_scan
+        from viewret.render import render_point_cloud
+
+        ds, config, _, _ = scans
+        queried, fitted = [], []
+
+        def query_db(db, descriptor, *args, **kwargs):
+            queried.append(descriptor)
+            return evaluate_query_db(db, descriptor, *args, **kwargs)
+
+        def fit_gmm(*args, **kwargs):
+            fitted.append(evaluate_fit_gmm(*args, **kwargs))
+            return fitted[-1]
+
+        evaluate_fit_gmm, evaluate_query_db = evaluate.fit_gmm, evaluate.query_db
+        monkeypatch.setattr(evaluate, "fit_gmm", fit_gmm)
+        monkeypatch.setattr(evaluate, "query_db", query_db)
+        case = parse_case(name)
+        run_benchmark(ds, [case], config, seed=self.SEED)
+        assert len(fitted) == 1 and len(queried) == len(ds)
+        for index, (entry, descriptor) in enumerate(zip(ds, queried)):
+            state = _prepare_scan(entry, index, config, self.SEED)
+            img = (render_point_cloud(state.points, state.v_proposed, state.r_proposed)
+                   if name == "prop-prop" else
+                   render_point_cloud(state.points, entry.gt_viewpoint, FIXED_RESOLUTION))
+            feats = extract_features_oracle(img, config.n_keypoints, config.keypoint_decay,
+                                            [self.SEED, 23, case.tag, index])
+            want = fisher_vector(feats, fitted[0])
+            assert descriptor.dtype == want.dtype == np.float64
+            assert descriptor.tobytes() == want.tobytes()
 
 
 class TestViewpointErrorExperiment:

@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -5,17 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_descriptors, extract_features_per_level, windows_oracle
+from oracles import (batch_descriptors, extract_features_per_level, keypoint_windows_oracle,
+                     sample_keypoints_argwhere, windows_oracle)
+from viewret.config import PipelineConfig
+from viewret.encode import view_windows
 from viewret.errors import ViewretError
 from viewret import features
 from viewret.features import (_CELL_HI_W, _CELL_LO, _GAUSS, _MAGNITUDE, _OBIN0, _OBIN1, _OFRAC,
                               CELLS, COMPONENT_CLAMP, DESCRIPTOR_SIZE, ORIENTATION_BINS, PATCH,
                               WINDOW, Keypoints, _windows, build_pyramid, cut_windows, describe,
-                              extract_features, keypoint_windows, sample_keypoints)
+                              sample_keypoints)
 
 
 def descriptor(level_img, row, col):
     return batch_descriptors(level_img, [row], [col])[0]
+
+
+def view_features(img, n_keypoints, decay, seed_prefix):
+    """`describe` of one image's view as `view_windows` holds it: keypoint seed [*prefix, 0]."""
+    config = PipelineConfig(n_keypoints=n_keypoints, keypoint_decay=decay)
+    [view] = view_windows([img], config, seed_prefix)
+    return describe(view[:])
 
 
 class TestBuildPyramid:
@@ -86,6 +97,41 @@ class TestSampleKeypoints:
         assert len(a) == len(b) == len(pyr)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 150), st.integers(1, 150),
+           st.sampled_from([0.0, 0.001, 0.02, 0.5, 1.0]), st.integers(1, 500),
+           st.sampled_from([1.0, 1.5, 2.0, 4.0, 300.0]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_argwhere_form(self, h, w, fill, n_keypoints, decay, levels, seed):
+        # sparse to full foreground on odd shapes; a decay of 300 and faint pixels that vanish
+        # when halved leave coarse levels with no keypoint
+        rng = np.random.default_rng(seed)
+        img = np.where(rng.random((h, w)) < fill, rng.integers(1, 4, (h, w)), 0).astype(np.uint8)
+        img[rng.integers(h), rng.integers(w)] = 2
+        pyramid = build_pyramid(img) if levels and min(h, w) >= 32 else [img, np.zeros_like(img)]
+        got = sample_keypoints(pyramid, n_keypoints, decay, seed)
+        want = sample_keypoints_argwhere(pyramid, n_keypoints, decay, seed)
+        assert len(got) == len(want) == len(pyramid)
+        for g, o in zip(got, want):
+            assert g.dtype == o.dtype == np.int64 and g.shape == o.shape
+            assert np.array_equal(g, o)
+
+    def test_holds_no_coordinate_per_foreground_pixel(self):
+        # the argwhere form built an (m, 2) int64 array, 16 bytes a foreground pixel, to draw
+        # 8 keypoints, and peaked at 33 bytes a pixel on this full 2048^2 level; a mask and m
+        # flat indices take about 9
+        img = np.full((2048, 2048), 200, dtype=np.uint8)
+        pyramid = [img]
+        m = img.size
+        tracemalloc.start()
+        try:
+            [(rows, cols)] = sample_keypoints(pyramid, 8, 1.0, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(cols) == 8
+        assert peak < 12 * m
+
 
 class TestSiftDescriptor:
     def test_constant_patch_gives_zero_vector(self):
@@ -117,14 +163,16 @@ class TestSiftDescriptor:
             assert desc.min() >= 0.0
 
 
-class TestExtractFeatures:
+class TestViewFeatures:
+    """One image described as `view_windows` holds it, the path every command takes."""
+
     def test_all_background_raises(self):
         with pytest.raises(ViewretError, match="no pyramid level has any foreground pixel"):
-            extract_features(np.zeros((64, 64), dtype=np.uint8), 10, 1.0, seed=0)
+            view_features(np.zeros((64, 64), dtype=np.uint8), 10, 1.0, [0])
 
     def test_feature_count_over_levels(self):
         img = np.full((256, 256), 33, dtype=np.uint8)
-        feats = extract_features(img, 1000, 1.0, seed=1)
+        feats = view_features(img, 1000, 1.0, [1])
         assert feats.shape == (4000, 128) and feats.dtype == np.float32
 
     @pytest.mark.parametrize("rung", [32, 64, 128, 256, 512, 1024])
@@ -137,19 +185,19 @@ class TestExtractFeatures:
         for v_idx in (0, 7, 13):
             img = render_mesh(mesh, dodecahedron_viewpoints()[v_idx], rung)
             for n_keypoints, decay in ((150, 1.0), (350, 2.0)):
-                seed = [rung, v_idx, n_keypoints]
-                windows = keypoint_windows(img, n_keypoints, decay, seed)
+                prefix = [rung, v_idx, n_keypoints]
+                windows = keypoint_windows_oracle(img, n_keypoints, decay, [*prefix, 0])
                 assert windows.dtype == np.uint8 and windows.shape[1:] == (WINDOW, WINDOW)
-                want = extract_features_per_level(img, n_keypoints, decay, seed)
-                got = extract_features(img, n_keypoints, decay, seed)
+                want = extract_features_per_level(img, n_keypoints, decay, [*prefix, 0])
+                got = view_features(img, n_keypoints, decay, prefix)
                 assert got.dtype == want.dtype == np.float32 and len(got) == len(windows)
                 assert got.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         img = (rng.random((64, 64)) < 0.7).astype(np.uint8) * rng.integers(1, 255, size=(64, 64)).astype(np.uint8)
-        a = extract_features(img, 64, 2.0, seed=10)
-        b = extract_features(img, 64, 2.0, seed=10)
+        a = view_features(img, 64, 2.0, [10])
+        b = view_features(img, 64, 2.0, [10])
         assert np.array_equal(a, b)
 
     def test_foreground_shift_leaves_descriptors_unchanged(self):
@@ -263,7 +311,7 @@ def batch_descriptors_oracle(level_img, rows, cols):
     return desc
 
 
-def extract_features_oracle(img, n_keypoints, decay, seed):
+def per_keypoint_features_oracle(img, n_keypoints, decay, seed):
     pyramid = build_pyramid(img)
     keypoints = sample_keypoints_oracle(pyramid, n_keypoints, decay, seed)
     out = np.zeros((len(keypoints), DESCRIPTOR_SIZE))
@@ -305,8 +353,8 @@ class TestAgainstKeypointOracle:
     @given(images_and_settings())
     def test_features_and_keypoints_match(self, case):
         img, n_keypoints, decay, blank, seed = case
-        want = extract_features_oracle(img, n_keypoints, decay, seed).astype(np.float32)
-        assert np.array_equal(extract_features(img, n_keypoints, decay, seed), want)
+        want = per_keypoint_features_oracle(img, n_keypoints, decay, [seed, 0]).astype(np.float32)
+        assert np.array_equal(view_features(img, n_keypoints, decay, [seed]), want)
 
         # the sampler takes any list of levels: here a blank level may come
         # before one with foreground, which no built pyramid has
@@ -371,7 +419,7 @@ class TestKeypoints:
         img[0, 0] = 9
         pyramid = build_pyramid(img)
         per_level = sample_keypoints(pyramid, n_keypoints, decay, seed)
-        windows = keypoint_windows(img, n_keypoints, decay, seed)
+        windows = keypoint_windows_oracle(img, n_keypoints, decay, seed)
         held = Keypoints(img, per_level)
         n = len(windows)
         assert len(held) == n
@@ -418,9 +466,10 @@ class TestDescribe:
         rng = np.random.default_rng(14)
         img = (rng.random((96, 96)) < 0.6).astype(np.uint8) * rng.integers(1, 256, size=(96, 96),
                                                                             dtype=np.uint8)
-        windows = keypoint_windows(img, 120, 1.5, seed=15)
+        windows = keypoint_windows_oracle(img, 120, 1.5, seed=15)
         whole = features._describe_block(windows).astype(np.float32)
-        assert np.array_equal(extract_features(img, 120, 1.5, seed=15), whole)
+        assert len(windows) > features.DESCRIBE_BLOCK
+        assert np.array_equal(describe(windows), whole)
         monkeypatch.setattr(features, "DESCRIBE_BLOCK", 7)
         blocked = describe(windows)
         assert blocked.dtype == np.float32 and len(windows) > 7 * 3
