@@ -7,6 +7,7 @@ stderr, data to files or stdout.
 """
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -318,8 +319,17 @@ def cmd_bench(args, config: PipelineConfig):
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()` on the first call, then the same parser.
+
+    The parser binds the ``cmd_*`` functions that the module holds at that first call.
+    """
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,7 +8,18 @@ are compared by the cosine distance of their descriptors. `fit-gmm`,
 its features: `view_windows` samples each image once and holds the view,
 `pool_features` samples held views for the mixture, and `fisher_vectors`
 encodes held views one at a time, for the database (`encode_views`) and
-the queries alike."""
+the queries alike.
+
+The mixture and the database check themselves where they are built, and
+no stage or file format checks them again. `GmmParams` refuses shapes
+other than (K,) weights and (K, D) means and sigmas, and values that are
+not finite, or weights and sigmas that are not positive. `DescriptorDb`
+refuses a database with no entries. Per entry, prefixed ``entry {i}: ``,
+it refuses ids that FVDB cannot store and a descriptor that is not a 1-D
+real array of the first one's length (a positive multiple of
+2 * DESCRIPTOR_SIZE), or that is not finite and non-zero as the float32
+values FVDB stores. It holds its entries as a tuple and marks each
+descriptor read-only in place, without a copy, so the check holds."""
 
 from dataclasses import dataclass, field
 
@@ -16,7 +27,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import ViewretError
-from .features import WINDOW, Keypoints, build_pyramid, cut_windows, describe, sample_keypoints
+from .features import (DESCRIPTOR_SIZE, WINDOW, Keypoints, build_pyramid, cut_windows, describe,
+                       sample_keypoints)
 from .geometry import TriangleMesh, dodecahedron_viewpoints, normalize_mesh, normalize_pose
 from .render import render_mesh, render_point_cloud
 from .select import propose
@@ -25,16 +37,44 @@ VARIANCE_FLOOR = 1e-6
 MAX_EM_ITERATIONS = 25
 EM_RELATIVE_TOL = 1e-5
 _LOG_2PI = np.log(2.0 * np.pi)
+# the widths of an FVDB entry's "<H" model-id length and "<I" class and viewpoint ids
+MAX_MODEL_ID_BYTES = 0xFFFF
+MAX_CLASS_ID = 0xFFFFFFFF
 
 
 @dataclass
 class GmmParams:
-    """Mixture weights, means and per-dimension standard deviations."""
+    """Mixture weights, means and per-dimension standard deviations.
+
+    Construction checks (K,) weights and (K, D) means and sigmas with K and
+    D at least 1, finite means, and finite positive weights and sigmas. The
+    values are checked in the dtype given, since casting a float32
+    signalling NaN to float64 warns, and then held as float64 (not copied
+    when they are float64 already). `fit_gmm` updates its mixture in place.
+    """
 
     weights: np.ndarray          # (K,)
     means: np.ndarray            # (K, D)
     sigmas: np.ndarray           # (K, D)
     log_likelihoods: list = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        weights, means, sigmas = arrays = [np.asarray(a) for a in
+                                           (self.weights, self.means, self.sigmas)]
+        if any(a.dtype.kind not in "iuf" for a in arrays):
+            raise ViewretError("mixture weights, means and sigmas must be real numbers")
+        if (weights.ndim != 1 or means.ndim != 2 or sigmas.shape != means.shape
+                or len(means) != len(weights)):
+            raise ViewretError(f"mixture needs (K,) weights and (K, D) means and sigmas, got "
+                               f"{weights.shape}, {means.shape} and {sigmas.shape}")
+        if 0 in means.shape:
+            raise ViewretError(f"mixture shape K={means.shape[0]}, D={means.shape[1]} is empty")
+        for name, values in (("weights", weights), ("sigmas", sigmas)):
+            if not np.all(np.isfinite(values) & (values > 0)):
+                raise ViewretError(f"mixture {name} must be finite and positive")
+        if not np.all(np.isfinite(means)):
+            raise ViewretError("mixture means must be finite")
+        self.weights, self.means, self.sigmas = (a.astype(np.float64, copy=False) for a in arrays)
 
     @property
     def n_components(self) -> int:
@@ -212,11 +252,47 @@ class DbEntry:
     descriptor: np.ndarray
 
 
+def check_model(model_id: str, class_id: int):
+    """Raise ViewretError unless a database can store the record and `query` print its id."""
+    if not 0 <= class_id <= MAX_CLASS_ID:
+        raise ViewretError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+    if model_id.split() != [model_id]:
+        raise ViewretError("model id is empty or holds whitespace")
+    if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
+        raise ViewretError(f"model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
+
+
 @dataclass
 class DescriptorDb:
-    """All per-view descriptors of the database models, sharing one mixture."""
+    """All per-view descriptors of the database models, sharing one mixture. Construction is
+    the database's one check (see the module docstring); it makes each descriptor read-only."""
 
-    entries: list
+    entries: tuple
+
+    def __post_init__(self):
+        self.entries = tuple(self.entries)
+        if not self.entries:
+            raise ViewretError("descriptor database is empty")
+        dim = np.size(self.entries[0].descriptor)
+        for index, entry in enumerate(self.entries):
+            try:
+                check_model(entry.model_id, entry.class_id)
+                if not 0 <= entry.viewpoint_id <= MAX_CLASS_ID:
+                    raise ViewretError(f"viewpoint id {entry.viewpoint_id} is outside "
+                                       f"[0, {MAX_CLASS_ID}]")
+                desc = entry.descriptor
+                if not (isinstance(desc, np.ndarray) and desc.dtype.kind in "iuf"
+                        and desc.shape == (dim,) and dim and dim % (2 * DESCRIPTOR_SIZE) == 0):
+                    raise ViewretError(f"descriptors must be 1-D real arrays that share one "
+                                       f"length, a positive multiple of {2 * DESCRIPTOR_SIZE}")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stored = desc.astype(np.float32, copy=False)
+                if not (np.all(np.isfinite(stored)) and stored.any()):
+                    raise ViewretError("descriptor is not finite and non-zero in float32")
+            except ViewretError as exc:
+                raise ViewretError(f"entry {index}: {exc}") from None
+        for entry in self.entries:
+            entry.descriptor.setflags(write=False)
 
 
 def database_views(geometry, config: PipelineConfig):
@@ -309,8 +385,6 @@ def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
 def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
     """Encode one descriptor per (model, viewpoint) for all database models."""
     ids = [m[0] for m in models]
-    if len(ids) == 0:
-        raise ViewretError("need at least one model")
     if len(set(ids)) != len(ids):
         raise ViewretError("model ids must be unique")
     entries = []
@@ -329,8 +403,6 @@ def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
     """
     if top_k is not None and top_k < 1:
         raise ViewretError(f"top_k must be at least 1, got {top_k}")
-    if not db.entries:
-        raise ViewretError("descriptor database is empty")
     queries = np.atleast_2d(np.asarray(query_descriptors, dtype=np.float64))
     dim = db.entries[0].descriptor.shape[0]
     if queries.shape[1] != dim:
@@ -347,10 +419,7 @@ def query_db(db: DescriptorDb, query_descriptors, top_k: int = None) -> list:
     ranking = []
     for model_id, descriptors in grouped.items():
         mat = np.asarray(descriptors, dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=1)
-        if np.any(norms == 0):
-            raise ViewretError(f"database descriptor for {model_id} has zero norm")
-        cos = np.clip(qn @ (mat / norms[:, None]).T, -1.0, 1.0)
+        cos = np.clip(qn @ (mat / np.linalg.norm(mat, axis=1)[:, None]).T, -1.0, 1.0)
         ranking.append((model_id, float((1.0 - cos).min())))
     ranking.sort(key=lambda pair: pair[1])
     return ranking if top_k is None else ranking[:top_k]

@@ -1,6 +1,8 @@
 """File formats: XYZ/OBJ geometry, PGM images (written only), binary mixture and database files.
 
-All binary layouts are little-endian with 32-bit IEEE floats.
+All binary layouts are little-endian with 32-bit IEEE floats. A binary reader
+checks the structure; the `encode` record it builds checks the values, and
+the reader names its file in that record's refusal.
 """
 
 import math
@@ -10,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .encode import DbEntry, DescriptorDb, GmmParams
+from .encode import DbEntry, DescriptorDb, GmmParams, check_model
 from .errors import ViewretError
 from .features import DESCRIPTOR_SIZE
 from .geometry import TriangleMesh
@@ -18,9 +20,6 @@ from .geometry import TriangleMesh
 GMM_MAGIC = b"GMM1"
 DB_MAGIC = b"FVDB"
 DB_VERSION = 1
-# the widths of an FVDB entry's "<H" model-id length and "<I" class and viewpoint ids
-MAX_MODEL_ID_BYTES = 0xFFFF
-MAX_CLASS_ID = 0xFFFFFFFF
 
 
 # --- text files --------------------------------------------------------------
@@ -161,16 +160,6 @@ def write_pgm(img, path):
 
 # --- binary dumps -------------------------------------------------------------
 
-def _check_model(model_id: str, class_id: int):
-    """Raise ViewretError unless a database can store the record and `query` print its id."""
-    if not 0 <= class_id <= MAX_CLASS_ID:
-        raise ViewretError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
-    if model_id.split() != [model_id]:
-        raise ViewretError("model id is empty or holds whitespace")
-    if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
-        raise ViewretError(f"model id is longer than {MAX_MODEL_ID_BYTES} UTF-8 bytes")
-
-
 class _BinaryReader:
     """Reads the fields of an open binary file, raising ViewretError on a short read.
 
@@ -206,58 +195,42 @@ class _BinaryReader:
 
 
 def write_gmm(gmm: GmmParams, path):
+    """Write GMM1; the float32 values written are checked as a `GmmParams` before the file opens.
+
+    So a sigma that float32 rounds to 0, or a mean it rounds to inf, is
+    refused, and no file is left.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = [np.asarray(a, dtype="<f4") for a in (gmm.weights, gmm.means, gmm.sigmas)]
+    GmmParams(*stored)
     with open(path, "wb") as fh:
         fh.write(GMM_MAGIC)
-        fh.write(struct.pack("<II", gmm.n_components, gmm.dim))
-        fh.write(gmm.weights.astype("<f4").tobytes())
-        fh.write(gmm.means.astype("<f4").tobytes())
-        fh.write(gmm.sigmas.astype("<f4").tobytes())
+        fh.write(struct.pack("<II", *stored[1].shape))
+        for values in stored:
+            fh.write(values.tobytes())
 
 
 def read_gmm(path) -> GmmParams:
-    """Read a mixture; rejects empty shapes, non-finite values, non-positive weights or sigmas."""
+    """Read a mixture; `GmmParams` checks its shape and values, refusing as ``path: ...``."""
     with open(path, "rb") as fh:
         reader = _BinaryReader(fh, path, GMM_MAGIC)
         k, d = reader.unpack("<II", "header")
-        if k < 1 or d < 1:
-            raise ViewretError(f"{path}: mixture shape K={k}, D={d} is empty")
         weights = reader.floats(k, "weights")
         means = reader.floats(k * d, "means").reshape(k, d)
         sigmas = reader.floats(k * d, "sigmas").reshape(k, d)
         reader.finish()
-    # checked as float32: casting a signalling NaN to float64 warns of an invalid value
-    for name, values in (("weights", weights), ("sigmas", sigmas)):
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise ViewretError(f"{path}: mixture {name} must be finite and positive")
-    if not np.all(np.isfinite(means)):
-        raise ViewretError(f"{path}: mixture means must be finite")
-    return GmmParams(weights=weights.astype(np.float64), means=means.astype(np.float64),
-                     sigmas=sigmas.astype(np.float64))
+    try:
+        return GmmParams(weights=weights, means=means, sigmas=sigmas)
+    except ViewretError as exc:
+        raise ViewretError(f"{path}: {exc}") from None
 
 
 def write_descriptor_db(db: DescriptorDb, path):
-    """Write FVDB; every entry is checked before the file is opened, so none is left partial."""
-    if not db.entries:
-        raise ViewretError("refusing to write an empty descriptor database")
-    lengths = {np.size(entry.descriptor) for entry in db.entries}
-    dim = lengths.pop()
-    if lengths or dim == 0 or dim % (2 * DESCRIPTOR_SIZE):
-        raise ViewretError(f"descriptors must share one length, a positive multiple of "
-                           f"{2 * DESCRIPTOR_SIZE}")
-    for index, entry in enumerate(db.entries):
-        try:
-            _check_model(entry.model_id, entry.class_id)
-            if not 0 <= entry.viewpoint_id <= MAX_CLASS_ID:
-                raise ViewretError(f"viewpoint id {entry.viewpoint_id} is outside "
-                                   f"[0, {MAX_CLASS_ID}]")
-            if not np.all(np.isfinite(entry.descriptor)):
-                raise ViewretError("descriptor holds a non-finite value")
-        except ValueError as exc:
-            raise ViewretError(f"entry {index}: {exc}") from None
+    """Write FVDB; `DescriptorDb` construction checked every entry, so none is left partial."""
+    k = db.entries[0].descriptor.size // (2 * DESCRIPTOR_SIZE)
     with open(path, "wb") as fh:
         fh.write(DB_MAGIC)
-        fh.write(struct.pack("<IIII", DB_VERSION, dim // (2 * DESCRIPTOR_SIZE), DESCRIPTOR_SIZE,
-                             len(db.entries)))
+        fh.write(struct.pack("<IIII", DB_VERSION, k, DESCRIPTOR_SIZE, len(db.entries)))
         for entry in db.entries:
             name = entry.model_id.encode("utf-8")
             fh.write(struct.pack("<H", len(name)) + name
@@ -281,16 +254,12 @@ def read_descriptor_db(path) -> DescriptorDb:
             except UnicodeDecodeError as exc:
                 raise ViewretError(f"{path}: {field} model id is not UTF-8") from exc
             class_id, viewpoint_id = reader.unpack("<II", field)
-            desc = reader.floats(dim, field).copy()
-            try:
-                _check_model(model_id, class_id)
-                if not np.all(np.isfinite(desc)):
-                    raise ViewretError("descriptor holds a non-finite value")
-            except ValueError as exc:
-                raise ViewretError(f"{path}: {field} {exc}") from None
-            entries.append(DbEntry(model_id, class_id, viewpoint_id, desc))
+            entries.append(DbEntry(model_id, class_id, viewpoint_id, reader.floats(dim, field)))
         reader.finish()
-    return DescriptorDb(entries=entries)
+    try:
+        return DescriptorDb(entries=entries)
+    except ViewretError as exc:
+        raise ViewretError(f"{path}: {exc}") from None
 
 
 # --- sidecar metadata and tables ----------------------------------------------
@@ -344,7 +313,7 @@ def load_manifest(path) -> list:
                 class_id = int(class_text)
             except ValueError:
                 raise ViewretError(f"class id {class_text!r} is not an integer") from None
-            _check_model(model_id, class_id)
+            check_model(model_id, class_id)
             if model_id in first_line:
                 raise ViewretError(f"model id {model_id!r} repeats line {first_line[model_id]}")
             first_line[model_id] = line_no

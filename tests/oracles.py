@@ -372,6 +372,13 @@ def read_scan_metadata(path) -> dict:
     return out
 
 
+def gmm_bytes(weights, means, sigmas) -> bytes:
+    """A GMM1 file laid out field by field, with no check; K and D are ``means``' shape."""
+    arrays = [np.asarray(a, dtype="<f4") for a in (weights, means, sigmas)]
+    return (b"GMM1" + struct.pack("<II", *arrays[1].shape)
+            + b"".join(a.tobytes() for a in arrays))
+
+
 def fvdb_bytes(k: int, d: int, entries) -> bytes:
     """An FVDB file laid out field by field, with no check.
 

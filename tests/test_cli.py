@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import viewret
 from oracles import fvdb_bytes, read_pgm, read_scan_metadata
+from viewret import cli
 from viewret import io as vio
 from viewret.cli import _load_config_file, run
 from viewret.config import PipelineConfig
@@ -474,7 +475,7 @@ class TestCorruptInputs:
                     "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"viewret query: error: {db_path}: entry 1 model id is empty or "
+        assert captured.err == (f"viewret query: error: {db_path}: entry 1: model id is empty or "
                                 f"holds whitespace\n")
 
     @pytest.mark.filterwarnings("error")
@@ -665,6 +666,19 @@ def write_every_field(config, path):
             fh.write(f"{key} = {value}\n")
 
 
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert [run([]), run([]), run(["normalize"])] == [1, 1, 1]
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert capsys.readouterr().err.count("usage: viewret") == 3
+
+
 class TestConfigSchema:
     def test_every_field_round_trips(self, cloud_file, tmp_path, capsys):
         path = tmp_path / "every.cfg"
@@ -792,12 +806,26 @@ class TestBench:
 
 
 class TestConfigRefusals:
-    """A negative seed or a cap below one is refused where the config is built."""
+    """Every out-of-range field is refused where the config is built, naming its key."""
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be non-negative, got -1"),
         ("gmm_sample_cap", 0, "gmm_sample_cap must be at least 1, got 0"),
-        ("gmm_sample_cap", -5, "gmm_sample_cap must be at least 1, got -5")])
+        ("gmm_sample_cap", -5, "gmm_sample_cap must be at least 1, got -5"),
+        ("gaussians", 0, "gaussians must be at least 1, got 0"),
+        ("n_keypoints", 0, "n_keypoints must be at least 1, got 0"),
+        ("ransac_iterations", 0, "ransac_iterations must be at least 1, got 0"),
+        ("keypoint_decay", 0.5, "keypoint_decay must be at least 1, got 0.5"),
+        ("keypoint_decay", float("nan"), "keypoint_decay must be at least 1, got nan"),
+        ("ransac_tolerance", 0.0, "ransac_tolerance must be finite and positive, got 0.0"),
+        ("ransac_tolerance", -0.5, "ransac_tolerance must be finite and positive, got -0.5"),
+        ("ransac_tolerance", float("inf"), "ransac_tolerance must be finite and positive, got inf"),
+        ("ransac_tolerance", float("nan"), "ransac_tolerance must be finite and positive, got nan"),
+        ("resolutions", (), "resolutions must hold at least one rung"),
+        ("resolutions", (32, 9000), r"resolutions rung 9000 is outside \[8, 8192\]"),
+        ("resolutions", (7,), r"resolutions rung 7 is outside \[8, 8192\]"),
+        ("db_resolution", 9000, r"db_resolution 9000 is outside \[8, 8192\]"),
+        ("db_resolution", 4, r"db_resolution 4 is outside \[8, 8192\]")])
     def test_the_config_refuses_it(self, key, value, message):
         with pytest.raises(ViewretError, match=message):
             PipelineConfig(**{key: value})
@@ -822,6 +850,30 @@ class TestConfigRefusals:
         key = "seed" if how == "flag" else "gmm_sample_cap"
         assert err.count("\n") == 1 and err.startswith(f"viewret {command}: error: {key} ")
         assert not any(p.suffix in (".gmm", ".csv") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, line", [("fit-gmm", "gaussians = 0"),
+                                               ("build-db", "db_resolution = 9000"),
+                                               ("bench", "ransac_iterations = 0")])
+    def test_a_stage_key_is_named_before_any_view(self, tmp_path, capsys, monkeypatch,
+                                                  mesh_file, command, line):
+        monkeypatch.setattr("viewret.encode.database_views", _refused_before_this)
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"sphere 0 {mesh_file}\n")
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{line}\n")
+        gmm = tmp_path / "ok.gmm"
+        vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), gmm)
+        out = tmp_path / "out"
+        argv = {"fit-gmm": ["fit-gmm", "--input", str(manifest), "--output", str(out)],
+                "build-db": ["build-db", "--input", str(manifest), "--gmm", str(gmm),
+                             "--output", str(out)],
+                "bench": ["bench", "--report", str(out)]}[command]
+        assert run([*argv, "--config", str(config)]) == 2
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr().err
+        assert err.startswith(f"viewret {command}: error: {key} ") and value in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_scan_sim_refuses_a_negative_seed(self, mesh_file, tmp_path, capsys):
         out = tmp_path / "scan.xyz"

@@ -16,8 +16,8 @@ from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gra
                             pool_database_features, pool_features, query_db, view_windows)
 from viewret.errors import ViewretError
 from viewret.evaluate import desk_benchmark_config
-from viewret.features import (DESCRIBE_BLOCK, WINDOW, Keypoints, build_pyramid, cut_windows,
-                              describe, sample_keypoints)
+from viewret.features import (DESCRIBE_BLOCK, DESCRIPTOR_SIZE, WINDOW, Keypoints, build_pyramid,
+                              cut_windows, describe, sample_keypoints)
 from viewret.geometry import dodecahedron_viewpoints, normalize_mesh
 from viewret.render import render_mesh
 from viewret.scansim import make_box, make_cone
@@ -215,6 +215,42 @@ class TestFitGmm:
         assert config.seed == 42
 
 
+class TestGmmParams:
+    """A mixture is checked where it is built, so no stage can encode with a broken one."""
+
+    def test_weights_that_do_not_match_the_means_are_refused_before_encoding(self):
+        with pytest.raises(ViewretError, match="mixture needs"):
+            fisher_vector(np.ones((3, 4)), GmmParams(np.full(2, 0.5), np.zeros((1, 4)),
+                                                      np.ones((1, 4))))
+
+    def test_zero_sigma_is_refused_before_encoding(self):
+        sigmas = np.ones((2, 4))
+        sigmas[1, 2] = 0.0
+        with pytest.raises(ViewretError, match="mixture sigmas must be finite and positive"):
+            fisher_vector(np.ones((3, 4)), GmmParams(np.full(2, 0.5), np.zeros((2, 4)), sigmas))
+
+    @pytest.mark.parametrize("weights, means, sigmas, message", [
+        (np.ones(1), np.zeros(4), np.ones(4), "mixture needs"),
+        (np.ones(1), np.zeros((1, 4)), np.ones((1, 3)), "mixture needs"),
+        (np.ones(0), np.zeros((0, 4)), np.ones((0, 4)), "mixture shape K=0, D=4 is empty"),
+        (np.ones(2), np.zeros((2, 0)), np.ones((2, 0)), "mixture shape K=2, D=0 is empty"),
+        (np.array([0.5, -0.5]), np.zeros((2, 4)), np.ones((2, 4)), "weights must be finite"),
+        (np.ones(1), np.full((1, 4), np.inf), np.ones((1, 4)), "means must be finite"),
+        (np.ones(1), np.zeros((1, 4)), np.full((1, 4), np.nan), "sigmas must be finite"),
+        (np.array(["1"]), np.zeros((1, 4)), np.ones((1, 4)), "must be real numbers"),
+    ])
+    def test_refusals(self, weights, means, sigmas, message):
+        with pytest.raises(ViewretError, match=message):
+            GmmParams(weights, means, sigmas)
+
+    def test_float64_arrays_are_held_as_given(self):
+        weights, means, sigmas = np.ones(1), np.zeros((1, 4)), np.ones((1, 4))
+        gmm = GmmParams(weights, means, sigmas)
+        assert gmm.weights is weights and gmm.means is means and gmm.sigmas is sigmas
+        widened = GmmParams(*(a.astype(np.float32) for a in (weights, means, sigmas)))
+        assert all(a.dtype == np.float64 for a in (widened.weights, widened.means, widened.sigmas))
+
+
 class TestGmmPosteriors:
     def test_single_component(self):
         gmm = random_gmm(np.random.default_rng(29), 1, 8)
@@ -387,6 +423,10 @@ def tiny_config(seed=0):
                           gmm_sample_cap=5000, seed=seed)
 
 
+# the shortest descriptor a `DescriptorDb` holds: one component's mean and deviation gradients
+DIM = 2 * DESCRIPTOR_SIZE
+
+
 class TestBuildAndQueryDb:
     def make_gmm(self, rng):
         feats = np.abs(rng.normal(size=(60, 128))) * 0.05
@@ -422,7 +462,7 @@ class TestBuildAndQueryDb:
     def test_exact_match_ranks_first(self):
         rng = np.random.default_rng(37)
         from viewret.encode import DbEntry
-        descs = rng.normal(size=(6, 64)).astype(np.float32)
+        descs = rng.normal(size=(6, DIM)).astype(np.float32)
         db = DescriptorDb(entries=[DbEntry(f"m{i}", i % 2, 0, d) for i, d in enumerate(descs)])
         ranking = query_db(db, descs[3][None, :], top_k=3)
         assert ranking[0][0] == "m3"
@@ -431,29 +471,29 @@ class TestBuildAndQueryDb:
     def test_top_k_overflow_returns_everything(self):
         rng = np.random.default_rng(38)
         from viewret.encode import DbEntry
-        db = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, rng.normal(size=16).astype(np.float32))
+        db = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, rng.normal(size=DIM).astype(np.float32))
                                    for i in range(4)])
-        assert len(query_db(db, rng.normal(size=(1, 16)), top_k=100)) == 4
+        assert len(query_db(db, rng.normal(size=(1, DIM)), top_k=100)) == 4
 
     def test_top_k_below_one_rejected(self):
         rng = np.random.default_rng(38)
         from viewret.encode import DbEntry
-        db = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, rng.normal(size=16).astype(np.float32))
+        db = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, rng.normal(size=DIM).astype(np.float32))
                                    for i in range(4)])
         for top_k in (0, -1):
             with pytest.raises(ValueError):
-                query_db(db, rng.normal(size=(1, 16)), top_k=top_k)
+                query_db(db, rng.normal(size=(1, DIM)), top_k=top_k)
 
     def test_matches_exhaustive_pairwise_oracle(self):
         rng = np.random.default_rng(39)
         from viewret.encode import DbEntry
-        contiguous = [DbEntry(f"m{i}", 0, v, rng.normal(size=32).astype(np.float32))
+        contiguous = [DbEntry(f"m{i}", 0, v, rng.normal(size=DIM).astype(np.float32))
                       for i in range(3) for v in range(2)]
-        cases = [(contiguous, rng.normal(size=(2, 32)))]
+        cases = [(contiguous, rng.normal(size=(2, DIM)))]
         # each model's rows scattered through the database, and 13 query rows (a --multiview query)
-        interleaved = [DbEntry(f"m{i}", 0, v, rng.normal(size=32).astype(np.float32))
+        interleaved = [DbEntry(f"m{i}", 0, v, rng.normal(size=DIM).astype(np.float32))
                        for v in range(3) for i in (2, 0, 3, 1)]
-        cases.append((interleaved, rng.normal(size=(13, 32))))
+        cases.append((interleaved, rng.normal(size=(13, DIM))))
         for entries, queries in cases:
             ranking = query_db(DescriptorDb(entries=entries), queries)
             expect = {}
@@ -465,19 +505,19 @@ class TestBuildAndQueryDb:
             assert [m for m, _ in ranking] == [m for m, _ in want]
             np.testing.assert_allclose([d for _, d in ranking], [d for _, d in want], atol=1e-12)
 
-    def test_zero_norm_database_row_names_its_model(self):
+    def test_zero_norm_database_row_is_refused_where_the_database_is_built(self):
         rng = np.random.default_rng(41)
         from viewret.encode import DbEntry
-        entries = [DbEntry(f"m{i}", 0, v, rng.normal(size=16).astype(np.float32))
+        entries = [DbEntry(f"m{i}", 0, v, rng.normal(size=DIM).astype(np.float32))
                    for i in range(3) for v in range(2)]
         entries[3].descriptor[:] = 0.0
-        with pytest.raises(ViewretError, match="for m1 has zero norm"):
-            query_db(DescriptorDb(entries=entries), rng.normal(size=(1, 16)))
+        with pytest.raises(ViewretError, match="^entry 3: descriptor is not finite and non-zero in float32$"):
+            DescriptorDb(entries=entries)
 
     def test_tied_distances_keep_database_model_order(self):
         rng = np.random.default_rng(42)
         from viewret.encode import DbEntry
-        near, far = rng.normal(size=(2, 16)).astype(np.float32)
+        near, far = rng.normal(size=(2, DIM)).astype(np.float32)
         entries = [DbEntry("z", 0, 0, near), DbEntry("a", 0, 0, far), DbEntry("m", 0, 0, near),
                    DbEntry("b", 0, 0, near.copy())]
         ranking = query_db(DescriptorDb(entries=entries), near[None, :])
@@ -488,15 +528,30 @@ class TestBuildAndQueryDb:
     def test_ranking_invariant_under_descriptor_scaling(self):
         rng = np.random.default_rng(40)
         from viewret.encode import DbEntry
-        descs = rng.normal(size=(5, 16)).astype(np.float32)
-        q = rng.normal(size=(1, 16))
+        descs = rng.normal(size=(5, DIM)).astype(np.float32)
+        q = rng.normal(size=(1, DIM))
         db1 = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, d) for i, d in enumerate(descs)])
         db2 = DescriptorDb(entries=[DbEntry(f"m{i}", 0, 0, d * 7.5) for i, d in enumerate(descs)])
         assert [m for m, _ in query_db(db1, q)] == [m for m, _ in query_db(db2, 2.0 * q)]
 
     def test_empty_db(self):
-        with pytest.raises(ViewretError, match="descriptor database is empty"):
-            query_db(DescriptorDb(entries=[]), np.ones((1, 8)))
+        with pytest.raises(ViewretError, match="^descriptor database is empty$"):
+            DescriptorDb(entries=[])
+
+    def test_descriptors_of_two_lengths_are_refused_before_any_query(self):
+        from viewret.encode import DbEntry
+        with pytest.raises(ViewretError, match="^entry 1: descriptors must be 1-D real arrays that share one length"):
+            query_db(DescriptorDb(entries=[DbEntry("a", 0, 0, np.ones(DIM, dtype=np.float32)),
+                                           DbEntry("b", 0, 0, np.ones(2 * DIM, dtype=np.float32))]),
+                     np.ones((1, DIM)))
+
+    def test_descriptors_are_held_read_only_and_not_copied(self):
+        from viewret.encode import DbEntry
+        descriptor = np.ones(DIM, dtype=np.float32)
+        db = DescriptorDb(entries=[DbEntry("a", 0, 0, descriptor)])
+        assert isinstance(db.entries, tuple) and db.entries[0].descriptor is descriptor
+        with pytest.raises(ValueError, match="read-only"):
+            descriptor[0] = 0.0
 
 
 # --- the pool it replaced: describe every view, then sample the rows ----------

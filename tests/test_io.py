@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import fvdb_bytes, read_pgm, read_scan_metadata
+from oracles import fvdb_bytes, gmm_bytes, read_pgm, read_scan_metadata
 from viewret import io as vio
 from viewret.encode import DbEntry, DescriptorDb, GmmParams
 from viewret.errors import ViewretError
@@ -305,31 +305,41 @@ class TestBinaryDumps:
         (dict(viewpoint_id=-1), "entry 1: viewpoint id -1 is outside"),
         (dict(viewpoint_id=2 ** 32), "entry 1: viewpoint id 4294967296 is outside"),
         (dict(model_id="é" * 32768), "entry 1: model id is longer than 65535 UTF-8 bytes"),
-        (dict(descriptor=np.zeros(2 * 128 * 3, dtype=np.float32)), "share one length"),
+        (dict(descriptor=np.ones(2 * 128 * 3, dtype=np.float32)), "entry 1: .*share one length"),
+        (dict(descriptor=np.ones((2, 2 * 128), dtype=np.float32)), "entry 1: .*1-D real arrays"),
+        (dict(descriptor=[1.0] * 2 * 128 * 2), "entry 1: .*1-D real arrays"),
+        (dict(descriptor=np.ones(2 * 128 * 2, dtype=np.complex64)), "entry 1: .*1-D real arrays"),
         (dict(descriptor=np.full(2 * 128 * 2, np.nan, dtype=np.float32)),
-         "entry 1: descriptor holds a non-finite value"),
-        (dict(descriptor=np.r_[np.zeros(2 * 128 * 2 - 1), np.inf].astype(np.float32)),
-         "entry 1: descriptor holds a non-finite value"),
+         "entry 1: descriptor is not finite and non-zero in float32"),
+        (dict(descriptor=np.r_[np.ones(2 * 128 * 2 - 1), np.inf].astype(np.float32)),
+         "entry 1: descriptor is not finite and non-zero in float32"),
+        (dict(descriptor=np.zeros(2 * 128 * 2, dtype=np.float32)),
+         "entry 1: descriptor is not finite and non-zero in float32"),
         (dict(model_id=""), "entry 1: model id is empty or holds whitespace"),
         (dict(model_id="two words"), "entry 1: model id is empty or holds whitespace"),
         (dict(model_id="m\nthird"), "entry 1: model id is empty or holds whitespace"),
     ])
-    def test_unstorable_entry_raises_before_writing(self, tmp_path, second, message):
-        first = DbEntry("ok", 0, 0, np.zeros(2 * 128 * 2, dtype=np.float32))
+    def test_unstorable_entry_raises_before_writing(self, second, message):
+        """`DescriptorDb` refuses it where it is built, so there is nothing to write."""
+        first = DbEntry("ok", 0, 0, np.ones(2 * 128 * 2, dtype=np.float32))
         fields = dict(model_id="m", class_id=1, viewpoint_id=1, descriptor=first.descriptor)
-        path = tmp_path / "db.fvdb"
-        with pytest.raises(ValueError, match=message):
-            vio.write_descriptor_db(DescriptorDb(entries=[first, DbEntry(**{**fields, **second})]),
-                                    path)
-        assert not path.exists()
+        with pytest.raises(ViewretError, match=message):
+            DescriptorDb(entries=[first, DbEntry(**{**fields, **second})])
+        assert first.descriptor.flags.writeable
 
     @pytest.mark.parametrize("dim", [0, 100, 2 * 128 + 1])
-    def test_descriptor_length_must_be_a_positive_multiple_of_256(self, tmp_path, dim):
-        entries = [DbEntry(f"m{i}", 0, i, np.zeros(dim, dtype=np.float32)) for i in range(2)]
-        path = tmp_path / "db.fvdb"
-        with pytest.raises(ValueError, match="positive multiple of 256"):
-            vio.write_descriptor_db(DescriptorDb(entries=entries), path)
-        assert not path.exists()
+    def test_descriptor_length_must_be_a_positive_multiple_of_256(self, dim):
+        entries = [DbEntry(f"m{i}", 0, i, np.ones(dim, dtype=np.float32)) for i in range(2)]
+        with pytest.raises(ViewretError, match="entry 0: .*positive multiple of 256"):
+            DescriptorDb(entries=entries)
+
+    def test_empty_database_is_refused_where_it_is_built(self, tmp_path):
+        with pytest.raises(ViewretError, match="^descriptor database is empty$"):
+            DescriptorDb(entries=[])
+        path = tmp_path / "empty.fvdb"
+        path.write_bytes(fvdb_bytes(1, 128, []))
+        with pytest.raises(ViewretError, match=re.escape(f"{path}: descriptor database is empty")):
+            vio.read_descriptor_db(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -395,7 +405,7 @@ class TestCorruptBinaries:
         end = 20 + 2 * (12 + 4 * 256)
         data[end - 4:end] = np.float32(value).tobytes()
         db.write_bytes(bytes(data))
-        message = f"{db}: entry 1 descriptor holds a non-finite value"
+        message = f"{db}: entry 1: descriptor is not finite and non-zero in float32"
         with pytest.raises(ViewretError, match=re.escape(message)):
             vio.read_descriptor_db(db)
 
@@ -405,7 +415,7 @@ class TestCorruptBinaries:
         path = tmp_path / "models.fvdb"
         entries = [(b"ok", 0, 0, np.ones(256)), (name, 1, 1, np.ones(256))]
         path.write_bytes(fvdb_bytes(1, 128, entries))
-        with pytest.raises(ViewretError, match=re.escape(f"{path}: entry 1 model id is empty or "
+        with pytest.raises(ViewretError, match=re.escape(f"{path}: entry 1: model id is empty or "
                                                          f"holds whitespace")):
             vio.read_descriptor_db(path)
 
@@ -418,7 +428,7 @@ class TestCorruptBinaries:
         params[field] = params[field].copy()
         params[field].flat[1] = value
         path = tmp_path / "mixture.gmm"
-        vio.write_gmm(GmmParams(**params), path)
+        path.write_bytes(gmm_bytes(**params))
         with pytest.raises(ViewretError, match=re.escape(f"{path}: mixture {field} must be finite")):
             vio.read_gmm(path)
 
@@ -433,6 +443,154 @@ class TestCorruptBinaries:
         path.write_bytes(bytes(data))
         with pytest.raises(ViewretError, match=f"mixture {field} must be finite"):
             vio.read_gmm(path)
+
+
+# float values that float32 holds, extremes included, and values it does not: beyond its
+# range (1e39), below its smallest subnormal (1e-50), and non-finite
+STORABLE_VALUES = st.one_of(st.floats(-10.0, 10.0, width=32),
+                            st.sampled_from([-0.0, 3.4e38, -3.4e38, 1e-40, 1e-45]))
+UNSTORABLE_VALUES = st.sampled_from([1e39, -1e39, 1e-50, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def db_entries(draw):
+    """1-3 entries, each with one fault that FVDB cannot store one time in eight."""
+    dim = draw(st.sampled_from([256, 512]))
+    entries = []
+    for index in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(["model id", "class id", "viewpoint id", "length", "value",
+                                      "zero"])) if draw(st.integers(0, 7)) == 0 else None
+        model_id = draw(st.sampled_from(["", "a b", "t\t", "é" * 32768] if fault == "model id"
+                                        else [f"m{index}", "é" * 3, "é" * 32767 + "a"]))
+        class_id = draw(st.one_of(st.integers(0, 3), st.just(2 ** 32 - 1))
+                        if fault != "class id" else st.sampled_from([2 ** 32, -1]))
+        viewpoint_id = draw(st.one_of(st.integers(0, 19), st.just(2 ** 32 - 1))
+                            if fault != "viewpoint id" else st.sampled_from([2 ** 32, -1]))
+        length = dim if fault != "length" else draw(st.sampled_from([dim // 2 * 3, 300, 0]))
+        descriptor = np.ones(length, dtype=draw(st.sampled_from([np.float32, np.float64])))
+        for _ in range(draw(st.integers(0, 3)) if length else 0):
+            with np.errstate(over="ignore"):
+                descriptor[draw(st.integers(0, length - 1))] = draw(STORABLE_VALUES)
+        if fault == "value":
+            with np.errstate(over="ignore"):
+                descriptor[draw(st.integers(0, length - 1))] = draw(UNSTORABLE_VALUES)
+        if fault == "zero":
+            descriptor[:] = draw(st.sampled_from([0.0, -0.0, 1e-50]))
+        entries.append(DbEntry(model_id, class_id, viewpoint_id, descriptor))
+    return entries
+
+
+@st.composite
+def mixtures(draw):
+    """(weights, means, sigmas) of K = 1-3 and D = 1-4 in float32 or float64, each with a
+    fault one time in four: a mismatched shape, or a value GMM1 cannot store."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    positive = st.one_of(st.floats(0.125, 10.0, width=32), st.sampled_from([3.4e38, 1e-40]))
+    arrays = []
+    for shape, elements in (((k,), positive), ((k, d), STORABLE_VALUES), ((k, d), positive)):
+        fault = draw(st.sampled_from(["shape", "value"])) if draw(st.integers(0, 3)) == 0 else None
+        if fault == "shape":
+            shape = (shape[0] + 1,) + shape[1:]
+        values = np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+        if fault == "value":
+            values.flat[draw(st.integers(0, values.size - 1))] = draw(st.one_of(
+                UNSTORABLE_VALUES, st.sampled_from([0.0, -1.0])))
+        with np.errstate(over="ignore"):
+            arrays.append(values.astype(dtype))
+    return arrays
+
+
+class TestWritersWriteWhatTheirReadersRead:
+    """No writer writes a file its reader refuses, and a refusal comes before the file is made."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(db_entries())
+    def test_every_database_that_constructs_round_trips_byte_for_byte(self, tmp_path, entries):
+        path, again = tmp_path / "db.fvdb", tmp_path / "again.fvdb"
+        for p in (path, again):
+            p.unlink(missing_ok=True)
+        try:
+            db = DescriptorDb(entries=entries)
+        except ViewretError:
+            event("refused where built")
+            assert not path.exists()
+            return
+        vio.write_descriptor_db(db, path)
+        loaded = vio.read_descriptor_db(path)
+        assert [(e.model_id, e.class_id, e.viewpoint_id) for e in loaded.entries] == \
+            [(e.model_id, e.class_id, e.viewpoint_id) for e in entries]
+        for got, want in zip(loaded.entries, entries):
+            assert got.descriptor.dtype == np.float32
+            np.testing.assert_array_equal(got.descriptor, want.descriptor.astype(np.float32))
+        vio.write_descriptor_db(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mixtures())
+    def test_every_mixture_that_constructs_round_trips_byte_for_byte(self, tmp_path, arrays):
+        path, again = tmp_path / "mixture.gmm", tmp_path / "again.gmm"
+        for p in (path, again):
+            p.unlink(missing_ok=True)
+        try:
+            gmm = GmmParams(*arrays)
+        except ViewretError:
+            event("refused where built")
+            return
+        try:
+            vio.write_gmm(gmm, path)
+        except ViewretError:
+            event("refused by the writer")
+            assert not path.exists()
+            return
+        loaded = vio.read_gmm(path)
+        for got, want in zip((loaded.weights, loaded.means, loaded.sigmas), arrays):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want.astype(np.float32))
+        vio.write_gmm(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_descriptor_beyond_float32_is_refused_without_a_warning(self, tmp_path):
+        path = tmp_path / "db.fvdb"
+        with pytest.raises(ViewretError, match="entry 0: descriptor is not finite and non-zero in float32"):
+            vio.write_descriptor_db(DescriptorDb(entries=[
+                DbEntry("a", 0, 0, np.r_[1e39, np.ones(255)])]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [0.0, 1e-50])
+    def test_descriptor_zero_in_float32_is_refused(self, tmp_path, value):
+        path = tmp_path / "db.fvdb"
+        with pytest.raises(ViewretError, match="entry 1: descriptor is not finite and non-zero in float32"):
+            vio.write_descriptor_db(DescriptorDb(entries=[
+                DbEntry("a", 0, 0, np.ones(256)), DbEntry("b", 0, 0, np.full(256, value))]), path)
+        assert not path.exists()
+
+    def test_sigma_zero_in_float32_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "mixture.gmm"
+        with pytest.raises(ViewretError, match="mixture sigmas must be finite and positive"):
+            vio.write_gmm(GmmParams(np.ones(1), np.zeros((1, 4)), np.full((1, 4), 1e-50)), path)
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_beyond_float32_is_refused_before_writing_without_a_warning(self, tmp_path):
+        path = tmp_path / "mixture.gmm"
+        with pytest.raises(ViewretError, match="mixture means must be finite"):
+            vio.write_gmm(GmmParams(np.ones(1), np.full((1, 4), 1e39), np.ones((1, 4))), path)
+        assert not path.exists()
+
+    def test_weights_that_do_not_match_the_means_are_refused(self, tmp_path):
+        path = tmp_path / "mixture.gmm"
+        with pytest.raises(ViewretError, match=re.escape(
+                "mixture needs (K,) weights and (K, D) means and sigmas, got (2,), (1, 4) "
+                "and (1, 4)")):
+            vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((1, 4)), np.ones((1, 4))), path)
+        assert not path.exists()
 
 
 class TestScanMetadata:
@@ -483,7 +641,7 @@ class TestManifest:
         manifest.write_text(f"{longest} 4294967295 m.xyz\nzero 0 m.xyz\n", encoding="utf-8")
         models = vio.load_manifest(manifest)
         assert [(m[0], m[1]) for m in models] == [(longest, 4294967295), ("zero", 0)]
-        entries = [DbEntry(model_id, class_id, 0, np.zeros(2 * 128, dtype=np.float32))
+        entries = [DbEntry(model_id, class_id, 0, np.ones(2 * 128, dtype=np.float32))
                    for model_id, class_id, _ in models]
         path = tmp_path / "db.fvdb"
         vio.write_descriptor_db(DescriptorDb(entries=entries), path)
