@@ -15,7 +15,9 @@ no stage or file format checks them again. `GmmParams` refuses shapes
 other than (K,) weights and (K, D) means and sigmas, and values that are
 not finite, or weights and sigmas that are not positive. `DescriptorDb`
 refuses a database with no entries. Per entry, prefixed ``entry {i}: ``,
-it refuses ids that FVDB cannot store and a descriptor that is not a 1-D
+it refuses ids that FVDB cannot store (a class or viewpoint id that is
+not an integer in [0, 2**32), a model id that is empty, holds whitespace or
+takes more than 65535 UTF-8 bytes) and a descriptor that is not a 1-D
 real array of the first one's length (a positive multiple of
 2 * DESCRIPTOR_SIZE), or that is not finite and non-zero as the float32
 values FVDB stores. It holds its entries as a tuple and marks each
@@ -254,6 +256,8 @@ class DbEntry:
 
 def check_model(model_id: str, class_id: int):
     """Raise ViewretError unless a database can store the record and `query` print its id."""
+    if not isinstance(class_id, (int, np.integer)):
+        raise ViewretError(f"class id {class_id!r} is not an integer")
     if not 0 <= class_id <= MAX_CLASS_ID:
         raise ViewretError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
     if model_id.split() != [model_id]:
@@ -277,6 +281,8 @@ class DescriptorDb:
         for index, entry in enumerate(self.entries):
             try:
                 check_model(entry.model_id, entry.class_id)
+                if not isinstance(entry.viewpoint_id, (int, np.integer)):
+                    raise ViewretError(f"viewpoint id {entry.viewpoint_id!r} is not an integer")
                 if not 0 <= entry.viewpoint_id <= MAX_CLASS_ID:
                     raise ViewretError(f"viewpoint id {entry.viewpoint_id} is outside "
                                        f"[0, {MAX_CLASS_ID}]")

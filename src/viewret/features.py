@@ -52,8 +52,10 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     """Draw keypoints uniformly without replacement from each level's foreground.
 
     Level ``l`` receives ``round(n_keypoints / decay**l)`` samples, clamped to
-    the number of foreground pixels actually present. Returns one (2, n) int64
-    array per level that unpacks as ``rows, cols``; n is 0 where the level
+    the number of foreground pixels actually present. Returns one (2, n) uint16
+    array per level that unpacks as ``rows, cols``, so a level more than
+    2**16 pixels a side is refused (a rendered view is at most
+    ``MAX_RESOLUTION``); n is 0 where the level
     gets no keypoint. Deterministic for a fixed seed. The draw picks among
     the foreground pixels' row-major flat indices, and only the picked ones
     are split into row and column.
@@ -67,11 +69,13 @@ def sample_keypoints(pyramid, n_keypoints: int, decay: float, seed) -> list:
     saw_foreground = False
     for level, img in enumerate(pyramid):
         img = np.asarray(img)
+        if max(img.shape) > 1 << 16:
+            raise ViewretError(f"pyramid level {level} is more than {1 << 16} pixels a side")
         foreground = np.flatnonzero(img > 0)
         saw_foreground = saw_foreground or len(foreground) > 0
         take = min(int(np.rint(n_keypoints / decay ** level)), len(foreground))
         chosen = rng.choice(len(foreground), size=take, replace=False) if take > 0 else []
-        per_level.append(np.array(np.divmod(foreground[chosen], img.shape[1])))
+        per_level.append(np.array(np.divmod(foreground[chosen], img.shape[1]), dtype=np.uint16))
     if not saw_foreground:
         raise ViewretError("no pyramid level has any foreground pixel")
     return per_level
@@ -237,7 +241,7 @@ class Keypoints:
     It indexes like the (n, 18, 18) uint8 array of its windows, levels in
     sampling order: ``len`` is the keypoint count, and ``keypoints[index]``
     rebuilds the pyramid and cuts the picked rows' windows. Until then it
-    holds the image and 16 bytes a keypoint, against 324 a window.
+    holds the image and 4 bytes a keypoint, against 324 a window.
     """
 
     def __init__(self, image, per_level):

@@ -15,27 +15,35 @@ every ray when its sphere, grown by 0.1%, reaches the line through the
 scanner along the lattice's up direction: the scanner lies inside the
 sphere, or the cone reaches a pole of the (elevation, azimuth) coordinates.
 A triangle whose box misses the lattice, such as one behind the scanner, is
-skipped. A triangle costs O(rays in its footprint) plus a fixed few dozen
-numpy calls, where it used to cost O(all rays). `simulate_scan` proves the cull
-conservative, so every cloud is bit for bit what testing every triangle
-against every ray gives.
+skipped. Triangles are tested in chunks: `_chunks` sorts them by box shape
+and groups them, each box padded to its chunk's rows x columns, and one set
+of numpy calls tests a whole chunk. So a triangle costs O(rays in its
+footprint) plus its share of its chunk's calls. A box of more than half the
+chunk budget is a chunk of its own and is sliced, not gathered.
+`simulate_scan` proves the cull conservative and the chunks exact, so every
+cloud is bit for bit what testing every triangle against every ray gives.
 
-Time per scan, testing every ray -> the footprint, with a 40 degree field of
-view from 3 units away as `evaluate.make_synthetic_dataset` scans. Each
-range covers 3 poses (3 jittered meshes for the primitives, the smallest of
-5 runs each; 2 poses and 2 runs for the large sphere), on 2 cores with
-numpy 2.4.6 and one OpenBLAS thread:
+Time per scan, one set of numpy calls per triangle -> per chunk, with a 40
+degree field of view from 3 units away as `evaluate.make_synthetic_dataset`
+scans. Each range covers 3 poses (3 jittered meshes for the primitives, 2
+poses of the large sphere), each the smallest of 5 runs a side, the two
+alternating, on 2 cores with numpy 2.4.6 and one OpenBLAS thread:
 
-    mesh (triangles)                     0.5 degree              0.25 degree
-    make_sphere (396)                    73-75 -> 17-19 ms       273-383 -> 23-26 ms
-    make_box (12)                        3.2-3.3 -> 2.1-2.3 ms   13-14 -> 5.6-6.7 ms
-    make_cylinder (96)                   19-20 -> 6.0-6.3 ms     89-96 -> 10-11 ms
-    make_cone (48)                       10-12 -> 4.3-4.7 ms     48-51 -> 8.5-11 ms
-    make_sphere(rings=60, segments=80)   2.0-2.1 -> 0.32-0.53 s  9.1-9.3 -> 0.31-0.33 s
+    mesh (triangles)                    0.5 degree          0.25 degree         0.15 degree
+    make_sphere (396)                   13.6-14.4 -> 5.2-6.2 17.9-19.3 -> 11-14  28.8-30.5 -> 28-31
+    make_box (12)                       1.5 -> 1.5-1.7       3.9-4.8 -> 4.0-5.0  11.5-15.6 -> 12-16
+    make_cylinder (96)                  5.8-7.2 -> 3.6-4.6   7.7-11 -> 6.9-10    13.9-17.8 -> 15-18
+    make_cone (48)                      3.0-3.1 -> 2.5-2.7   6.3-7.0 -> 6.5-7.4  17.9-22.3 -> 18-23
+    make_sphere(rings=60, segments=80)  265-267 -> 26        271-274 -> 38       298-304 -> 62-63
 
-The machine's load moves these times by up to a factor of two between runs;
-the loop and the footprint alternate on each pose, so their ratio holds. The
-corners' azimuths narrow long thin triangles that stand along the up
+    (milliseconds)
+
+The machine's load moves these times between runs; the two kernels
+alternate on each pose, so their ratio holds. Boxes of a few hundred rays
+gain most, so the large sphere gains most; the box, cylinder and cone,
+whose triangles span much of the view, test mostly chunks of one, as
+before, and stay within about 5% of their former times.
+The corners' azimuths narrow long thin triangles that stand along the up
 direction, which leans toward +z, such as the sides of these z-aligned
 primitives. One lying across it still gets its whole sphere's rows.
 """
@@ -55,10 +63,14 @@ _RELATIVE_SLACK = 1e-9
 _ANGLE_SLACK = 1e-9
 _POLE_MARGIN = 0.999
 _PAD = 2
-# the scan holds the lattice twice, as rays and as component planes, and a
-# test against every ray makes several more (rays, 3) float64 temporaries,
-# about 100 MB each at 2048 x 2048 rays; the pipeline's scans stay under
-# 300 x 300
+# a chunk of footprints, tested by one set of numpy calls, pads them to at
+# most this many rays, and to at most this many times their own rays
+_CHUNK_RAYS = 1 << 13
+_CHUNK_PADDING = 2.0
+# the scan holds the lattice as rays, as component planes and as ray
+# indices, and a triangle that falls back to every ray makes several more
+# (rays, 3) float64 temporaries, about 100 MB each at 2048 x 2048 rays; the
+# pipeline's scans stay under 300 x 300
 MAX_RAYS = 1 << 22
 
 
@@ -185,6 +197,31 @@ def _footprints(corners, cfg: ScannerConfig, frame, offsets):
     return r0, r1, c0, c1
 
 
+def _chunks(r0, r1, c0, c1):
+    """Group the triangles whose footprint is not empty: yields ``(k, rows, cols)``.
+
+    ``k`` holds a chunk's triangle indices and ``rows`` x ``cols`` is the box
+    that each of their footprints (from `_footprints`) is padded to, its
+    largest sides. Triangles are taken in ascending order of box shape, and a
+    chunk grows while its padded rays stay within ``_CHUNK_RAYS`` and within
+    ``_CHUNK_PADDING`` times its footprints' own rays, so a box of more than
+    half the budget is a chunk of one.
+    """
+    rows, cols = r1 - r0, c1 - c0
+    live = np.flatnonzero((rows > 0) & (cols > 0))
+    order = live[np.lexsort((cols[live], rows[live]))]
+    start = h = w = rays = 0
+    for i, (hi, wi) in enumerate(zip(rows[order].tolist(), cols[order].tolist())):
+        grown_h, grown_w, grown = max(h, hi), max(w, wi), rays + hi * wi
+        padded = (i + 1 - start) * grown_h * grown_w
+        if i > start and (padded > _CHUNK_RAYS or padded > _CHUNK_PADDING * grown):
+            yield order[start:i], h, w
+            start, grown_h, grown_w, grown = i, hi, wi, hi * wi
+        h, w, rays = grown_h, grown_w, grown
+    if len(order):
+        yield order[start:], h, w
+
+
 def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     """Scan a mesh; returns the partial cloud and the true viewpoint direction.
 
@@ -194,11 +231,12 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     ``noise_sigma`` is positive.
 
     Each ray keeps the smallest t > 0 at which the Moller-Trumbore test
-    accepts it, triangles taken in order. A triangle is tested only against
-    the rays of its footprint (`_footprints`), with the expressions and BLAS
-    calls of a test against every ray. So the cloud is bit for bit the one
-    that testing every triangle against every ray gives, provided the cull
-    is conservative: the test rejects every ray outside the footprint.
+    accepts it. A triangle is tested only against the rays of its
+    footprint (`_footprints`), padded within the lattice to its chunk's box
+    (`_chunks`), with the expressions and BLAS calls of a test against every
+    ray. So the cloud is bit for bit the one that testing every triangle
+    against every ray gives, provided the cull is conservative: the test
+    rejects every ray outside the footprint.
     Proof, with eps = 2**-53, ``a`` the triangle's first corner and ``e1``,
     ``e2``, ``s = p - a`` (``tvec``) as the loop computes them, p the
     scanner, g the mean of the corners and rho their largest distance from g:
@@ -273,10 +311,30 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
        matrix-vector kernel computes each row by itself, so each row's
        product is the same (tests/test_scansim.py checks this on the BLAS
        installed). A one-row product goes to BLAS's dot instead, which can
-       round differently, so a one-ray box is widened to two rays.
+       round differently, so a one-ray box is widened to two rays, and no
+       box of a chunk has fewer than two.
+    10. *Chunks.* A chunk of T triangles holds its rays as one C-contiguous
+        (T, m, 3) array, each triangle's box padded to the chunk's rows x
+        columns and moved inside the lattice where it would cross an edge;
+        a chunk of one slices its box out of the lattice as it is.
+        ``det``, ``u`` and ``v`` come from stacked products
+        (T, m, 3) @ (T, 3, 1), and numpy's matmul loop hands each (m, 3)
+        slice to the BLAS matrix-vector call that (m, 3) @ (3,) makes.
+        ``e2 . qvec`` comes from (T, 1, 3) @ (T, 3, 1), the dot of two
+        3-vectors that 1-D @ 1-D makes. The cross products are the
+        elementwise steps of ``np.cross``. Neither one (m, 3) @ (3, T)
+        product nor explicit three-term sums would do: both round
+        differently from the matrix-vector kernel. The tests check every
+        one of these on the BLAS installed. A padded ray is a lattice ray
+        outside its triangle's footprint, which steps 1 to 8 show the test
+        rejects; so a chunk tests a superset of each footprint within the
+        lattice, as the test against every ray does. Each ray keeps the
+        least accepted t (``np.minimum.at`` over a chunk's accepted rays).
+        A minimum does not depend on the order the triangles come in, so
+        sorting them by box shape changes no value.
 
-    So every triangle still tests each ray it could accept, in the same
-    order, with the same values, and each ray's smallest t is unchanged.
+    So every triangle still tests each ray it could accept, with the same
+    values, and each ray's smallest t is unchanged.
     """
     gt = cfg.position - mesh.centroid
     gt_norm = np.linalg.norm(gt)
@@ -284,38 +342,44 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
         raise ViewretError("scanner position must differ from the mesh centroid")
     dirs, frame, offsets = _ray_lattice(cfg)
     n = len(offsets)
-    t_buf = np.full((n, n), np.inf)
+    t_buf = np.full(n * n, np.inf)
     corners = mesh.vertices[mesh.triangles]
     a = corners[:, 0]
     e1 = corners[:, 1] - a
     e2 = corners[:, 2] - a
     tvec = cfg.position - a
     qvec = _cross(tvec.T, e1.T, np.empty_like(tvec))
-    boxes = _footprints(corners, cfg, frame, offsets)
+    t_e2 = (e2[:, None, :] @ qvec[:, :, None]).ravel()  # e2 . qvec, one dot per triangle
+    r0, r1, c0, c1 = _footprints(corners, cfg, frame, offsets)
     planes = [np.ascontiguousarray(dirs[..., i]) for i in range(3)]
+    index = np.arange(n * n).reshape(n, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k, e2k, r0, r1, c0, c1 in zip(range(len(a)), e2.tolist(),
-                                          *(x.tolist() for x in boxes)):
-            if r0 >= r1 or c0 >= c1:
-                continue
-            box = slice(r0, r1), slice(c0, c1)
-            d = dirs[box].reshape(-1, 3)
-            # C-contiguous (m, 3), so every @ below is the one BLAS call
-            pvec = _cross([x[box] for x in planes], e2k,
-                          np.empty((r1 - r0, c1 - c0, 3))).reshape(-1, 3)
-            det = pvec @ e1[k]
+        for k, h, w in _chunks(r0, r1, c0, c1):
+            if len(k) == 1:
+                # a chunk of one takes its box as a slice, so a big box pays no gather
+                box = slice(r0[k[0]], r1[k[0]]), slice(c0[k[0]], c1[k[0]])
+                ray, d, comps = index[box][None], dirs[box][None], [x[box][None] for x in planes]
+                e2k = e2[k[0]].tolist()
+            else:
+                # each box padded to h x w, moved inside the lattice where it would cross an edge
+                corner = np.minimum(r0[k], n - h) * n + np.minimum(c0[k], n - w)
+                ray = corner[:, None, None] + index[:h, :w]
+                d = dirs.reshape(-1, 3).take(ray, axis=0)
+                comps, e2k = [d[..., i] for i in range(3)], [x[:, None, None] for x in e2[k].T]
+            pvec = _cross(comps, e2k, np.empty(d.shape)).reshape(len(k), -1, 3)
+            # C-contiguous (T, m, 3) rays against (T, 3, 1) vectors, so each @
+            # hands every triangle's rays to BLAS's matrix-vector call
+            d = d.reshape(pvec.shape)
+            det = (pvec @ e1[k, :, None])[..., 0]
             ok = np.abs(det) > _PARALLEL_EPS
             inv = 1.0 / det  # whatever it is where not ok, those rays are dropped
-            u = (pvec @ tvec[k]) * inv
-            v = (d @ qvec[k]) * inv
-            t = (float(e2[k] @ qvec[k]) * inv).reshape(r1 - r0, c1 - c0)
-            near = t_buf[box]
-            valid = ((ok & (u >= -_EDGE_EPS) & (v >= -_EDGE_EPS)
-                      & (u + v <= 1.0 + _EDGE_EPS)).reshape(t.shape)
-                     & (t > 0.0) & (t < near))
-            near[valid] = t[valid]
+            u = (pvec @ tvec[k, :, None])[..., 0] * inv
+            v = (d @ qvec[k, :, None])[..., 0] * inv
+            t = t_e2[k, None] * inv
+            valid = (ok & (u >= -_EDGE_EPS) & (v >= -_EDGE_EPS)
+                     & (u + v <= 1.0 + _EDGE_EPS) & (t > 0.0)).reshape(ray.shape)
+            np.minimum.at(t_buf, ray[valid], t.reshape(ray.shape)[valid])
 
-    t_buf = t_buf.ravel()
     dirs = dirs.reshape(-1, 3)
     hit = np.isfinite(t_buf) & (t_buf <= cfg.max_range)
     if not hit.any():

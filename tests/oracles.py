@@ -10,9 +10,11 @@ n x n distance matrix, where `select` searches cells of nearby points and
 forms in row blocks only the rows the cells cannot prove. The mesh
 rasterizer is the per-triangle loop that `render_mesh` evaluates over row
 spans in blocks, and the RANSAC baseline is the
-per-plane loop that `ransac_viewpoint` scores in blocks of planes, and the
-scan oracle tests every triangle against every ray, where `simulate_scan`
-tests only a triangle's footprint. The keypoint sampler draws from every
+per-plane loop that `ransac_viewpoint` scores in blocks of planes. The
+all-rays scan oracle tests every triangle against every ray, where
+`simulate_scan` tests only a triangle's footprint, and the per-triangle one
+tests each footprint by its own numpy calls, where `simulate_scan` tests a
+chunk of footprints per call. The keypoint sampler draws from every
 foreground pixel's coordinates, where the package draws flat indices and
 splits only the chosen ones. The one-image feature extractor samples, cuts
 and describes an image in one call, where the package holds each view
@@ -34,11 +36,11 @@ from viewret.encode import DbEntry, DescriptorDb, fisher_vector, fit_gmm
 from viewret.errors import ViewretError
 from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid,
                               cut_windows, describe, sample_keypoints)
-from viewret.geometry import (_pixel_indices, _unit_coordinates, as_points, camera_frame,
-                              check_resolution)
+from viewret.geometry import (_cross, _pixel_indices, _unit_coordinates, as_points,
+                              camera_frame, check_resolution)
 from viewret.render import _EDGE_EPS, depth_to_intensity
 from viewret.scansim import _EDGE_EPS as _SCAN_EDGE_EPS
-from viewret.scansim import _PARALLEL_EPS, ScanResult, _ray_lattice
+from viewret.scansim import _PARALLEL_EPS, ScanResult, _footprints, _ray_lattice
 
 
 # --- dense image measures ------------------------------------------------------
@@ -429,3 +431,54 @@ def simulate_scan_oracle(mesh, cfg) -> ScanResult:
     gt = cfg.position - mesh.centroid
     gt /= np.linalg.norm(gt)
     return ScanResult(cloud=cloud, ground_truth_viewpoint=gt, config=cfg)
+
+
+def simulate_scan_per_triangle(mesh, cfg) -> ScanResult:
+    """The former `simulate_scan`: each triangle's footprint by its own numpy calls."""
+    gt = cfg.position - mesh.centroid
+    gt_norm = np.linalg.norm(gt)
+    if not gt_norm > 0:
+        raise ViewretError("scanner position must differ from the mesh centroid")
+    dirs, frame, offsets = _ray_lattice(cfg)
+    n = len(offsets)
+    t_buf = np.full((n, n), np.inf)
+    corners = mesh.vertices[mesh.triangles]
+    a = corners[:, 0]
+    e1 = corners[:, 1] - a
+    e2 = corners[:, 2] - a
+    tvec = cfg.position - a
+    qvec = _cross(tvec.T, e1.T, np.empty_like(tvec))
+    boxes = _footprints(corners, cfg, frame, offsets)
+    planes = [np.ascontiguousarray(dirs[..., i]) for i in range(3)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k, e2k, r0, r1, c0, c1 in zip(range(len(a)), e2.tolist(),
+                                          *(x.tolist() for x in boxes)):
+            if r0 >= r1 or c0 >= c1:
+                continue
+            box = slice(r0, r1), slice(c0, c1)
+            d = dirs[box].reshape(-1, 3)
+            pvec = _cross([x[box] for x in planes], e2k,
+                          np.empty((r1 - r0, c1 - c0, 3))).reshape(-1, 3)
+            det = pvec @ e1[k]
+            ok = np.abs(det) > _PARALLEL_EPS
+            inv = 1.0 / det
+            u = (pvec @ tvec[k]) * inv
+            v = (d @ qvec[k]) * inv
+            t = (float(e2[k] @ qvec[k]) * inv).reshape(r1 - r0, c1 - c0)
+            near = t_buf[box]
+            valid = ((ok & (u >= -_SCAN_EDGE_EPS) & (v >= -_SCAN_EDGE_EPS)
+                      & (u + v <= 1.0 + _SCAN_EDGE_EPS)).reshape(t.shape)
+                     & (t > 0.0) & (t < near))
+            near[valid] = t[valid]
+
+    t_buf = t_buf.ravel()
+    dirs = dirs.reshape(-1, 3)
+    hit = np.isfinite(t_buf) & (t_buf <= cfg.max_range)
+    if not hit.any():
+        raise ViewretError("scanner rays missed the mesh entirely")
+    t_hit = t_buf[hit]
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(cfg.seed)
+        t_hit = t_hit + rng.normal(0.0, cfg.noise_sigma, size=len(t_hit))
+    cloud = cfg.position + t_hit[:, None] * dirs[hit]
+    return ScanResult(cloud=cloud, ground_truth_viewpoint=gt / gt_norm, config=cfg)

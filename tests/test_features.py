@@ -113,8 +113,17 @@ class TestSampleKeypoints:
         want = sample_keypoints_argwhere(pyramid, n_keypoints, decay, seed)
         assert len(got) == len(want) == len(pyramid)
         for g, o in zip(got, want):
-            assert g.dtype == o.dtype == np.int64 and g.shape == o.shape
+            assert g.dtype == np.uint16 and o.dtype == np.int64 and g.shape == o.shape
             assert np.array_equal(g, o)
+
+    def test_the_last_row_and_column_of_a_level_2_to_the_16_wide_fit(self):
+        img = np.zeros((2, 1 << 16), dtype=np.uint8)
+        img[1, -1] = 7
+        [(rows, cols)] = sample_keypoints([img], 4, 1.0, seed=0)
+        assert rows.dtype == cols.dtype == np.uint16
+        assert (rows.tolist(), cols.tolist()) == ([1], [(1 << 16) - 1])
+        with pytest.raises(ViewretError, match="level 0 is more than 65536 pixels a side"):
+            sample_keypoints([np.ones((1, (1 << 16) + 1), dtype=np.uint8)], 4, 1.0, seed=0)
 
     def test_holds_no_coordinate_per_foreground_pixel(self):
         # the argwhere form built an (m, 2) int64 array, 16 bytes a foreground pixel, to draw
@@ -423,7 +432,7 @@ class TestKeypoints:
         held = Keypoints(img, per_level)
         n = len(windows)
         assert len(held) == n
-        assert held.nbytes == img.nbytes + 16 * n
+        assert held.nbytes == img.nbytes + 4 * n
         indices = (slice(None), slice(1, None, 3), slice(n, None), np.sort(rng.choice(n, n // 2)),
                    rng.permutation(n), rng.integers(0, n, size=7), np.array([], dtype=np.int64))
         for index in indices:

@@ -304,6 +304,10 @@ class TestBinaryDumps:
         (dict(class_id=2 ** 32), "entry 1: class id 4294967296 is outside"),
         (dict(viewpoint_id=-1), "entry 1: viewpoint id -1 is outside"),
         (dict(viewpoint_id=2 ** 32), "entry 1: viewpoint id 4294967296 is outside"),
+        (dict(class_id=1.0), "entry 1: class id 1.0 is not an integer"),
+        (dict(viewpoint_id=2.0), "entry 1: viewpoint id 2.0 is not an integer"),
+        (dict(viewpoint_id=np.float32(3)), "entry 1: viewpoint id .*3.* is not an integer"),
+        (dict(class_id="1"), "entry 1: class id '1' is not an integer"),
         (dict(model_id="é" * 32768), "entry 1: model id is longer than 65535 UTF-8 bytes"),
         (dict(descriptor=np.ones(2 * 128 * 3, dtype=np.float32)), "entry 1: .*share one length"),
         (dict(descriptor=np.ones((2, 2 * 128), dtype=np.float32)), "entry 1: .*1-D real arrays"),
@@ -562,6 +566,21 @@ class TestWritersWriteWhatTheirReadersRead:
             vio.write_descriptor_db(DescriptorDb(entries=[
                 DbEntry("a", 0, 0, np.r_[1e39, np.ones(255)])]), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("ids", [dict(class_id=1.0), dict(viewpoint_id=2.0)])
+    def test_an_id_that_is_not_an_integer_is_refused_before_writing(self, tmp_path, ids):
+        path = tmp_path / "db.fvdb"
+        entry = dict(model_id="a", class_id=1, viewpoint_id=0, descriptor=np.ones(256, np.float32))
+        with pytest.raises(ViewretError, match="entry 0: .* is not an integer"):
+            vio.write_descriptor_db(DescriptorDb(entries=[DbEntry(**{**entry, **ids})]), path)
+        assert not path.exists()
+
+    def test_numpy_integer_ids_round_trip(self, tmp_path):
+        path = tmp_path / "db.fvdb"
+        vio.write_descriptor_db(DescriptorDb(entries=[
+            DbEntry("a", np.uint32(2 ** 32 - 1), np.int64(7), np.ones(256, np.float32))]), path)
+        (entry,) = vio.read_descriptor_db(path).entries
+        assert (entry.class_id, entry.viewpoint_id) == (2 ** 32 - 1, 7)
 
     @pytest.mark.parametrize("value", [0.0, 1e-50])
     def test_descriptor_zero_in_float32_is_refused(self, tmp_path, value):

@@ -1,16 +1,18 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_scan_oracle
+from oracles import simulate_scan_oracle, simulate_scan_per_triangle
+from viewret import scansim
 from viewret.errors import ViewretError
 from viewret.geometry import TriangleMesh, _cross
-from viewret.scansim import (_EDGE_EPS, _PARALLEL_EPS, MAX_RAYS, ScannerConfig, _footprints,
-                             _ray_lattice, make_box, make_cone, make_cylinder, make_sphere,
-                             simulate_scan)
+from viewret.scansim import (_CHUNK_PADDING, _CHUNK_RAYS, _EDGE_EPS, _PARALLEL_EPS, MAX_RAYS,
+                             ScannerConfig, _chunks, _footprints, _ray_lattice, make_box,
+                             make_cone, make_cylinder, make_sphere, simulate_scan)
 
 
 def ray_triangle_intersect(origin, direction, triangle):
@@ -405,6 +407,81 @@ class TestCulledKernel:
             scan_or_refusal(simulate_scan_oracle, mesh, cfg)
 
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_chunks_of_every_kind_give_the_loops_clouds(self, data):
+        """Soups of up to a few hundred triangles of mixed sizes, scanned with a small chunk
+        budget, so that chunks of one, chunks of many and boxes moved inside the lattice's
+        edge all occur."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mesh = mixed_soup(rng, rng.integers(20, 300, endpoint=True))
+        cfg = data.draw(poses(mesh, "mixed"))
+        budget = int(rng.choice([16, 128, 1024]))
+        for kind in chunk_kinds(mesh, cfg, budget):
+            event(kind)
+        with mock.patch.object(scansim, "_CHUNK_RAYS", budget):
+            got = scan_or_refusal(simulate_scan, mesh, cfg)
+        assert got == scan_or_refusal(simulate_scan_oracle, mesh, cfg)
+
+    def test_a_small_budget_makes_every_kind_of_chunk(self):
+        """Not a correctness check by itself: the hypothesis test above needs these kinds."""
+        mesh = mixed_soup(np.random.default_rng(7), 200)
+        cfg = ScannerConfig(position=mesh.centroid + (0.0, 0.0, 6.0), target=mesh.centroid,
+                            fov_deg=40.0, angular_step_deg=0.75, max_range=100.0)
+        assert chunk_kinds(mesh, cfg, 128) == {"chunk of one", "chunk of many",
+                                               "box moved inside the edge"}
+        with mock.patch.object(scansim, "_CHUNK_RAYS", 128):
+            got = scan_or_refusal(simulate_scan, mesh, cfg)
+        assert got == scan_or_refusal(simulate_scan_oracle, mesh, cfg)
+        assert got == scan_or_refusal(simulate_scan, mesh, cfg)
+
+    @pytest.mark.parametrize("step", [0.5, 0.15])
+    @pytest.mark.parametrize("position", [(0.0, 0.3, 3.0), (2.0, -1.0, 0.5), (0.2, -0.1, 0.3)])
+    def test_the_big_sphere_gives_the_per_triangle_loops_clouds(self, step, position):
+        """The all-rays oracle takes minutes on the 9,440-triangle sphere at these steps."""
+        cfg = ScannerConfig(position=position, target=(0.0, 0.0, 0.0), fov_deg=40.0,
+                            angular_step_deg=step, max_range=10.0)
+        assert scan_or_refusal(simulate_scan, big_sphere(), cfg) == \
+            scan_or_refusal(simulate_scan_per_triangle, big_sphere(), cfg)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(-3, 40), st.integers(-3, 40)), max_size=60),
+           st.sampled_from([1, 16, 100, _CHUNK_RAYS]))
+    def test_chunks_cover_every_live_box_once_within_the_budget(self, sides, budget):
+        rows, cols = np.array(sides, dtype=np.int64).reshape(-1, 2).T
+        zeros = np.zeros(len(sides), dtype=np.int64)
+        with mock.patch.object(scansim, "_CHUNK_RAYS", budget):
+            chunks = list(_chunks(zeros, rows, zeros, cols))
+        live = np.flatnonzero((rows > 0) & (cols > 0))
+        taken = np.concatenate([k for k, _, _ in chunks] + [zeros[:0]])
+        assert sorted(taken.tolist()) == live.tolist()
+        for k, h, w in chunks:
+            assert h == rows[k].max() and w == cols[k].max()
+            if len(k) > 1:
+                assert len(k) * h * w <= budget
+                assert len(k) * h * w <= _CHUNK_PADDING * (rows[k] * cols[k]).sum()
+
+
+def mixed_soup(rng, n):
+    """n triangles about the origin, each a hundredth, a tenth or the whole of its spread."""
+    corners = (rng.normal(size=(n, 1, 3)) * 1.5
+               + rng.normal(size=(n, 3, 3)) * rng.choice([0.01, 0.1, 1.0], size=(n, 1, 1)))
+    return TriangleMesh(corners.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+def chunk_kinds(mesh, cfg, budget):
+    """Which kinds of chunk `simulate_scan` makes of this scan under a chunk budget."""
+    n = len(_ray_lattice(cfg)[2])
+    r0, r1, c0, c1 = footprints(mesh, cfg)
+    kinds = set()
+    with mock.patch.object(scansim, "_CHUNK_RAYS", budget):
+        for k, h, w in _chunks(r0, r1, c0, c1):
+            kinds.add("chunk of one" if len(k) == 1 else "chunk of many")
+            if len(k) > 1 and ((r0[k] > n - h) | (c0[k] > n - w)).any():
+                kinds.add("box moved inside the edge")
+    return kinds
+
+
 def footprints(mesh, cfg):
     _, frame, offsets = _ray_lattice(cfg)
     return _footprints(mesh.vertices[mesh.triangles], cfg, frame, offsets)
@@ -442,6 +519,23 @@ class TestBlasAssumptions:
                         box = lattice[r0:r1, c0:c1].reshape(-1, 3)
                         want = full[:side * side].reshape(side, side)[r0:r1, c0:c1].ravel()
                         assert np.array_equal(box @ vector, want)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 17, 255, 1024, 4097, 1 << 14])
+    @pytest.mark.parametrize("stack", [1, 2, 7, 300])
+    def test_stacked_products_equal_each_slices_own(self, m, stack):
+        """A chunk's (T, m, 3) @ (T, 3, 1) equals each slice's (m, 3) @ (3,), and its
+        (T, 1, 3) @ (T, 3, 1) each 1-D dot."""
+        stack = min(stack, (1 << 16) // m)
+        rng = np.random.default_rng([m, stack])
+        for scale in (1e-3, 1.0, 1e3):
+            rays = rng.normal(size=(stack, m, 3)) * scale
+            vectors = rng.normal(size=(stack, 3))
+            others = rng.normal(size=(stack, 3)) * scale
+            products = rays @ vectors[:, :, None]
+            dots = others[:, None, :] @ vectors[:, :, None]
+            for i in range(stack):
+                assert np.array_equal(products[i, :, 0], rays[i] @ vectors[i]), i
+                assert dots[i, 0, 0] == float(others[i] @ vectors[i]), i
 
     def test_cross_helper_is_np_cross_bit_for_bit(self):
         rng = np.random.default_rng(5)
