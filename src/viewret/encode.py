@@ -260,6 +260,8 @@ def check_model(model_id: str, class_id: int):
         raise ViewretError(f"class id {class_id!r} is not an integer")
     if not 0 <= class_id <= MAX_CLASS_ID:
         raise ViewretError(f"class id {class_id} is outside [0, {MAX_CLASS_ID}]")
+    if not isinstance(model_id, str):
+        raise ViewretError(f"model id {model_id!r} is not a string")
     if model_id.split() != [model_id]:
         raise ViewretError("model id is empty or holds whitespace")
     if len(model_id.encode("utf-8")) > MAX_MODEL_ID_BYTES:
@@ -376,7 +378,7 @@ def fisher_vectors(views, gmm: GmmParams):
 
 def encode_views(model_id: str, class_id: int, views, gmm: GmmParams) -> list:
     """One float32 Fisher-vector `DbEntry` per held view of one model, in view order."""
-    return [DbEntry(model_id, int(class_id), v_idx, descriptor.astype(np.float32))
+    return [DbEntry(model_id, class_id, v_idx, descriptor.astype(np.float32))
             for v_idx, descriptor in enumerate(fisher_vectors(views, gmm))]
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .encode import (DescriptorDb, encode_views, fisher_vectors, fit_gmm, pool_features,
-                     query_db, view_windows)
+from .encode import (DescriptorDb, check_model, encode_views, fisher_vectors, fit_gmm,
+                     pool_features, query_db, view_windows)
 from .errors import ViewretError
 from .geometry import dodecahedron_viewpoints, normalize_pose
 from .render import render_point_cloud
@@ -299,14 +299,20 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     its query: each scan's proposed rung for ``-prop``, FIXED_RESOLUTION for
     ``-fixed``. One mixture and database is built per resolution source
     that a requested case uses. Needs at least one case, none repeated, and
-    at least two scans with unique model ids; it refuses others before any
-    scan is prepared. Deterministic for a fixed seed.
+    at least two scans with unique model ids, and class and model ids that
+    a database can store (`encode.check_model`); it refuses others before
+    any scan is prepared. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
     cases = parse_cases(cases)
     if len(dataset) < 2:
         raise ViewretError("leave-one-out needs at least two scans")
+    for index, entry in enumerate(dataset):
+        try:
+            check_model(entry.model_id, entry.class_id)
+        except ViewretError as exc:
+            raise ViewretError(f"scan {index}: {exc}") from None
     classes = {entry.model_id: entry.class_id for entry in dataset}
     if len(classes) != len(dataset):
         raise ViewretError("model ids must be unique")

@@ -17,32 +17,28 @@ sphere, or the cone reaches a pole of the (elevation, azimuth) coordinates.
 A triangle whose box misses the lattice, such as one behind the scanner, is
 skipped. Triangles are tested in chunks: `_chunks` sorts them by box shape
 and groups them, each box padded to its chunk's rows x columns, and one set
-of numpy calls tests a whole chunk. So a triangle costs O(rays in its
-footprint) plus its share of its chunk's calls. A box of more than half the
-chunk budget is a chunk of its own and is sliced, not gathered.
+of numpy calls tests a whole chunk, its rays gathered from the lattice. So a
+triangle costs O(rays in its footprint) plus its share of its chunk's calls.
 `simulate_scan` proves the cull conservative and the chunks exact, so every
 cloud is bit for bit what testing every triangle against every ray gives.
 
-Time per scan, one set of numpy calls per triangle -> per chunk, with a 40
-degree field of view from 3 units away as `evaluate.make_synthetic_dataset`
-scans. Each range covers 3 poses (3 jittered meshes for the primitives, 2
-poses of the large sphere), each the smallest of 5 runs a side, the two
-alternating, on 2 cores with numpy 2.4.6 and one OpenBLAS thread:
+Time per scan with a 40 degree field of view from 3 units away, as
+`evaluate.make_synthetic_dataset` scans. Each range covers 3 poses in random
+directions, each the smallest of 20 runs, on 2 cores with numpy 2.4.6 and
+one OpenBLAS thread:
 
-    mesh (triangles)                    0.5 degree          0.25 degree         0.15 degree
-    make_sphere (396)                   13.6-14.4 -> 5.2-6.2 17.9-19.3 -> 11-14  28.8-30.5 -> 28-31
-    make_box (12)                       1.5 -> 1.5-1.7       3.9-4.8 -> 4.0-5.0  11.5-15.6 -> 12-16
-    make_cylinder (96)                  5.8-7.2 -> 3.6-4.6   7.7-11 -> 6.9-10    13.9-17.8 -> 15-18
-    make_cone (48)                      3.0-3.1 -> 2.5-2.7   6.3-7.0 -> 6.5-7.4  17.9-22.3 -> 18-23
-    make_sphere(rings=60, segments=80)  265-267 -> 26        271-274 -> 38       298-304 -> 62-63
+    mesh (triangles)                    0.5 degree  0.25 degree  0.15 degree
+    make_sphere (396)                   5.0-5.3     13.7-13.9    30.8-31.1
+    make_box (12)                       1.8-2.0     5.2-5.5      15.1-16.8
+    make_cylinder (96)                  2.8-3.0     8.0-8.6      18.6-18.8
+    make_cone (48)                      2.8-2.9     8.0-8.4      19.2-20.8
+    make_sphere(rings=60, segments=80)  25.3-25.5   38.8-39.5    63.8-66.0
 
     (milliseconds)
 
-The machine's load moves these times between runs; the two kernels
-alternate on each pose, so their ratio holds. Boxes of a few hundred rays
-gain most, so the large sphere gains most; the box, cylinder and cone,
-whose triangles span much of the view, test mostly chunks of one, as
-before, and stay within about 5% of their former times.
+Boxes of a few hundred rays share a chunk with many others, so the large
+sphere tests few chunks for its triangles; the box, cylinder and cone,
+whose triangles span much of the view, test mostly chunks of one.
 The corners' azimuths narrow long thin triangles that stand along the up
 direction, which leans toward +z, such as the sides of these z-aligned
 primitives. One lying across it still gets its whole sphere's rows.
@@ -64,13 +60,12 @@ _ANGLE_SLACK = 1e-9
 _POLE_MARGIN = 0.999
 _PAD = 2
 # a chunk of footprints, tested by one set of numpy calls, pads them to at
-# most this many rays, and to at most this many times their own rays
+# most this many rays
 _CHUNK_RAYS = 1 << 13
-_CHUNK_PADDING = 2.0
-# the scan holds the lattice as rays, as component planes and as ray
-# indices, and a triangle that falls back to every ray makes several more
-# (rays, 3) float64 temporaries, about 100 MB each at 2048 x 2048 rays; the
-# pipeline's scans stay under 300 x 300
+# the scan holds the lattice as rays and as ray indices, and a triangle that
+# falls back to every ray makes several more (rays, 3) float64 temporaries,
+# about 100 MB each at 2048 x 2048 rays; the pipeline's scans stay under
+# 300 x 300
 MAX_RAYS = 1 << 22
 
 
@@ -113,6 +108,9 @@ class ScannerConfig:
             raise ViewretError("max_range must be positive")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ViewretError("noise_sigma must be finite and non-negative")
+        # None would seed the range noise from the OS, so reruns would differ
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ViewretError(f"scanner seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -203,21 +201,20 @@ def _chunks(r0, r1, c0, c1):
     ``k`` holds a chunk's triangle indices and ``rows`` x ``cols`` is the box
     that each of their footprints (from `_footprints`) is padded to, its
     largest sides. Triangles are taken in ascending order of box shape, and a
-    chunk grows while its padded rays stay within ``_CHUNK_RAYS`` and within
-    ``_CHUNK_PADDING`` times its footprints' own rays, so a box of more than
-    half the budget is a chunk of one.
+    chunk grows while its padded rays stay within ``_CHUNK_RAYS``. So a box of
+    more than half the budget is a chunk of one, padded by nothing: it and
+    any other box pad to more than the budget.
     """
     rows, cols = r1 - r0, c1 - c0
     live = np.flatnonzero((rows > 0) & (cols > 0))
     order = live[np.lexsort((cols[live], rows[live]))]
-    start = h = w = rays = 0
+    start = h = w = 0
     for i, (hi, wi) in enumerate(zip(rows[order].tolist(), cols[order].tolist())):
-        grown_h, grown_w, grown = max(h, hi), max(w, wi), rays + hi * wi
-        padded = (i + 1 - start) * grown_h * grown_w
-        if i > start and (padded > _CHUNK_RAYS or padded > _CHUNK_PADDING * grown):
+        grown_h, grown_w = max(h, hi), max(w, wi)
+        if i > start and (i + 1 - start) * grown_h * grown_w > _CHUNK_RAYS:
             yield order[start:i], h, w
-            start, grown_h, grown_w, grown = i, hi, wi, hi * wi
-        h, w, rays = grown_h, grown_w, grown
+            start, grown_h, grown_w = i, hi, wi
+        h, w = grown_h, grown_w
     if len(order):
         yield order[start:], h, w
 
@@ -313,25 +310,27 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
        installed). A one-row product goes to BLAS's dot instead, which can
        round differently, so a one-ray box is widened to two rays, and no
        box of a chunk has fewer than two.
-    10. *Chunks.* A chunk of T triangles holds its rays as one C-contiguous
-        (T, m, 3) array, each triangle's box padded to the chunk's rows x
-        columns and moved inside the lattice where it would cross an edge;
-        a chunk of one slices its box out of the lattice as it is.
-        ``det``, ``u`` and ``v`` come from stacked products
-        (T, m, 3) @ (T, 3, 1), and numpy's matmul loop hands each (m, 3)
-        slice to the BLAS matrix-vector call that (m, 3) @ (3,) makes.
-        ``e2 . qvec`` comes from (T, 1, 3) @ (T, 3, 1), the dot of two
-        3-vectors that 1-D @ 1-D makes. The cross products are the
-        elementwise steps of ``np.cross``. Neither one (m, 3) @ (3, T)
-        product nor explicit three-term sums would do: both round
-        differently from the matrix-vector kernel. The tests check every
-        one of these on the BLAS installed. A padded ray is a lattice ray
-        outside its triangle's footprint, which steps 1 to 8 show the test
-        rejects; so a chunk tests a superset of each footprint within the
-        lattice, as the test against every ray does. Each ray keeps the
+    10. *Chunks.* A chunk of T triangles gathers its rays from the lattice
+        as one C-contiguous (T, m, 3) array, each triangle's box padded to
+        the chunk's rows x columns and moved inside the lattice where it
+        would cross an edge; a chunk of one has its own box's sides, so it
+        gathers exactly its box's rays in C order. ``det``, ``u`` and ``v``
+        come from stacked products (T, m, 3) @ (T, 3, 1), and numpy's
+        matmul loop hands each (m, 3) slice to the BLAS matrix-vector call
+        that (m, 3) @ (3,) makes. ``e2 . qvec`` comes from
+        (T, 1, 3) @ (T, 3, 1), the dot of two 3-vectors that 1-D @ 1-D
+        makes. The cross products are the elementwise steps of
+        ``np.cross``, with ``e2`` broadcast over the rays. Neither one
+        (m, 3) @ (3, T) product nor explicit three-term sums would do: both
+        round differently from the matrix-vector kernel. The tests check
+        every one of these on the BLAS installed. A padded ray is a lattice
+        ray outside its triangle's footprint, which steps 1 to 8 show the
+        test rejects; so a chunk tests a superset of each footprint within
+        the lattice, as the test against every ray does. Each ray keeps the
         least accepted t (``np.minimum.at`` over a chunk's accepted rays).
         A minimum does not depend on the order the triangles come in, so
-        sorting them by box shape changes no value.
+        neither sorting them by box shape nor how they are grouped into
+        chunks changes any value.
 
     So every triangle still tests each ray it could accept, with the same
     values, and each ray's smallest t is unchanged.
@@ -351,25 +350,17 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     qvec = _cross(tvec.T, e1.T, np.empty_like(tvec))
     t_e2 = (e2[:, None, :] @ qvec[:, :, None]).ravel()  # e2 . qvec, one dot per triangle
     r0, r1, c0, c1 = _footprints(corners, cfg, frame, offsets)
-    planes = [np.ascontiguousarray(dirs[..., i]) for i in range(3)]
+    rays = dirs.reshape(-1, 3)
     index = np.arange(n * n).reshape(n, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k, h, w in _chunks(r0, r1, c0, c1):
-            if len(k) == 1:
-                # a chunk of one takes its box as a slice, so a big box pays no gather
-                box = slice(r0[k[0]], r1[k[0]]), slice(c0[k[0]], c1[k[0]])
-                ray, d, comps = index[box][None], dirs[box][None], [x[box][None] for x in planes]
-                e2k = e2[k[0]].tolist()
-            else:
-                # each box padded to h x w, moved inside the lattice where it would cross an edge
-                corner = np.minimum(r0[k], n - h) * n + np.minimum(c0[k], n - w)
-                ray = corner[:, None, None] + index[:h, :w]
-                d = dirs.reshape(-1, 3).take(ray, axis=0)
-                comps, e2k = [d[..., i] for i in range(3)], [x[:, None, None] for x in e2[k].T]
-            pvec = _cross(comps, e2k, np.empty(d.shape)).reshape(len(k), -1, 3)
+            # each box padded to h x w, moved inside the lattice where it would cross an edge
+            corner = np.minimum(r0[k], n - h) * n + np.minimum(c0[k], n - w)
+            ray = (corner[:, None, None] + index[:h, :w]).reshape(len(k), -1)
             # C-contiguous (T, m, 3) rays against (T, 3, 1) vectors, so each @
             # hands every triangle's rays to BLAS's matrix-vector call
-            d = d.reshape(pvec.shape)
+            d = rays.take(ray, axis=0)
+            pvec = _cross(np.moveaxis(d, -1, 0), e2[k].T[..., None], np.empty(d.shape))
             det = (pvec @ e1[k, :, None])[..., 0]
             ok = np.abs(det) > _PARALLEL_EPS
             inv = 1.0 / det  # whatever it is where not ok, those rays are dropped
@@ -377,10 +368,9 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
             v = (d @ qvec[k, :, None])[..., 0] * inv
             t = t_e2[k, None] * inv
             valid = (ok & (u >= -_EDGE_EPS) & (v >= -_EDGE_EPS)
-                     & (u + v <= 1.0 + _EDGE_EPS) & (t > 0.0)).reshape(ray.shape)
-            np.minimum.at(t_buf, ray[valid], t.reshape(ray.shape)[valid])
+                     & (u + v <= 1.0 + _EDGE_EPS) & (t > 0.0))
+            np.minimum.at(t_buf, ray[valid], t[valid])
 
-    dirs = dirs.reshape(-1, 3)
     hit = np.isfinite(t_buf) & (t_buf <= cfg.max_range)
     if not hit.any():
         raise ViewretError("scanner rays missed the mesh entirely")
@@ -388,7 +378,7 @@ def simulate_scan(mesh: TriangleMesh, cfg: ScannerConfig) -> ScanResult:
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
         t_hit = t_hit + rng.normal(0.0, cfg.noise_sigma, size=len(t_hit))
-    cloud = cfg.position + t_hit[:, None] * dirs[hit]
+    cloud = cfg.position + t_hit[:, None] * rays[hit]
     return ScanResult(cloud=cloud, ground_truth_viewpoint=gt / gt_norm, config=cfg)
 
 

@@ -816,3 +816,21 @@ class TestFisherVectors:
         next(vectors)
         assert taken == [64]
         assert len(list(vectors)) == 2 and taken == [64, 80, 96]
+
+    @pytest.mark.parametrize("class_id, message", [
+        (1.5, "class id 1.5 is not an integer"), ("1", "class id '1' is not an integer"),
+        (-1, r"class id -1 is outside \[0, ")])
+    def test_a_class_id_reaches_the_database_as_given(self, class_id, message):
+        gmm = random_gmm(np.random.default_rng(7), 2, 128)
+        images = [view_image(np.random.default_rng(side), side, False) for side in (48, 64)]
+        entries = encode_views("m", class_id, view_windows(images, tiny_config(), [2]), gmm)
+        assert [e.class_id for e in entries] == [class_id, class_id]
+        with pytest.raises(ViewretError, match=f"^entry 0: {message}"):
+            DescriptorDb(entries)
+
+    def test_a_numpy_integer_class_id_is_kept(self):
+        gmm = random_gmm(np.random.default_rng(8), 2, 128)
+        images = [view_image(np.random.default_rng(3), 56, False)]
+        entries = encode_views("m", np.uint32(4), view_windows(images, tiny_config(), [2]), gmm)
+        assert type(entries[0].class_id) is np.uint32 and entries[0].class_id == 4
+        DescriptorDb(entries)

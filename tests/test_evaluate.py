@@ -303,6 +303,26 @@ class TestRunBenchmark:
         with pytest.raises(ViewretError, match=f"^{message}$"):
             run_benchmark(ds, cases, micro_config(), seed=4)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(class_id=1.5), "scan 1: class id 1.5 is not an integer"),
+        (dict(class_id=-2), r"scan 1: class id -2 is outside \[0, "),
+        (dict(model_id="box 0"), "scan 1: model id is empty or holds whitespace"),
+        (dict(model_id=""), "scan 1: model id is empty or holds whitespace"),
+        (dict(model_id=5), "scan 1: model id 5 is not a string")])
+    def test_an_id_no_database_can_store_is_refused_before_any_scan(self, change, message,
+                                                                     monkeypatch):
+        from viewret import evaluate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan was prepared")
+
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=4, step_deg=1.0)
+        for name, value in change.items():
+            setattr(ds[1], name, value)
+        monkeypatch.setattr(evaluate, "_prepare_scan", refuse)
+        with pytest.raises(ViewretError, match=f"^{message}"):
+            run_benchmark(ds, ["prop-prop"], micro_config(), seed=4)
+
     def test_duplicate_model_ids_rejected(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=10, step_deg=1.0)
         ds[2].model_id = ds[0].model_id

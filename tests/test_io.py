@@ -322,6 +322,8 @@ class TestBinaryDumps:
         (dict(model_id=""), "entry 1: model id is empty or holds whitespace"),
         (dict(model_id="two words"), "entry 1: model id is empty or holds whitespace"),
         (dict(model_id="m\nthird"), "entry 1: model id is empty or holds whitespace"),
+        (dict(model_id=7), "entry 1: model id 7 is not a string"),
+        (dict(model_id=b"m"), "entry 1: model id b'm' is not a string"),
     ])
     def test_unstorable_entry_raises_before_writing(self, second, message):
         """`DescriptorDb` refuses it where it is built, so there is nothing to write."""
