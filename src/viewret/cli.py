@@ -7,7 +7,9 @@ stderr, data to files or stdout.
 """
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -100,14 +102,37 @@ def _load_config_file(path) -> dict:
 def _effective_config(args):
     """The command's base config, overridden by --config file values, overridden by flags.
 
-    None for a command that has no base config, and so no config flags.
+    None for a command that has no base config, and so no config flags. File
+    values and flags go into one override, so the config is checked once, on
+    the values the command uses.
     """
     if args.base_config is None:
         return None
-    base = args.base_config()
-    config = base.override(**_load_config_file(args.config)) if args.config else base
-    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return config.override(**{key: flag for key, flag in flags.items() if flag is not None})
+    values = _load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    return args.base_config().override(**values)
+
+
+def _check_outputs(args):
+    """Refuse an output path that its writer would refuse, before any work is done.
+
+    The message is the one opening the path for writing gives: the path
+    names a directory, or its directory does not exist.
+    """
+    for flag in ("output", "dump_grid", "report", "pr_data"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+            code = errno.ENOENT
+        else:
+            continue
+        raise ViewretError(str(OSError(code, os.strerror(code), path)))
 
 
 def _load_points(path):
@@ -126,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         if base is not None:
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--config", default=None)
-            p.add_argument("--threads", type=int, default=None,
-                           help="accepted for compatibility and ignored; every command runs serially")
         if output == "required":
             p.add_argument("--output", required=True)
         elif output == "optional":
@@ -263,6 +286,7 @@ def cmd_scan_sim(args, config: PipelineConfig):
 
 
 def cmd_fit_gmm(args, config: PipelineConfig):
+    config.check_describable()
     features = pool_database_features(vio.load_manifest(args.input), config)
     gmm = fit_gmm(features, config.gaussians, seed=config.seed)
     vio.write_gmm(gmm, args.output)
@@ -271,6 +295,7 @@ def cmd_fit_gmm(args, config: PipelineConfig):
 
 
 def cmd_build_db(args, config: PipelineConfig):
+    config.check_describable()
     models = vio.load_manifest(args.input)
     gmm = vio.read_gmm(args.gmm)
     db = build_db(models, gmm, config)
@@ -280,6 +305,7 @@ def cmd_build_db(args, config: PipelineConfig):
 
 
 def cmd_query(args, config: PipelineConfig):
+    config.check_describable()
     points = _load_points(args.input)
     db = vio.read_descriptor_db(args.db)
     gmm = vio.read_gmm(args.gmm)
@@ -338,7 +364,9 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args, _effective_config(args))
+        config = _effective_config(args)
+        _check_outputs(args)
+        return args.func(args, config)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"viewret {args.command}: error: {exc}\n")
         return DATA_ERROR

@@ -4,9 +4,12 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ViewretError
+from .features import MIN_LEVEL
 from .geometry import MAX_RESOLUTION, MIN_RESOLUTION
 
 DEFAULT_RESOLUTIONS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
+# `encode.fit_gmm` needs this many pooled rows per mixture component
+ROWS_PER_GAUSSIAN = 10
 
 
 @dataclass(frozen=True)
@@ -14,14 +17,20 @@ class PipelineConfig:
     """Knobs shared by the offline and online pipeline stages.
 
     The viewpoint search space is always the fixed 20-vertex set, so only
-    the resolution ladder is configurable here. ``threads`` is accepted so
-    existing config files and callers keep working, and is ignored: every
-    stage runs serially. Every field is checked where the config is built,
-    before any stage runs, and a refusal names its key: ``n_keypoints``,
-    ``gaussians``, ``ransac_iterations`` and ``gmm_sample_cap`` must be at
-    least 1, ``keypoint_decay`` at least 1, ``ransac_tolerance`` finite and
+    the resolution ladder is configurable here. No command takes a
+    ``--threads`` flag; the ``threads`` key is accepted, so config files
+    that set it keep working, and is ignored: every stage runs serially.
+    Every field is checked where the config is built, before any stage
+    runs, and a refusal names its key: ``n_keypoints``, ``gaussians``,
+    ``ransac_iterations`` and ``gmm_sample_cap`` must be at least 1,
+    ``keypoint_decay`` at least 1, ``ransac_tolerance`` finite and
     positive, and ``seed`` non-negative; ``resolutions`` needs at least one
-    rung, and each rung and ``db_resolution`` must lie in [8, 8192].
+    rung, each rung must lie in [8, 8192], and ``db_resolution`` in
+    [32, 8192], since a database view smaller than `features.MIN_LEVEL`
+    cannot be described. Then ``gmm_sample_cap`` must be at least
+    ``ROWS_PER_GAUSSIAN * gaussians``, the rows `encode.fit_gmm` needs.
+    A rung under `features.MIN_LEVEL` is refused by `check_describable`,
+    not here, since `select` and `render` score and render there.
     """
 
     n_keypoints: int = 1000
@@ -47,10 +56,26 @@ class PipelineConfig:
             raise ViewretError(f"seed must be non-negative, got {self.seed}")
         if not self.resolutions:
             raise ViewretError("resolutions must hold at least one rung")
-        for name, rung in [*(("resolutions rung", r) for r in self.resolutions),
-                           ("db_resolution", self.db_resolution)]:
-            if not MIN_RESOLUTION <= rung <= MAX_RESOLUTION:
-                raise ViewretError(f"{name} {rung} is outside [{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+        for name, rung, low in [*(("resolutions rung", r, MIN_RESOLUTION)
+                                  for r in self.resolutions),
+                                ("db_resolution", self.db_resolution, MIN_LEVEL)]:
+            if not low <= rung <= MAX_RESOLUTION:
+                raise ViewretError(f"{name} {rung} is outside [{low}, {MAX_RESOLUTION}]")
+        if self.gmm_sample_cap < ROWS_PER_GAUSSIAN * self.gaussians:
+            raise ViewretError(f"gmm_sample_cap {self.gmm_sample_cap} is below "
+                               f"{ROWS_PER_GAUSSIAN * self.gaussians}, the {ROWS_PER_GAUSSIAN} rows "
+                               f"per component that gaussians = {self.gaussians} needs")
+
+    def check_describable(self) -> None:
+        """Refuse a ``resolutions`` rung under `features.MIN_LEVEL`, too small to describe.
+
+        `select` and `render` take such rungs. `fit-gmm`, `build-db`, `query` and
+        `run_benchmark` describe views at a rung, and call this before they read any input.
+        """
+        for rung in self.resolutions:
+            if rung < MIN_LEVEL:
+                raise ViewretError(f"resolutions rung {rung} is below {MIN_LEVEL}, "
+                                   f"the smallest view that can be described")
 
     def override(self, **kwargs) -> "PipelineConfig":
         return replace(self, **kwargs)

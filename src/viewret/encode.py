@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import ROWS_PER_GAUSSIAN, PipelineConfig
 from .errors import ViewretError
 from .features import (DESCRIPTOR_SIZE, WINDOW, Keypoints, build_pyramid, cut_windows, describe,
                        sample_keypoints)
@@ -165,8 +165,9 @@ def fit_gmm(features, n_components: int, seed=0) -> GmmParams:
     n = len(x)
     if n_components < 1:
         raise ViewretError("n_components must be at least 1")
-    if n < 10 * n_components:
-        raise ViewretError(f"need at least {10 * n_components} features for K={n_components}, got {n}")
+    if n < ROWS_PER_GAUSSIAN * n_components:
+        raise ViewretError(f"need at least {ROWS_PER_GAUSSIAN * n_components} features "
+                           f"for K={n_components}, got {n}")
 
     x2 = x * x
     rng = np.random.default_rng(seed)

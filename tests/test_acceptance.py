@@ -186,21 +186,21 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_bench_determinism(self, tmp_path):
-        config = tmp_path / "bench.cfg"
-        config.write_text("n_keypoints=60\ngaussians=4\nresolutions=32,64\ngmm_sample_cap=5000\n")
         reports = []
         for name, threads in (("a", 1), ("b", 1), ("c", 8)):
+            config = tmp_path / f"bench-{name}.cfg"
+            config.write_text("n_keypoints=60\ngaussians=4\nresolutions=32,64\ngmm_sample_cap=5000\n"
+                              f"threads={threads}\n")
             out = tmp_path / f"report-{name}.csv"
             pr = tmp_path / f"pr-{name}.csv"
             code = run(["bench", "--cases", "gt-prop,prop-prop,ransac-prop",
                         "--classes", "2", "--scans-per-class", "2",
                         "--config", str(config), "--seed", "11",
-                        "--threads", str(threads),
                         "--report", str(out), "--pr-data", str(pr)])
             assert code == 0
             reports.append(out.read_bytes() + pr.read_bytes())
         ok = reports[0] == reports[1] and reports[0] == reports[2]
-        check(8, "bench output byte-identical across reruns and across --threads 1 vs 8", ok)
+        check(8, "bench output byte-identical across reruns and across threads 1 vs 8", ok)
 
 
 class TestCriterion9:

@@ -82,6 +82,23 @@ class TestExitCodes:
                 assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "img.pgm").exists()
 
+    def test_no_command_takes_a_threads_flag(self, cloud_file, mesh_file, tmp_path, capsys):
+        never_read = str(tmp_path / "never-read")
+        out = str(tmp_path / "out")
+        before = sorted(tmp_path.iterdir())
+        for argv in (["select", "--input", str(cloud_file), "--dump-grid", out],
+                     ["scan-sim", "--mesh", str(mesh_file), "--scanner-pos", "3,1.8,1.2",
+                      "--output", out],
+                     ["fit-gmm", "--input", never_read, "--output", out],
+                     ["build-db", "--input", never_read, "--gmm", never_read, "--output", out],
+                     ["query", "--input", str(cloud_file), "--db", never_read, "--gmm", never_read,
+                      "--output", out],
+                     ["bench", "--report", out]):
+            capsys.readouterr()
+            assert run([*argv, "--threads", "2"]) == 1
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_codes_reach_the_shell(self, cloud_file, tmp_path):
         """``python -m viewret.cli`` runs `main`, which exits the process with `run`'s code."""
         paths = [os.path.dirname(os.path.dirname(viewret.__file__)), os.environ.get("PYTHONPATH")]
@@ -181,8 +198,10 @@ class TestSelect:
         outputs = []
         for threads in ("1", "4"):
             grid_path = tmp_path / f"grid{threads}.csv"
+            config = tmp_path / f"threads{threads}.cfg"
+            config.write_text(f"threads = {threads}\n")
             assert run(["select", "--input", str(cloud_file), "--resolutions", "8,32,64",
-                        "--threads", threads, "--dump-grid", str(grid_path)]) == 0
+                        "--config", str(config), "--dump-grid", str(grid_path)]) == 0
             outputs.append((capsys.readouterr().out, grid_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
@@ -824,8 +843,11 @@ class TestConfigRefusals:
         ("resolutions", (), "resolutions must hold at least one rung"),
         ("resolutions", (32, 9000), r"resolutions rung 9000 is outside \[8, 8192\]"),
         ("resolutions", (7,), r"resolutions rung 7 is outside \[8, 8192\]"),
-        ("db_resolution", 9000, r"db_resolution 9000 is outside \[8, 8192\]"),
-        ("db_resolution", 4, r"db_resolution 4 is outside \[8, 8192\]")])
+        ("db_resolution", 9000, r"db_resolution 9000 is outside \[32, 8192\]"),
+        ("db_resolution", 4, r"db_resolution 4 is outside \[32, 8192\]"),
+        ("db_resolution", 16, r"db_resolution 16 is outside \[32, 8192\]"),
+        ("gmm_sample_cap", 100, r"gmm_sample_cap 100 is below \d+, the 10 rows per component "
+                                r"that gaussians = \d+ needs")])
     def test_the_config_refuses_it(self, key, value, message):
         with pytest.raises(ViewretError, match=message):
             PipelineConfig(**{key: value})
@@ -882,3 +904,88 @@ class TestConfigRefusals:
         err = capsys.readouterr().err
         assert err == "viewret scan-sim: error: seed must be non-negative, got -1\n"
         assert not out.exists()
+
+    def test_fit_gmm_refuses_an_unfittable_pool_before_any_render(self, tmp_path, capsys,
+                                                                   monkeypatch, mesh_file):
+        monkeypatch.setattr("viewret.encode.render_mesh", _refused_before_this)
+        manifest = tmp_path / "models.txt"
+        manifest.write_text(f"sphere 0 {mesh_file}\n")
+        config = tmp_path / "pool.cfg"
+        config.write_text("gaussians = 32\ngmm_sample_cap = 100\n")
+        out = tmp_path / "m.gmm"
+        assert run(["fit-gmm", "--input", str(manifest), "--config", str(config),
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr().err == ("viewret fit-gmm: error: gmm_sample_cap 100 is below "
+                                           "320, the 10 rows per component that gaussians = 32 "
+                                           "needs\n")
+        assert not out.exists()
+
+    def test_flags_and_file_values_are_checked_together(self, tmp_path):
+        config = tmp_path / "pool.cfg"
+        config.write_text("gmm_sample_cap = 100\n")
+        args = cli._parser().parse_args(["fit-gmm", "--input", "models.txt", "--output", "m.gmm",
+                                         "--config", str(config), "--gaussians", "2"])
+        effective = cli._effective_config(args)
+        assert (effective.gaussians, effective.gmm_sample_cap) == (2, 100)
+
+    @pytest.mark.parametrize("command", ["fit-gmm", "build-db", "query", "bench"])
+    def test_a_rung_too_small_to_describe_is_refused_before_any_input(self, tmp_path, capsys,
+                                                                       monkeypatch, command):
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", lambda **kwargs: [])
+        monkeypatch.setattr("viewret.evaluate._prepare_scan", _refused_before_this)
+        config = tmp_path / "rungs.cfg"
+        config.write_text("resolutions = 32,16\n")
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        argv = {"fit-gmm": ["fit-gmm", "--input", missing, "--output", str(out)],
+                "build-db": ["build-db", "--input", missing, "--gmm", missing,
+                             "--output", str(out)],
+                "query": ["query", "--input", missing, "--db", missing, "--gmm", missing,
+                          "--output", str(out)],
+                "bench": ["bench", "--report", str(out)]}[command]
+        assert run([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"viewret {command}: error: resolutions rung 16 is below 32")
+        assert err.count("\n") == 1 and not out.exists()
+
+
+class TestOutputRefusals:
+    """An output the writer cannot open is refused before any input is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for target in ("viewret.io.load_xyz", "viewret.io.load_obj", "viewret.io.load_geometry",
+                       "viewret.io.load_manifest", "viewret.io.read_gmm",
+                       "viewret.encode.render_mesh", "viewret.cli.render_point_cloud",
+                       "viewret.cli.fit_gmm", "viewret.cli.make_synthetic_dataset"):
+            monkeypatch.setattr(target, _refused_before_this)
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "--input", "in.xyz", "--output"],
+        ["render", "--input", "in.obj", "--viewpoint-index", "0", "--resolution", "32", "--output"],
+        ["select", "--input", "in.xyz", "--dump-grid"],
+        ["scan-sim", "--mesh", "in.obj", "--scanner-pos", "3,1.8,1.2", "--output"],
+        ["fit-gmm", "--input", "models.txt", "--output"],
+        ["build-db", "--input", "models.txt", "--gmm", "in.gmm", "--output"],
+        ["query", "--input", "in.xyz", "--db", "in.fvdb", "--gmm", "in.gmm", "--output"],
+        ["bench", "--report"], ["bench", "--pr-data"]], ids=" ".join)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_is_refused_before_any_work(self, tmp_path, capsys, argv, where):
+        if where == "directory":
+            path = str(tmp_path)
+            message = f"[Errno 21] Is a directory: {path!r}"
+        else:
+            path = str(tmp_path / "nodir" / "x.out")
+            message = f"[Errno 2] No such file or directory: {path!r}"
+        assert run([*argv, path]) == 2
+        assert capsys.readouterr().err == f"viewret {argv[0]}: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_matches_the_writers_own_refusal(self, tmp_path):
+        path = str(tmp_path / "nodir" / "x.gmm")
+        with pytest.raises(OSError) as writer:
+            vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), path)
+        args = cli._parser().parse_args(["fit-gmm", "--input", "models.txt", "--output", path])
+        with pytest.raises(ViewretError) as check:
+            cli._check_outputs(args)
+        assert str(check.value) == str(writer.value)

@@ -323,6 +323,17 @@ class TestRunBenchmark:
         with pytest.raises(ViewretError, match=f"^{message}"):
             run_benchmark(ds, ["prop-prop"], micro_config(), seed=4)
 
+    def test_a_rung_too_small_to_describe_is_refused_before_any_scan(self, monkeypatch):
+        from viewret import evaluate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan was prepared")
+
+        ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=4, step_deg=1.0)
+        monkeypatch.setattr(evaluate, "_prepare_scan", refuse)
+        with pytest.raises(ViewretError, match="^resolutions rung 8 is below 32"):
+            run_benchmark(ds, ["prop-prop"], micro_config().override(resolutions=(8, 32)), seed=4)
+
     def test_duplicate_model_ids_rejected(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=10, step_deg=1.0)
         ds[2].model_id = ds[0].model_id
