@@ -85,6 +85,7 @@ _CONFIG_KEYS = {f.name: _parse_resolutions if f.name == "resolutions"
 
 def _load_config_file(path) -> dict:
     values = {}
+    first_line = {}
     for line_no, line in vio.text_lines(path):
         if not line:
             continue
@@ -92,6 +93,9 @@ def _load_config_file(path) -> dict:
         key = key.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise ViewretError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in first_line:
+            raise ViewretError(f"{path}:{line_no}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = line_no
         try:
             values[key] = _CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
@@ -257,8 +261,7 @@ def cmd_select(args, config: PipelineConfig):
         # RANSAC needs no grid: it is scored only for the dump, written before RANSAC runs
         if args.dump_grid:
             vio.write_score_grid_csv(score_grid(points, None, config.resolutions), args.dump_grid)
-        viewpoint = ransac_viewpoint(points, config.ransac_iterations,
-                                     config.ransac_tolerance, seed=config.seed)
+        viewpoint = ransac_viewpoint(points, config.ransac_iterations, seed=config.seed)
         resolution = best_resolution_for_viewpoint(points, viewpoint, config.resolutions)
     else:
         viewpoint, resolution, grid = propose(points, config.resolutions)
@@ -286,7 +289,6 @@ def cmd_scan_sim(args, config: PipelineConfig):
 
 
 def cmd_fit_gmm(args, config: PipelineConfig):
-    config.check_describable()
     features = pool_database_features(vio.load_manifest(args.input), config)
     gmm = fit_gmm(features, config.gaussians, seed=config.seed)
     vio.write_gmm(gmm, args.output)
@@ -295,7 +297,6 @@ def cmd_fit_gmm(args, config: PipelineConfig):
 
 
 def cmd_build_db(args, config: PipelineConfig):
-    config.check_describable()
     models = vio.load_manifest(args.input)
     gmm = vio.read_gmm(args.gmm)
     db = build_db(models, gmm, config)
@@ -305,7 +306,6 @@ def cmd_build_db(args, config: PipelineConfig):
 
 
 def cmd_query(args, config: PipelineConfig):
-    config.check_describable()
     points = _load_points(args.input)
     db = vio.read_descriptor_db(args.db)
     gmm = vio.read_gmm(args.gmm)

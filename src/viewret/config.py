@@ -1,11 +1,10 @@
 """Shared pipeline parameters with their standard defaults."""
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ViewretError
 from .features import MIN_LEVEL
-from .geometry import MAX_RESOLUTION, MIN_RESOLUTION
+from .geometry import MAX_RESOLUTION
 
 DEFAULT_RESOLUTIONS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 # `encode.fit_gmm` needs this many pooled rows per mixture component
@@ -23,14 +22,12 @@ class PipelineConfig:
     Every field is checked where the config is built, before any stage
     runs, and a refusal names its key: ``n_keypoints``, ``gaussians``,
     ``ransac_iterations`` and ``gmm_sample_cap`` must be at least 1,
-    ``keypoint_decay`` at least 1, ``ransac_tolerance`` finite and
-    positive, and ``seed`` non-negative; ``resolutions`` needs at least one
-    rung, each rung must lie in [8, 8192], and ``db_resolution`` in
-    [32, 8192], since a database view smaller than `features.MIN_LEVEL`
-    cannot be described. Then ``gmm_sample_cap`` must be at least
-    ``ROWS_PER_GAUSSIAN * gaussians``, the rows `encode.fit_gmm` needs.
-    A rung under `features.MIN_LEVEL` is refused by `check_describable`,
-    not here, since `select` and `render` score and render there.
+    ``keypoint_decay`` at least 1, and ``seed`` non-negative;
+    ``resolutions`` needs at least one rung, and each rung, like
+    ``db_resolution``, must lie in [32, 8192], since a view smaller than
+    `features.MIN_LEVEL` cannot be described. Then ``gmm_sample_cap`` must
+    be at least ``ROWS_PER_GAUSSIAN * gaussians``, the rows `encode.fit_gmm`
+    needs. RANSAC runs at `select.ransac_viewpoint`'s default tolerance.
     """
 
     n_keypoints: int = 1000
@@ -38,7 +35,6 @@ class PipelineConfig:
     gaussians: int = 256
     resolutions: tuple = DEFAULT_RESOLUTIONS
     ransac_iterations: int = 1000
-    ransac_tolerance: float = 0.01
     db_resolution: int = 256
     seed: int = 42
     gmm_sample_cap: int = 200000
@@ -49,33 +45,18 @@ class PipelineConfig:
                     "gmm_sample_cap"):
             if not getattr(self, key) >= 1:
                 raise ViewretError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not 0 < self.ransac_tolerance < math.inf:
-            raise ViewretError(f"ransac_tolerance must be finite and positive, "
-                               f"got {self.ransac_tolerance}")
         if self.seed < 0:
             raise ViewretError(f"seed must be non-negative, got {self.seed}")
         if not self.resolutions:
             raise ViewretError("resolutions must hold at least one rung")
-        for name, rung, low in [*(("resolutions rung", r, MIN_RESOLUTION)
-                                  for r in self.resolutions),
-                                ("db_resolution", self.db_resolution, MIN_LEVEL)]:
-            if not low <= rung <= MAX_RESOLUTION:
-                raise ViewretError(f"{name} {rung} is outside [{low}, {MAX_RESOLUTION}]")
+        for name, rung in [*(("resolutions rung", r) for r in self.resolutions),
+                           ("db_resolution", self.db_resolution)]:
+            if not MIN_LEVEL <= rung <= MAX_RESOLUTION:
+                raise ViewretError(f"{name} {rung} is outside [{MIN_LEVEL}, {MAX_RESOLUTION}]")
         if self.gmm_sample_cap < ROWS_PER_GAUSSIAN * self.gaussians:
             raise ViewretError(f"gmm_sample_cap {self.gmm_sample_cap} is below "
                                f"{ROWS_PER_GAUSSIAN * self.gaussians}, the {ROWS_PER_GAUSSIAN} rows "
                                f"per component that gaussians = {self.gaussians} needs")
-
-    def check_describable(self) -> None:
-        """Refuse a ``resolutions`` rung under `features.MIN_LEVEL`, too small to describe.
-
-        `select` and `render` take such rungs. `fit-gmm`, `build-db`, `query` and
-        `run_benchmark` describe views at a rung, and call this before they read any input.
-        """
-        for rung in self.resolutions:
-            if rung < MIN_LEVEL:
-                raise ViewretError(f"resolutions rung {rung} is below {MIN_LEVEL}, "
-                                   f"the smallest view that can be described")
 
     def override(self, **kwargs) -> "PipelineConfig":
         return replace(self, **kwargs)

@@ -246,8 +246,7 @@ class BenchmarkReport:
 def _prepare_scan(entry: ScanEntry, index: int, config: PipelineConfig, seed: int) -> _ScanState:
     points, _ = normalize_pose(entry.cloud)
     v_prop, r_prop, _ = propose(points, config.resolutions)
-    v_ransac = ransac_viewpoint(points, config.ransac_iterations, config.ransac_tolerance,
-                                seed=[seed, 11, index])
+    v_ransac = ransac_viewpoint(points, config.ransac_iterations, seed=[seed, 11, index])
     return _ScanState(points=points, v_proposed=v_prop, r_proposed=r_prop, v_ransac=v_ransac)
 
 
@@ -300,14 +299,12 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     ``-fixed``. One mixture and database is built per resolution source
     that a requested case uses. Needs at least one case, none repeated, and
     at least two scans with unique model ids, and class and model ids that
-    a database can store (`encode.check_model`), and no ``resolutions``
-    rung too small to describe (`PipelineConfig.check_describable`); it
-    refuses others before any scan is prepared. Deterministic for a fixed seed.
+    a database can store (`encode.check_model`); it refuses others before
+    any scan is prepared. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
     cases = parse_cases(cases)
-    config.check_describable()
     if len(dataset) < 2:
         raise ViewretError("leave-one-out needs at least two scans")
     for index, entry in enumerate(dataset):

@@ -244,6 +244,8 @@ def read_descriptor_db(path) -> DescriptorDb:
         version, k, d, count = reader.unpack("<IIII", "header")
         if version != DB_VERSION:
             raise ViewretError(f"{path}: unsupported database version {version}")
+        if d != DESCRIPTOR_SIZE:
+            raise ViewretError(f"{path}: descriptor size {d}, expected {DESCRIPTOR_SIZE}")
         dim = 2 * d * k
         entries = []
         for index in range(count):

@@ -200,7 +200,7 @@ class TestSelect:
             grid_path = tmp_path / f"grid{threads}.csv"
             config = tmp_path / f"threads{threads}.cfg"
             config.write_text(f"threads = {threads}\n")
-            assert run(["select", "--input", str(cloud_file), "--resolutions", "8,32,64",
+            assert run(["select", "--input", str(cloud_file), "--resolutions", "32,64,128",
                         "--config", str(config), "--dump-grid", str(grid_path)]) == 0
             outputs.append((capsys.readouterr().out, grid_path.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -586,7 +586,7 @@ class TestFuzzedTextFiles:
                                              "--output", str(tmp_path / "m.gmm")]
         path = tmp_path / "select.cfg"
         path.write_text("# select\nresolutions = 32,64\nransac_iterations = 50\n"
-                        "ransac_tolerance = 0.01  # plane\nseed = 3\n")
+                        "keypoint_decay = 1.5  # unused by select\nseed = 3\n")
         return path, _load_config_file, ["select", "--input", str(cloud), "--method", "ransac",
                                          "--config", str(path)]
 
@@ -701,8 +701,8 @@ def test_run_builds_its_parser_once(monkeypatch, capsys):
 class TestConfigSchema:
     def test_every_field_round_trips(self, cloud_file, tmp_path, capsys):
         path = tmp_path / "every.cfg"
-        for config in (PipelineConfig(), PipelineConfig(keypoint_decay=2.5, resolutions=(8, 32),
-                                                         ransac_tolerance=0.125, seed=0)):
+        for config in (PipelineConfig(), PipelineConfig(keypoint_decay=2.5, resolutions=(32, 64),
+                                                         seed=0)):
             write_every_field(config, path)
             assert PipelineConfig(**_load_config_file(path)) == config
         write_every_field(PipelineConfig(), path)
@@ -729,11 +729,10 @@ class TestConfigSchema:
         assert grids[1:] == grids[:1] * 3
         assert b"\n0,64," in grids[0]
 
-    @pytest.mark.parametrize("line", ["gaussians = abc", "ransac_tolerance = x",
+    @pytest.mark.parametrize("line", ["gaussians = abc", "keypoint_decay = x",
                                       "seed = 1.5", "resolutions = 32,x", "resolutions = ,",
-                                      "ransac_tolerance = nan", "ransac_tolerance = inf",
-                                      "ransac_tolerance = 1e400", "keypoint_decay = nan",
-                                      "keypoint_decay = -inf"])
+                                      "keypoint_decay = nan", "keypoint_decay = inf",
+                                      "keypoint_decay = 1e400", "keypoint_decay = -inf"])
     def test_bad_value_names_file_line_and_key(self, cloud_file, tmp_path, capsys, line):
         config = tmp_path / "bad.cfg"
         config.write_text(f"# desk\nn_keypoints = 30\n{line}\n")
@@ -742,6 +741,21 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{config}:3" in err and repr(key) in err
+
+    def test_a_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 3\n# again\nseed = 5\n")
+        with pytest.raises(ViewretError) as refusal:
+            _load_config_file(path)
+        assert str(refusal.value) == f"{path}:3: key 'seed' repeats line 1"
+
+    def test_ransac_tolerance_is_an_unknown_key(self, cloud_file, tmp_path, capsys):
+        path = tmp_path / "tolerance.cfg"
+        path.write_text("ransac_tolerance = 0.01\n")
+        assert run(["select", "--input", str(cloud_file), "--method", "ransac",
+                    "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"viewret select: error: {path}:1: "
+                                           f"unknown config key 'ransac_tolerance'\n")
 
     def test_empty_resolutions_flag_is_usage_error(self, cloud_file, capsys):
         assert run(["select", "--input", str(cloud_file), "--resolutions", ""]) == 1
@@ -836,13 +850,9 @@ class TestConfigRefusals:
         ("ransac_iterations", 0, "ransac_iterations must be at least 1, got 0"),
         ("keypoint_decay", 0.5, "keypoint_decay must be at least 1, got 0.5"),
         ("keypoint_decay", float("nan"), "keypoint_decay must be at least 1, got nan"),
-        ("ransac_tolerance", 0.0, "ransac_tolerance must be finite and positive, got 0.0"),
-        ("ransac_tolerance", -0.5, "ransac_tolerance must be finite and positive, got -0.5"),
-        ("ransac_tolerance", float("inf"), "ransac_tolerance must be finite and positive, got inf"),
-        ("ransac_tolerance", float("nan"), "ransac_tolerance must be finite and positive, got nan"),
         ("resolutions", (), "resolutions must hold at least one rung"),
-        ("resolutions", (32, 9000), r"resolutions rung 9000 is outside \[8, 8192\]"),
-        ("resolutions", (7,), r"resolutions rung 7 is outside \[8, 8192\]"),
+        ("resolutions", (32, 9000), r"resolutions rung 9000 is outside \[32, 8192\]"),
+        ("resolutions", (7,), r"resolutions rung 7 is outside \[32, 8192\]"),
         ("db_resolution", 9000, r"db_resolution 9000 is outside \[32, 8192\]"),
         ("db_resolution", 4, r"db_resolution 4 is outside \[32, 8192\]"),
         ("db_resolution", 16, r"db_resolution 16 is outside \[32, 8192\]"),
@@ -945,8 +955,21 @@ class TestConfigRefusals:
                 "bench": ["bench", "--report", str(out)]}[command]
         assert run([*argv, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"viewret {command}: error: resolutions rung 16 is below 32")
+        assert err.startswith(f"viewret {command}: error: resolutions rung 16 is outside "
+                              f"[32, 8192]")
         assert err.count("\n") == 1 and not out.exists()
+
+
+    def test_bench_refuses_a_rung_too_small_to_describe_before_any_scan(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
+        config = tmp_path / "rungs.cfg"
+        config.write_text("resolutions = 16,32\n")
+        out = tmp_path / "report.csv"
+        assert run(["bench", "--config", str(config), "--report", str(out)]) == 2
+        assert capsys.readouterr().err == ("viewret bench: error: resolutions rung 16 is outside "
+                                           "[32, 8192]\n")
+        assert not out.exists()
 
 
 class TestOutputRefusals:

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from viewret.features import (DESCRIBE_BLOCK, DESCRIPTOR_SIZE, WINDOW, Keypoints
 from viewret.geometry import dodecahedron_viewpoints, normalize_mesh
 from viewret.render import render_mesh
 from viewret.scansim import make_box, make_cone
+from viewret.select import ransac_viewpoint
 
 
 def random_gmm(rng, k, dim):
@@ -210,7 +212,7 @@ class TestFitGmm:
         assert config.keypoint_decay == 1.0
         assert len(config.resolutions) == 8
         assert config.ransac_iterations == 1000
-        assert config.ransac_tolerance == 0.01
+        assert inspect.signature(ransac_viewpoint).parameters["inlier_tolerance"].default == 0.01
         assert config.db_resolution == 256
         assert config.seed == 42
 

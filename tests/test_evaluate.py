@@ -331,7 +331,7 @@ class TestRunBenchmark:
 
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=2, seed=4, step_deg=1.0)
         monkeypatch.setattr(evaluate, "_prepare_scan", refuse)
-        with pytest.raises(ViewretError, match="^resolutions rung 8 is below 32"):
+        with pytest.raises(ViewretError, match=r"^resolutions rung 8 is outside \[32, 8192\]"):
             run_benchmark(ds, ["prop-prop"], micro_config().override(resolutions=(8, 32)), seed=4)
 
     def test_duplicate_model_ids_rejected(self):

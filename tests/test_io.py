@@ -389,13 +389,15 @@ class TestCorruptBinaries:
                 reader(path)
 
     def test_huge_count_fails_before_allocating(self, tmp_path):
-        """K·D = (2**32 - 1)**2 floats: refused by size, before any array is made."""
+        """K·D = (2**32 - 1)**2 mixture floats, or 2·128·(2**32 - 1) descriptor floats: refused
+        by size, before any array is made."""
         huge = struct.pack("<I", 2 ** 32 - 1)
         gmm = tmp_path / "mixture.gmm"
         gmm.write_bytes(b"GMM1" + huge * 2 + b"\0" * 64)
         # a version-1 header, then one entry head with an empty model id
         db = tmp_path / "models.fvdb"
-        db.write_bytes(b"FVDB" + struct.pack("<I", 1) + huge * 3 + b"\0" * 10 + b"\0" * 64)
+        db.write_bytes(b"FVDB" + struct.pack("<I", 1) + huge + struct.pack("<I", 128) + huge
+                       + b"\0" * 10 + b"\0" * 64)
         for path, reader, field in ((gmm, vio.read_gmm, "weights"),
                                     (db, vio.read_descriptor_db, "entry 0")):
             with pytest.raises(ViewretError, match=f"truncated in {field}: needs"):
@@ -414,6 +416,14 @@ class TestCorruptBinaries:
         message = f"{db}: entry 1: descriptor is not finite and non-zero in float32"
         with pytest.raises(ViewretError, match=re.escape(message)):
             vio.read_descriptor_db(db)
+
+    def test_descriptor_size_other_than_128_is_refused(self, tmp_path):
+        # 2 * 64 * 4 = 512 floats an entry, a length `DescriptorDb` would take
+        path = tmp_path / "models.fvdb"
+        path.write_bytes(fvdb_bytes(4, 64, [(b"m", 0, 0, np.ones(512))]))
+        with pytest.raises(ViewretError, match=re.escape(f"{path}: descriptor size 64, "
+                                                         f"expected 128")):
+            vio.read_descriptor_db(path)
 
     @pytest.mark.parametrize("name", [b"", b"two words", b"m\nthird 0.0", b"tab\t",
                                       "\u2028".encode()])
