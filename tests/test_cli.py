@@ -853,6 +853,8 @@ class TestConfigRefusals:
         ("resolutions", (), "resolutions must hold at least one rung"),
         ("resolutions", (32, 9000), r"resolutions rung 9000 is outside \[32, 8192\]"),
         ("resolutions", (7,), r"resolutions rung 7 is outside \[32, 8192\]"),
+        ("resolutions", (8, 32), r"resolutions rung 8 is outside \[32, 8192\]"),
+        ("resolutions", (32, 31), r"resolutions rung 31 is outside \[32, 8192\]"),
         ("db_resolution", 9000, r"db_resolution 9000 is outside \[32, 8192\]"),
         ("db_resolution", 4, r"db_resolution 4 is outside \[32, 8192\]"),
         ("db_resolution", 16, r"db_resolution 16 is outside \[32, 8192\]"),
@@ -863,6 +865,10 @@ class TestConfigRefusals:
             PipelineConfig(**{key: value})
         with pytest.raises(ViewretError, match=message):
             desk_benchmark_config().override(**{key: value})
+
+    def test_rungs_at_the_bounds_are_kept(self):
+        assert PipelineConfig(resolutions=(32, 8192)).resolutions == (32, 8192)
+        assert desk_benchmark_config().override(resolutions=(8192, 32)).resolutions == (8192, 32)
 
     @pytest.mark.parametrize("command", ["fit-gmm", "bench"])
     @pytest.mark.parametrize("how", ["flag", "config"])
