@@ -10,10 +10,9 @@ from .config import DEFAULT_RESOLUTIONS, PipelineConfig
 from .encode import (DbEntry, DescriptorDb, GmmParams, build_db, fisher_vector, fit_gmm,
                      gmm_posteriors, query_db)
 from .errors import ViewretError
-from .evaluate import (ALL_CASES, CaseConfig, RankedRetrieval, ScanEntry, angular_error,
-                       desk_benchmark_config, make_synthetic_dataset, map_metric, ndcg_metric,
-                       nn_metric, precision_recall_curve, run_benchmark,
-                       viewpoint_error_experiment)
+from .evaluate import (CASES, RankedRetrieval, ScanEntry, angular_error, desk_benchmark_config,
+                       make_synthetic_dataset, map_metric, ndcg_metric, nn_metric,
+                       precision_recall_curve, run_benchmark, viewpoint_error_experiment)
 from .features import build_pyramid, sample_keypoints
 from .geometry import (CameraFrame, NormalizationTransform, TriangleMesh, camera_frame,
                        dodecahedron_viewpoints, normalize_mesh, normalize_pose)

@@ -21,7 +21,7 @@ from .config import PipelineConfig
 from .encode import (build_db, fisher_vectors, fit_gmm, pool_database_features, query_db,
                      view_windows)
 from .errors import ViewretError
-from .evaluate import (ALL_CASES, desk_benchmark_config, make_synthetic_dataset, parse_cases,
+from .evaluate import (CASES, desk_benchmark_config, make_synthetic_dataset, parse_cases,
                        precision_recall_curve, run_benchmark)
 from .geometry import (NUM_VIEWPOINTS, TriangleMesh, dodecahedron_viewpoints, normalize_mesh,
                        normalize_pose)
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_query)
 
     p = sub.add_parser("bench", help="run the synthetic retrieval benchmark")
-    p.add_argument("--cases", default=",".join(c.name for c in ALL_CASES))
+    p.add_argument("--cases", default=",".join(CASES))
     p.add_argument("--report", default=None)
     p.add_argument("--pr-data", default=None)
     p.add_argument("--classes", type=int, default=4)

@@ -18,16 +18,24 @@ from .render import render_point_cloud
 from .scansim import ScannerConfig, make_box, make_cone, make_cylinder, make_sphere, simulate_scan
 from .select import best_resolution_for_viewpoint, propose, ransac_viewpoint
 
-VIEWPOINT_SOURCES = ("ground_truth", "proposed", "ransac")
-RESOLUTION_SOURCES = ("proposed", "fixed_256")
-FIXED_RESOLUTION = 256
 # the simulated scanner stands SCAN_DISTANCE from the origin, where each model sits
 SCAN_DISTANCE = 3.0
 SYNTHETIC_FOV_DEG = 40.0
 VIEWPOINT_SCAN_FOV_DEG = 45.0
 
-_VIEW_ABBREV = {"ground_truth": "gt", "proposed": "prop", "ransac": "ransac"}
-_RES_ABBREV = {"proposed": "prop", "fixed_256": "fixed"}
+# the paper's six cases: name -> (viewpoint source, rung, tag). A rung of None
+# renders each scan's database views at its proposed rung, and its query at
+# that rung too for "proposed", else at its viewpoint's density-argmax rung.
+# The tag seeds the case's query keypoints, so a case's results do not depend
+# on which other cases a run requests.
+CASES = {
+    "gt-prop": ("ground_truth", None, 0),
+    "gt-fixed": ("ground_truth", 256, 1),
+    "prop-prop": ("proposed", None, 10),
+    "prop-fixed": ("proposed", 256, 11),
+    "ransac-prop": ("ransac", None, 20),
+    "ransac-fixed": ("ransac", 256, 21),
+}
 
 
 @dataclass
@@ -38,49 +46,18 @@ class RankedRetrieval:
     items: list
 
 
-@dataclass
-class CaseConfig:
-    viewpoint_source: str
-    resolution_source: str
-
-    def __post_init__(self):
-        if self.viewpoint_source not in VIEWPOINT_SOURCES:
-            raise ViewretError(f"unknown viewpoint source {self.viewpoint_source!r}")
-        if self.resolution_source not in RESOLUTION_SOURCES:
-            raise ViewretError(f"unknown resolution source {self.resolution_source!r}")
-
-    @property
-    def name(self) -> str:
-        return f"{_VIEW_ABBREV[self.viewpoint_source]}-{_RES_ABBREV[self.resolution_source]}"
-
-    @property
-    def tag(self) -> int:
-        """Stable integer identity, independent of which cases a run requests."""
-        return (VIEWPOINT_SOURCES.index(self.viewpoint_source) * 10
-                + RESOLUTION_SOURCES.index(self.resolution_source))
-
-
-ALL_CASES = tuple(CaseConfig(v, r) for v in VIEWPOINT_SOURCES for r in RESOLUTION_SOURCES)
-
-
-def parse_case(name: str) -> CaseConfig:
-    for case in ALL_CASES:
-        if case.name == name:
-            return case
-    raise ViewretError(f"unknown case {name!r}; expected one of "
-                       + ",".join(c.name for c in ALL_CASES))
-
-
-def parse_cases(cases) -> list:
-    """Case names or `CaseConfig`s as a list of `CaseConfig`s; refuses none or a repeat."""
-    cases = [parse_case(c) if isinstance(c, str) else c for c in cases]
-    if not cases:
+def parse_cases(names) -> list:
+    """Case names as a list; refuses a name not in CASES, none, or a repeat."""
+    names = list(names)
+    for name in names:
+        if name not in CASES:
+            raise ViewretError(f"unknown case {name!r}; expected one of " + ",".join(CASES))
+    if not names:
         raise ViewretError("no case requested")
-    names = [case.name for case in cases]
     for index, name in enumerate(names):
         if name in names[:index]:
             raise ViewretError(f"case {name} is requested twice")
-    return cases
+    return names
 
 
 def precision_recall_curve(retrieval: RankedRetrieval) -> list:
@@ -267,17 +244,15 @@ def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -
     return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
-def _query_image(case, entry, state, config) -> np.ndarray:
-    """The view a case renders of one scan to query with."""
+def _query_image(name, entry, state, config) -> np.ndarray:
+    """The view case ``name`` renders of one scan to query with."""
+    source, rung, _ = CASES[name]
     v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
-               "ransac": state.v_ransac}[case.viewpoint_source]
-    if case.resolution_source == "fixed_256":
-        r_query = FIXED_RESOLUTION
-    elif case.viewpoint_source == "proposed":
-        r_query = state.r_proposed
-    else:
-        r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
-    return render_point_cloud(state.points, v_query, r_query)
+               "ransac": state.v_ransac}[source]
+    if rung is None:
+        rung = (state.r_proposed if source == "proposed" else
+                best_resolution_for_viewpoint(state.points, v_query, config.resolutions))
+    return render_point_cloud(state.points, v_query, rung)
 
 
 def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
@@ -290,17 +265,17 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     `pool_features`, `encode_views`), with this run's own renders and seeds,
     and ranked by `query_db`. Between pooling and encoding, each view is
     held as its keypoints and the image they are cut from, or as its
-    windows where those are smaller; so a source's views take images plus
+    windows where those are smaller; so a rung's views take images plus
     keypoints plus ``gmm_sample_cap`` pooled rows, not every window. A
     case's queries take `query`'s path: rendered in dataset order, then
-    `view_windows` (seed prefix ``[seed, 23, case.tag]``) and `fisher_vectors`. A
-    case's resolution source sets the rung of both its database views and
-    its query: each scan's proposed rung for ``-prop``, FIXED_RESOLUTION for
-    ``-fixed``. One mixture and database is built per resolution source
-    that a requested case uses. Needs at least one case, none repeated, and
-    at least two scans with unique model ids, and class and model ids that
-    a database can store (`encode.check_model`); it refuses others before
-    any scan is prepared. Deterministic for a fixed seed.
+    `view_windows` (seed prefix ``[seed, 23, tag]``, the tag in `CASES`) and
+    `fisher_vectors`. A case's rung in `CASES` sets the rung of its database
+    views and its query (see `CASES` for a rung of None). One mixture and
+    database is built per rung that a requested case uses. Needs at least
+    one case, each a name in `CASES` and none repeated, and at least two
+    scans with unique model ids, and class and model ids that a database
+    can store (`encode.check_model`); it refuses others before any scan is
+    prepared. Deterministic for a fixed seed.
     ``threads`` is accepted for compatibility and ignored: the scans are
     prepared one after another.
     """
@@ -315,41 +290,42 @@ def run_benchmark(dataset, cases, config: PipelineConfig, seed: int = 0,
     classes = {entry.model_id: entry.class_id for entry in dataset}
     if len(classes) != len(dataset):
         raise ViewretError("model ids must be unique")
-    for case in cases:
-        if case.viewpoint_source == "ground_truth":
+    for name in cases:
+        if CASES[name][0] == "ground_truth":
             for entry in dataset:
                 if entry.gt_viewpoint is None:
                     raise ViewretError(
-                        f"case {case.name} needs ground truth, but {entry.model_id} has none")
+                        f"case {name} needs ground truth, but {entry.model_id} has none")
 
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     databases = {}
-    for source in dict.fromkeys(case.resolution_source for case in cases):
+    for rung in dict.fromkeys(CASES[name][1] for name in cases):
         held = []
         for index, state in enumerate(states):
-            rung = FIXED_RESOLUTION if source == "fixed_256" else state.r_proposed
-            images = (render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints())
+            images = (render_point_cloud(state.points, v, rung or state.r_proposed)
+                      for v in dodecahedron_viewpoints())
             held.append(list(view_windows(images, config, [seed, 13, index])))
         gmm = fit_gmm(pool_features((view for views in held for view in views),
                                     config.gmm_sample_cap, [seed, 17]),
                       config.gaussians, seed=[seed, 19])
-        databases[source] = gmm, DescriptorDb(entries=[
+        databases[rung] = gmm, DescriptorDb(entries=[
             e for entry, views in zip(dataset, held)
             for e in encode_views(entry.model_id, entry.class_id, views, gmm)])
-        del held  # before the next source's views are held
+        del held  # before the next rung's views are held
 
     report = BenchmarkReport()
-    for case in cases:
-        gmm, db = databases[case.resolution_source]
-        images = (_query_image(case, entry, state, config) for entry, state in zip(dataset, states))
-        descriptors = fisher_vectors(view_windows(images, config, [seed, 23, case.tag]), gmm)
+    for name in cases:
+        _, rung, tag = CASES[name]
+        gmm, db = databases[rung]
+        images = (_query_image(name, entry, state, config) for entry, state in zip(dataset, states))
+        descriptors = fisher_vectors(view_windows(images, config, [seed, 23, tag]), gmm)
         retrievals = []
         for entry, descriptor in zip(dataset, descriptors):
             items = [(model_id, classes[model_id], distance)
                      for model_id, distance in query_db(db, descriptor)
                      if model_id != entry.model_id]
             retrievals.append(RankedRetrieval(query_class=entry.class_id, items=items))
-        report.cases[case.name] = CaseResult(
+        report.cases[name] = CaseResult(
             metrics={"nn": nn_metric(retrievals),
                      "map": map_metric(retrievals),
                      "ndcg": ndcg_metric(retrievals)},

@@ -198,11 +198,13 @@ def write_gmm(gmm: GmmParams, path):
     """Write GMM1; the float32 values written are checked as a `GmmParams` before the file opens.
 
     So a sigma that float32 rounds to 0, or a mean it rounds to inf, is
-    refused, and no file is left.
+    refused, and no file is left; so is a dimension D other than
+    `DESCRIPTOR_SIZE`, which `read_gmm` refuses.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         stored = [np.asarray(a, dtype="<f4") for a in (gmm.weights, gmm.means, gmm.sigmas)]
-    GmmParams(*stored)
+    if GmmParams(*stored).dim != DESCRIPTOR_SIZE:
+        raise ViewretError(f"mixture dimension {stored[1].shape[1]}, expected {DESCRIPTOR_SIZE}")
     with open(path, "wb") as fh:
         fh.write(GMM_MAGIC)
         fh.write(struct.pack("<II", *stored[1].shape))
@@ -211,10 +213,15 @@ def write_gmm(gmm: GmmParams, path):
 
 
 def read_gmm(path) -> GmmParams:
-    """Read a mixture; `GmmParams` checks its shape and values, refusing as ``path: ...``."""
+    """Read a mixture; `GmmParams` checks its shape and values, refusing as ``path: ...``.
+
+    A header dimension D other than `DESCRIPTOR_SIZE` is refused before any value is read.
+    """
     with open(path, "rb") as fh:
         reader = _BinaryReader(fh, path, GMM_MAGIC)
         k, d = reader.unpack("<II", "header")
+        if d != DESCRIPTOR_SIZE:
+            raise ViewretError(f"{path}: mixture dimension {d}, expected {DESCRIPTOR_SIZE}")
         weights = reader.floats(k, "weights")
         means = reader.floats(k * d, "means").reshape(k, d)
         sigmas = reader.floats(k * d, "sigmas").reshape(k, d)

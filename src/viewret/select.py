@@ -519,13 +519,14 @@ def viewpoint_index(viewpoints, viewpoint) -> int:
     return index if diff[index] <= 1e-9 else -1
 
 
-def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
-    """Viewpoint whose normalized acquisition rates sum highest.
+def select_viewpoint(grid: ScoreGrid, cloud=None) -> int:
+    """Row of the viewpoint whose normalized acquisition rates sum highest.
 
-    Ties break toward the lowest viewpoint index. When the cloud is supplied
-    and the winner's antipode is in the search set, the winning axis is
-    additionally sign-disambiguated with `orient_axis`; the acquisition rate
-    itself cannot tell v from -v under orthographic projection.
+    Ties break toward the lowest row. When the cloud is supplied and the
+    winner's antipode is in the search set, the winning axis is
+    additionally sign-disambiguated with `orient_axis`, and the antipode's
+    row returned if it faces the scanned side; the acquisition rate itself
+    cannot tell v from -v under orthographic projection.
     """
     sums = normalize_quantity(grid).sum(axis=1)
     best = int(np.argmax(sums))
@@ -535,25 +536,18 @@ def select_viewpoint(grid: ScoreGrid, cloud=None) -> np.ndarray:
             oriented = orient_axis(cloud, grid.viewpoints[best])
             if oriented @ grid.viewpoints[best] < 0:
                 best = anti
-    return grid.viewpoints[best].copy()
+    return best
 
 
-def _viewpoint_row(grid: ScoreGrid, viewpoint) -> int:
-    row = viewpoint_index(grid.viewpoints, viewpoint)
-    if row < 0:
-        raise ViewretError("viewpoint is not a member of the grid's search set")
-    return row
-
-
-def select_resolution(grid: ScoreGrid, best_viewpoint) -> int:
-    """Resolution with maximum density along the chosen viewpoint's row.
+def select_resolution(grid: ScoreGrid, row: int) -> int:
+    """Resolution with maximum density along the grid's viewpoint row ``row``.
 
     Ties break toward the largest resolution, which preserves the most
     geometry.
     """
-    row = grid.density[_viewpoint_row(grid, best_viewpoint)]
-    top = row.max()
-    return max(r for r, d in zip(grid.resolutions, row) if d == top)
+    density = grid.density[row]
+    top = density.max()
+    return max(r for r, d in zip(grid.resolutions, density) if d == top)
 
 
 def propose(points, resolutions=None):
@@ -563,8 +557,8 @@ def propose(points, resolutions=None):
     cloud to orient the axis, then `select_resolution` on its row.
     """
     grid = score_grid(points, None, resolutions)
-    viewpoint = select_viewpoint(grid, points)
-    return viewpoint, select_resolution(grid, viewpoint), grid
+    row = select_viewpoint(grid, points)
+    return grid.viewpoints[row].copy(), select_resolution(grid, row), grid
 
 
 def best_resolution_for_viewpoint(cloud, viewpoint, resolutions=None) -> int:
@@ -573,7 +567,7 @@ def best_resolution_for_viewpoint(cloud, viewpoint, resolutions=None) -> int:
     Scores a one-viewpoint grid, so densities and tie-breaking follow
     `score_grid` and `select_resolution` exactly.
     """
-    return select_resolution(score_grid(cloud, [viewpoint], resolutions), viewpoint)
+    return select_resolution(score_grid(cloud, [viewpoint], resolutions), 0)
 
 
 def _inliers(pts, anchor, normal, inlier_tolerance) -> int:

@@ -177,8 +177,7 @@ class TestCriterion7:
             n = int(rng.integers(5000, 9000))
             points = ball_cloud(rng, n)
             grid = score_grid(points, None, (32, 64, 128, 256, 512))
-            chosen = select_viewpoint(grid, points)
-            row = int(np.abs(grid.viewpoints - chosen).sum(axis=1).argmin())
+            row = select_viewpoint(grid, points)
             wins += grid.quantity[row, 0] <= grid.quantity[row, -1]
         check(7, f"Q(32) <= Q(512) at the selected viewpoint on {wins}/20 clouds "
                  f"(need >=18)", wins >= 18)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import viewret
-from oracles import fvdb_bytes, read_pgm, read_scan_metadata
+from oracles import fvdb_bytes, gmm_bytes, read_pgm, read_scan_metadata
 from viewret import cli
 from viewret import io as vio
 from viewret.cli import _load_config_file, run
@@ -497,6 +497,20 @@ class TestCorruptInputs:
         assert captured.err == (f"viewret query: error: {db_path}: entry 1: model id is empty or "
                                 f"holds whitespace\n")
 
+    def test_mixture_of_another_dimension_names_its_file_before_any_selection(
+            self, tmp_path, capsys, monkeypatch):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        # the writer refuses such a mixture, so it is laid out by hand
+        gmm_path.write_bytes(gmm_bytes(np.full(4, 0.25), np.zeros((4, 64)), np.ones((4, 64))))
+        monkeypatch.setattr("viewret.cli.propose", _refused_before_this)
+        capsys.readouterr()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                    "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"viewret query: error: {gmm_path}: mixture dimension 64, "
+                                f"expected 128\n")
+
     @pytest.mark.filterwarnings("error")
     def test_empty_mesh_is_one_error_line_that_says_mesh(self, tmp_path, capsys):
         mesh = tmp_path / "empty.obj"
@@ -815,7 +829,9 @@ class TestBench:
 
     @pytest.mark.parametrize("cases, message", [
         (",", "no case requested"), ("", "no case requested"),
-        ("prop-prop,prop-prop", "case prop-prop is requested twice")])
+        ("prop-prop,prop-prop", "case prop-prop is requested twice"),
+        ("gt-gt", "unknown case 'gt-gt'; expected one of gt-prop,gt-fixed,prop-prop,prop-fixed,"
+                  "ransac-prop,ransac-fixed")])
     def test_no_case_or_a_repeated_one_writes_no_file(self, tmp_path, capsys, monkeypatch,
                                                       cases, message):
         monkeypatch.setattr("viewret.cli.make_synthetic_dataset", _refused_before_this)
@@ -859,12 +875,35 @@ class TestConfigRefusals:
         ("db_resolution", 4, r"db_resolution 4 is outside \[32, 8192\]"),
         ("db_resolution", 16, r"db_resolution 16 is outside \[32, 8192\]"),
         ("gmm_sample_cap", 100, r"gmm_sample_cap 100 is below \d+, the 10 rows per component "
-                                r"that gaussians = \d+ needs")])
+                                r"that gaussians = \d+ needs"),
+        ("resolutions", (32, 32, 64, 128), "resolutions rung 32 is repeated"),
+        ("resolutions", (64, 32, 128, 32), "resolutions rung 32 is repeated"),
+        ("resolutions", (32.5, 64), r"resolutions rung 32\.5 is not an integer"),
+        ("resolutions", (32, 64.0), r"resolutions rung 64\.0 is not an integer"),
+        ("gaussians", 2.5, r"gaussians must be an integer, got 2\.5"),
+        ("seed", 1.5, r"seed must be an integer, got 1\.5"),
+        ("n_keypoints", "5", "n_keypoints must be an integer, got '5'"),
+        ("ransac_iterations", 10.0, r"ransac_iterations must be an integer, got 10\.0"),
+        ("db_resolution", 256.0, r"db_resolution must be an integer, got 256\.0"),
+        ("gmm_sample_cap", 5000.0, r"gmm_sample_cap must be an integer, got 5000\.0"),
+        ("threads", None, "threads must be an integer, got None"),
+        ("keypoint_decay", "2", "keypoint_decay must be a real number, got '2'")])
     def test_the_config_refuses_it(self, key, value, message):
         with pytest.raises(ViewretError, match=message):
             PipelineConfig(**{key: value})
         with pytest.raises(ViewretError, match=message):
             desk_benchmark_config().override(**{key: value})
+
+    def test_numpy_numbers_are_kept(self):
+        config = PipelineConfig(resolutions=(np.int64(32), np.uint16(64)), seed=np.int32(3),
+                                gaussians=np.int8(4), keypoint_decay=np.float32(2.0))
+        assert config.resolutions == (32, 64) and config.seed == 3
+
+    def test_select_refuses_a_repeated_rung(self, cloud_file, capsys):
+        assert run(["select", "--input", str(cloud_file), "--resolutions", "32,32,64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "viewret select: error: resolutions rung 32 is repeated\n"
 
     def test_rungs_at_the_bounds_are_kept(self):
         assert PipelineConfig(resolutions=(32, 8192)).resolutions == (32, 8192)

@@ -4,9 +4,9 @@ import pytest
 from oracles import extract_features_oracle, keypoint_windows_oracle, loo_database_oracle
 from viewret.config import PipelineConfig
 from viewret.errors import ViewretError
-from viewret.evaluate import (CaseConfig, RankedRetrieval, angular_error, make_synthetic_dataset,
+from viewret.evaluate import (CASES, RankedRetrieval, angular_error, make_synthetic_dataset,
                               make_viewpoint_scan_dataset, map_metric, ndcg_metric, nn_metric,
-                              parse_case, precision_recall_curve, run_benchmark,
+                              parse_cases, precision_recall_curve, run_benchmark,
                               viewpoint_error_experiment)
 from viewret.features import DESCRIBE_BLOCK
 
@@ -139,18 +139,28 @@ class TestAngularError:
             assert angular_error(u, w) <= angular_error(u, v) + angular_error(v, w) + 1e-12
 
 
-class TestCaseConfig:
-    def test_names_round_trip(self):
-        for name in ("gt-prop", "gt-fixed", "prop-prop", "prop-fixed", "ransac-prop", "ransac-fixed"):
-            assert parse_case(name).name == name
+class TestCases:
+    def test_the_six_cases_their_sources_rungs_and_tags(self):
+        # the tags seed each case's query keypoints, so they may not change
+        assert list(CASES.items()) == [
+            ("gt-prop", ("ground_truth", None, 0)),
+            ("gt-fixed", ("ground_truth", 256, 1)),
+            ("prop-prop", ("proposed", None, 10)),
+            ("prop-fixed", ("proposed", 256, 11)),
+            ("ransac-prop", ("ransac", None, 20)),
+            ("ransac-fixed", ("ransac", 256, 21))]
 
-    def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            parse_case("gt-gt")
+    def test_names_parse_in_the_order_given(self):
+        assert parse_cases(reversed(CASES)) == list(reversed(CASES))
 
-    def test_invalid_sources(self):
-        with pytest.raises(ValueError):
-            CaseConfig("guessed", "proposed")
+    @pytest.mark.parametrize("names", [["gt-gt"], ["prop-prop", "guessed"],
+                                       ["prop-prop", "prop-prop", "gt-gt"]])
+    def test_unknown_case(self, names):
+        unknown = names[-1]
+        with pytest.raises(ViewretError, match=(
+                f"^unknown case '{unknown}'; expected one of gt-prop,gt-fixed,prop-prop,"
+                f"prop-fixed,ransac-prop,ransac-fixed$")):
+            parse_cases(names)
 
 
 class TestDatasets:
@@ -174,21 +184,22 @@ def micro_config(seed=0):
                           resolutions=(32, 64), gmm_sample_cap=4000, seed=seed)
 
 
-def loo_reference(dataset, case, config, seed):
+def loo_reference(dataset, name, config, seed):
     """The former leave-one-out loop, with its own pooling, encoding and cosine ranking.
 
     Returns one ``[(model_id, distance), ...]`` ranking per query.
     """
     from viewret.encode import fisher_vector, fit_gmm
-    from viewret.evaluate import FIXED_RESOLUTION, _prepare_scan
+    from viewret.evaluate import _prepare_scan
     from viewret.geometry import dodecahedron_viewpoints
     from viewret.render import render_point_cloud
     from viewret.select import best_resolution_for_viewpoint
 
+    source, fixed, tag = CASES[name]
     states = [_prepare_scan(entry, i, config, seed) for i, entry in enumerate(dataset)]
     per_instance = []
     for index, state in enumerate(states):
-        rung = FIXED_RESOLUTION if case.resolution_source == "fixed_256" else state.r_proposed
+        rung = state.r_proposed if fixed is None else fixed
         images = [render_point_cloud(state.points, v, rung) for v in dodecahedron_viewpoints()]
         per_instance.append([np.asarray(extract_features_oracle(img, config.n_keypoints,
                                                                 config.keypoint_decay,
@@ -206,16 +217,16 @@ def loo_reference(dataset, case, config, seed):
     rankings = []
     for index, (entry, state) in enumerate(zip(dataset, states)):
         v_query = {"ground_truth": entry.gt_viewpoint, "proposed": state.v_proposed,
-                   "ransac": state.v_ransac}[case.viewpoint_source]
-        if case.resolution_source == "fixed_256":
-            r_query = FIXED_RESOLUTION
-        elif case.viewpoint_source == "proposed":
+                   "ransac": state.v_ransac}[source]
+        if fixed is not None:
+            r_query = fixed
+        elif source == "proposed":
             r_query = state.r_proposed
         else:
             r_query = best_resolution_for_viewpoint(state.points, v_query, config.resolutions)
         feats = extract_features_oracle(render_point_cloud(state.points, v_query, r_query),
                                         config.n_keypoints, config.keypoint_decay,
-                                        seed=[seed, 23, case.tag, index])
+                                        seed=[seed, 23, tag, index])
         q_desc = fisher_vector(feats, gmm)
         items = []
         for other_idx, other in enumerate(dataset):
@@ -264,12 +275,12 @@ class TestRunBenchmark:
     def test_matches_former_leave_one_out_loop(self):
         ds = make_synthetic_dataset(n_classes=2, scans_per_class=3, seed=9, step_deg=0.8)
         config = micro_config().override(gmm_sample_cap=1500, ransac_iterations=200)
-        cases = [parse_case(name) for name in ("gt-prop", "prop-prop", "ransac-fixed")]
+        cases = ["gt-prop", "prop-prop", "ransac-fixed"]
         report = run_benchmark(ds, cases, config, seed=9)
         classes = {e.model_id: e.class_id for e in ds}
-        for case in cases:
-            want = loo_reference(ds, case, config, seed=9)
-            got = report.cases[case.name].retrievals
+        for name in cases:
+            want = loo_reference(ds, name, config, seed=9)
+            got = report.cases[name].retrievals
             assert len(got) == len(want) == len(ds)
             for retrieval, reference, entry in zip(got, want, ds):
                 assert retrieval.query_class == entry.class_id
@@ -289,7 +300,7 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("cases, message", [
         ([], "no case requested"),
         (["prop-prop", "prop-prop"], "case prop-prop is requested twice"),
-        (["gt-fixed", "prop-prop", parse_case("gt-fixed")], "case gt-fixed is requested twice"),
+        (["gt-fixed", "prop-prop", "gt-fixed"], "case gt-fixed is requested twice"),
     ])
     def test_no_case_or_a_repeated_one_is_refused_before_any_scan(self, cases, message,
                                                                   monkeypatch):
@@ -427,7 +438,7 @@ class TestLooDatabase:
                                                                  monkeypatch):
         from viewret import evaluate
         from viewret.encode import fisher_vector
-        from viewret.evaluate import FIXED_RESOLUTION, _prepare_scan
+        from viewret.evaluate import _prepare_scan
         from viewret.render import render_point_cloud
 
         ds, config, _, _ = scans
@@ -444,16 +455,16 @@ class TestLooDatabase:
         evaluate_fit_gmm, evaluate_query_db = evaluate.fit_gmm, evaluate.query_db
         monkeypatch.setattr(evaluate, "fit_gmm", fit_gmm)
         monkeypatch.setattr(evaluate, "query_db", query_db)
-        case = parse_case(name)
-        run_benchmark(ds, [case], config, seed=self.SEED)
+        _, rung, tag = CASES[name]
+        run_benchmark(ds, [name], config, seed=self.SEED)
         assert len(fitted) == 1 and len(queried) == len(ds)
         for index, (entry, descriptor) in enumerate(zip(ds, queried)):
             state = _prepare_scan(entry, index, config, self.SEED)
             img = (render_point_cloud(state.points, state.v_proposed, state.r_proposed)
                    if name == "prop-prop" else
-                   render_point_cloud(state.points, entry.gt_viewpoint, FIXED_RESOLUTION))
+                   render_point_cloud(state.points, entry.gt_viewpoint, rung))
             feats = extract_features_oracle(img, config.n_keypoints, config.keypoint_decay,
-                                            [self.SEED, 23, case.tag, index])
+                                            [self.SEED, 23, tag, index])
             want = fisher_vector(feats, fitted[0])
             assert descriptor.dtype == want.dtype == np.float64
             assert descriptor.tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays as numpy_arrays
 
 from oracles import fvdb_bytes, gmm_bytes, read_pgm, read_scan_metadata
 from viewret import io as vio
@@ -389,11 +390,11 @@ class TestCorruptBinaries:
                 reader(path)
 
     def test_huge_count_fails_before_allocating(self, tmp_path):
-        """K·D = (2**32 - 1)**2 mixture floats, or 2·128·(2**32 - 1) descriptor floats: refused
-        by size, before any array is made."""
+        """K = 2**32 - 1 mixture weights, or 2·128·(2**32 - 1) descriptor floats: refused by
+        size, before any array is made."""
         huge = struct.pack("<I", 2 ** 32 - 1)
         gmm = tmp_path / "mixture.gmm"
-        gmm.write_bytes(b"GMM1" + huge * 2 + b"\0" * 64)
+        gmm.write_bytes(b"GMM1" + huge + struct.pack("<I", 128) + b"\0" * 64)
         # a version-1 header, then one entry head with an empty model id
         db = tmp_path / "models.fvdb"
         db.write_bytes(b"FVDB" + struct.pack("<I", 1) + huge + struct.pack("<I", 128) + huge
@@ -425,6 +426,18 @@ class TestCorruptBinaries:
                                                          f"expected 128")):
             vio.read_descriptor_db(path)
 
+    @pytest.mark.parametrize("d", [1, 64, 129])
+    def test_mixture_dimension_other_than_128_is_refused_before_any_value(self, tmp_path, d):
+        path = tmp_path / "mixture.gmm"
+        message = re.escape(f"{path}: mixture dimension {d}, expected 128")
+        path.write_bytes(gmm_bytes(np.full(2, 0.5), np.zeros((2, d)), np.ones((2, d))))
+        with pytest.raises(ViewretError, match=message):
+            vio.read_gmm(path)
+        # the header alone: refused by its D, not as truncated in the weights
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(ViewretError, match=message):
+            vio.read_gmm(path)
+
     @pytest.mark.parametrize("name", [b"", b"two words", b"m\nthird 0.0", b"tab\t",
                                       "\u2028".encode()])
     def test_model_id_query_cannot_print_on_one_line_is_refused(self, tmp_path, name):
@@ -439,8 +452,8 @@ class TestCorruptBinaries:
                                              ("sigmas", np.nan), ("weights", 0.0),
                                              ("weights", np.inf), ("means", np.nan)])
     def test_gmm_rejects_invalid_values(self, tmp_path, field, value):
-        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 4)),
-                  "sigmas": np.ones((2, 4))}
+        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 128)),
+                  "sigmas": np.ones((2, 128))}
         params[field] = params[field].copy()
         params[field].flat[1] = value
         path = tmp_path / "mixture.gmm"
@@ -449,10 +462,12 @@ class TestCorruptBinaries:
             vio.read_gmm(path)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("field, at", [("weights", 0), ("means", 2 + 5), ("sigmas", 2 + 8 + 3)])
+    @pytest.mark.parametrize("field, at", [("weights", 0), ("means", 2 + 5),
+                                           ("sigmas", 2 + 256 + 3)])
     def test_gmm_signalling_nan_is_refused_without_a_warning(self, tmp_path, field, at):
         path = tmp_path / "mixture.gmm"
-        vio.write_gmm(GmmParams(np.array([0.5, 0.5]), np.zeros((2, 4)), np.ones((2, 4))), path)
+        vio.write_gmm(GmmParams(np.array([0.5, 0.5]), np.zeros((2, 128)), np.ones((2, 128))),
+                      path)
         data = bytearray(path.read_bytes())
         # float `at` after the 12-byte header: a signalling NaN, which a cast to float64 flags
         data[12 + 4 * at:16 + 4 * at] = struct.pack("<I", 0x7F800001)
@@ -498,9 +513,11 @@ def db_entries(draw):
 
 @st.composite
 def mixtures(draw):
-    """(weights, means, sigmas) of K = 1-3 and D = 1-4 in float32 or float64, each with a
-    fault one time in four: a mismatched shape, or a value GMM1 cannot store."""
-    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    """(weights, means, sigmas) of K = 1-3 in float32 or float64, each with a fault one time
+    in four: a mismatched shape, or a value GMM1 cannot store. D is 128 three times in four,
+    else 1-4, a dimension GMM1 cannot store."""
+    k = draw(st.integers(1, 3))
+    d = 128 if draw(st.integers(0, 3)) else draw(st.integers(1, 4))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     positive = st.one_of(st.floats(0.125, 10.0, width=32), st.sampled_from([3.4e38, 1e-40]))
     arrays = []
@@ -508,8 +525,8 @@ def mixtures(draw):
         fault = draw(st.sampled_from(["shape", "value"])) if draw(st.integers(0, 3)) == 0 else None
         if fault == "shape":
             shape = (shape[0] + 1,) + shape[1:]
-        values = np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
-                                        max_size=int(np.prod(shape))))).reshape(shape)
+        # a few drawn values and one fill value, so 128 columns stay a small draw
+        values = draw(numpy_arrays(np.float64, shape, elements=elements))
         if fault == "value":
             values.flat[draw(st.integers(0, values.size - 1))] = draw(st.one_of(
                 UNSTORABLE_VALUES, st.sampled_from([0.0, -1.0])))
@@ -605,22 +622,32 @@ class TestWritersWriteWhatTheirReadersRead:
     def test_sigma_zero_in_float32_is_refused_before_writing(self, tmp_path):
         path = tmp_path / "mixture.gmm"
         with pytest.raises(ViewretError, match="mixture sigmas must be finite and positive"):
-            vio.write_gmm(GmmParams(np.ones(1), np.zeros((1, 4)), np.full((1, 4), 1e-50)), path)
+            vio.write_gmm(GmmParams(np.ones(1), np.zeros((1, 128)), np.full((1, 128), 1e-50)),
+                          path)
         assert not path.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mean_beyond_float32_is_refused_before_writing_without_a_warning(self, tmp_path):
         path = tmp_path / "mixture.gmm"
         with pytest.raises(ViewretError, match="mixture means must be finite"):
-            vio.write_gmm(GmmParams(np.ones(1), np.full((1, 4), 1e39), np.ones((1, 4))), path)
+            vio.write_gmm(GmmParams(np.ones(1), np.full((1, 128), 1e39), np.ones((1, 128))),
+                          path)
         assert not path.exists()
 
     def test_weights_that_do_not_match_the_means_are_refused(self, tmp_path):
         path = tmp_path / "mixture.gmm"
         with pytest.raises(ViewretError, match=re.escape(
-                "mixture needs (K,) weights and (K, D) means and sigmas, got (2,), (1, 4) "
-                "and (1, 4)")):
-            vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((1, 4)), np.ones((1, 4))), path)
+                "mixture needs (K,) weights and (K, D) means and sigmas, got (2,), (1, 128) "
+                "and (1, 128)")):
+            vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((1, 128)), np.ones((1, 128))),
+                          path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("d", [4, 64, 129])
+    def test_mixture_dimension_other_than_128_is_refused_before_writing(self, tmp_path, d):
+        path = tmp_path / "mixture.gmm"
+        with pytest.raises(ViewretError, match=f"^mixture dimension {d}, expected 128$"):
+            vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, d)), np.ones((2, d))), path)
         assert not path.exists()
 
 
