@@ -7,12 +7,11 @@ database models by minimum view-pair cosine distance.
 """
 
 from .config import DEFAULT_RESOLUTIONS, PipelineConfig
-from .encode import (DbEntry, DescriptorDb, GmmParams, build_db, fisher_vector, fit_gmm,
-                     gmm_posteriors, query_db)
+from .encode import DbEntry, DescriptorDb, GmmParams, build_db, fisher_vector, fit_gmm, query_db
 from .errors import ViewretError
-from .evaluate import (CASES, RankedRetrieval, ScanEntry, angular_error, desk_benchmark_config,
+from .evaluate import (CASES, RankedRetrieval, ScanEntry, desk_benchmark_config,
                        make_synthetic_dataset, map_metric, ndcg_metric, nn_metric,
-                       precision_recall_curve, run_benchmark, viewpoint_error_experiment)
+                       precision_recall_curve, run_benchmark)
 from .features import build_pyramid, sample_keypoints
 from .geometry import (CameraFrame, NormalizationTransform, TriangleMesh, camera_frame,
                        dodecahedron_viewpoints, normalize_mesh, normalize_pose)

@@ -258,15 +258,15 @@ def cmd_render(args, config: None):
 def cmd_select(args, config: PipelineConfig):
     points = _load_points(args.input)
     if args.method == "ransac":
-        # RANSAC needs no grid: it is scored only for the dump, written before RANSAC runs
-        if args.dump_grid:
-            vio.write_score_grid_csv(score_grid(points, None, config.resolutions), args.dump_grid)
         viewpoint = ransac_viewpoint(points, config.ransac_iterations, seed=config.seed)
         resolution = best_resolution_for_viewpoint(points, viewpoint, config.resolutions)
+        # RANSAC needs no grid: it is scored only for the dump
+        grid = score_grid(points, None, config.resolutions) if args.dump_grid else None
     else:
         viewpoint, resolution, grid = propose(points, config.resolutions)
-        if args.dump_grid:
-            vio.write_score_grid_csv(grid, args.dump_grid)
+    # written only once the selection has succeeded, so a refused cloud leaves no file
+    if args.dump_grid:
+        vio.write_score_grid_csv(grid, args.dump_grid)
     index = viewpoint_index(dodecahedron_viewpoints(), viewpoint)
     sys.stdout.write(f"viewpoint_index {index}\n")
     sys.stdout.write(f"viewpoint {viewpoint[0]:.17g} {viewpoint[1]:.17g} {viewpoint[2]:.17g}\n")
@@ -309,13 +309,18 @@ def cmd_query(args, config: PipelineConfig):
     points = _load_points(args.input)
     db = vio.read_descriptor_db(args.db)
     gmm = vio.read_gmm(args.gmm)
+    # a descriptor holds 2 * D values per component, and both readers refuse a D other than 128
+    db_k = db.entries[0].descriptor.size // (2 * gmm.dim)
+    if db_k != gmm.n_components:
+        raise ViewretError(f"{args.db} holds descriptors of K={db_k}, "
+                           f"but {args.gmm} has K={gmm.n_components}")
     viewpoint, resolution, _ = propose(points, config.resolutions)
     views = multiview_ring(viewpoint) if args.multiview else [viewpoint]
     images = (render_point_cloud(points, v, resolution) for v in views)
     descriptors = list(fisher_vectors(view_windows(images, config, [config.seed]), gmm))
+    ranking = query_db(db, np.asarray(descriptors), args.top_k)
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
-        for model_id, distance in query_db(db, np.asarray(descriptors), args.top_k):
-            fh.write(f"{model_id} {distance:.10f}\n")
+        fh.writelines(f"{model_id} {distance:.10f}\n" for model_id, distance in ranking)
     return 0
 
 

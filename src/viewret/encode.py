@@ -122,19 +122,6 @@ def _means_sigmas(s0, s1, s2):
     return means, np.sqrt(np.maximum(s2 / s0[:, None] - means * means, VARIANCE_FLOOR))
 
 
-def gmm_posteriors(x, gmm: GmmParams) -> np.ndarray:
-    """Soft assignments of one feature (or a batch) to every component.
-
-    Computed in log space; each row sums to one.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    post = _posteriors(arr, arr * arr, gmm)[0]
-    return post[0] if single else post
-
-
 def _kmeans_plus_plus(x: np.ndarray, k: int, rng) -> np.ndarray:
     n = len(x)
     centers = np.empty((k, x.shape[1]))
@@ -383,11 +370,28 @@ def encode_views(model_id: str, class_id: int, views, gmm: GmmParams) -> list:
             for v_idx, descriptor in enumerate(fisher_vectors(views, gmm))]
 
 
+def _model_views(m_idx: int, model, config: PipelineConfig):
+    """The held views of manifest model ``m_idx``: `view_windows` of its `database_views`.
+
+    A view that renders no pixel, such as a flat model seen edge-on, is
+    refused, naming the model and the view; skipping it would renumber the
+    viewpoint ids of the views after it.
+    """
+    model_id, _, geometry = model
+
+    def images():
+        for v_idx, img in enumerate(database_views(geometry, config)):
+            if not img.any():
+                raise ViewretError(f"model {model_id}: view {v_idx} renders no pixel")
+            yield img
+
+    return view_windows(images(), config, [config.seed, m_idx])
+
+
 def pool_database_features(models, config: PipelineConfig) -> np.ndarray:
     """`pool_features` over the views `build_db` encodes, at most ``gmm_sample_cap`` rows."""
-    views = (view for m_idx, (_, _, geometry) in enumerate(models)
-             for view in view_windows(database_views(geometry, config), config,
-                                      [config.seed, m_idx]))
+    views = (view for m_idx, model in enumerate(models)
+             for view in _model_views(m_idx, model, config))
     return pool_features(views, config.gmm_sample_cap, [config.seed, 0x9001])
 
 
@@ -397,9 +401,9 @@ def build_db(models, gmm: GmmParams, config: PipelineConfig) -> DescriptorDb:
     if len(set(ids)) != len(ids):
         raise ViewretError("model ids must be unique")
     entries = []
-    for m_idx, (model_id, class_id, geometry) in enumerate(models):
-        views = view_windows(database_views(geometry, config), config, [config.seed, m_idx])
-        entries.extend(encode_views(model_id, class_id, views, gmm))
+    for m_idx, model in enumerate(models):
+        model_id, class_id, _ = model
+        entries.extend(encode_views(model_id, class_id, _model_views(m_idx, model, config), gmm))
     return DescriptorDb(entries=entries)
 
 

@@ -1,8 +1,10 @@
-"""Retrieval metrics, viewpoint error and the synthetic benchmark runner.
+"""Retrieval metrics and the synthetic benchmark runner.
 
 Relevance is binary throughout: a retrieved model counts as relevant when it
 shares the query's class. The benchmark follows a leave-one-out protocol in
-which every scan queries a database built from all other scans.
+which every scan queries a database built from all other scans. Criterion
+1's viewpoint-error experiment, which no command runs, lives with the tests
+(``tests/oracles.py``) and reuses `_scan_entry` and `_prepare_scan`.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,6 @@ from .select import best_resolution_for_viewpoint, propose, ransac_viewpoint
 # the simulated scanner stands SCAN_DISTANCE from the origin, where each model sits
 SCAN_DISTANCE = 3.0
 SYNTHETIC_FOV_DEG = 40.0
-VIEWPOINT_SCAN_FOV_DEG = 45.0
 
 # the paper's six cases: name -> (viewpoint source, rung, tag). A rung of None
 # renders each scan's database views at its proposed rung, and its query at
@@ -113,12 +114,6 @@ def ndcg_metric(results) -> float:
     return 100.0 * float(np.mean(scores))
 
 
-def angular_error(v_est, v_gt) -> float:
-    """Angle in radians between two unit vectors, in [0, pi]."""
-    dot = float(np.asarray(v_est, dtype=np.float64) @ np.asarray(v_gt, dtype=np.float64))
-    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # synthetic dataset and benchmark
 
@@ -172,28 +167,6 @@ def make_synthetic_dataset(n_classes: int = 4, scans_per_class: int = 5, seed: i
     return entries
 
 
-def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, step_deg: float = 0.3) -> list:
-    """Curved-primitive scans for viewpoint-estimation experiments.
-
-    Spheres and capped cylinders alternate; both expose enough curvature for
-    the scanned side to be recoverable, which flat-dominant poses of boxes
-    or cones do not.
-    """
-    rng = np.random.default_rng(seed)
-    entries = []
-    for index in range(n_scans):
-        if index % 2 == 0:
-            mesh = make_sphere(radius=float(rng.uniform(0.8, 1.2)))
-            name = "sphere"
-        else:
-            mesh = make_cylinder(radius=float(rng.uniform(0.45, 0.6)),
-                                 height=float(rng.uniform(1.0, 1.4)))
-            name = "cylinder"
-        entries.append(_scan_entry(f"{name}-{index}", index % 2, mesh, rng,
-                                   VIEWPOINT_SCAN_FOV_DEG, step_deg))
-    return entries
-
-
 @dataclass
 class _ScanState:
     points: np.ndarray
@@ -225,23 +198,6 @@ def _prepare_scan(entry: ScanEntry, index: int, config: PipelineConfig, seed: in
     v_prop, r_prop, _ = propose(points, config.resolutions)
     v_ransac = ransac_viewpoint(points, config.ransac_iterations, seed=[seed, 11, index])
     return _ScanState(points=points, v_proposed=v_prop, r_proposed=r_prop, v_ransac=v_ransac)
-
-
-def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -> dict:
-    """Angular errors of the proposed selector and the RANSAC baseline.
-
-    Every dataset entry must carry a ground-truth viewpoint. Returns arrays
-    of per-scan errors keyed by method name.
-    """
-    proposed = []
-    ransac = []
-    for index, entry in enumerate(dataset):
-        if entry.gt_viewpoint is None:
-            raise ViewretError(f"scan {entry.model_id} has no ground-truth viewpoint")
-        state = _prepare_scan(entry, index, config, seed)
-        proposed.append(angular_error(state.v_proposed, entry.gt_viewpoint))
-        ransac.append(angular_error(state.v_ransac, entry.gt_viewpoint))
-    return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
 
 
 def _query_image(name, entry, state, config) -> np.ndarray:

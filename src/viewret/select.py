@@ -60,6 +60,8 @@ _GAP_SLACK = 2.0 ** -19
 _BLOCK_COLUMNS = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
 # RANSAC planes scored by one matrix product
 PLANES = 32
+# a point within this distance of a RANSAC plane is one of its inliers
+RANSAC_TOLERANCE = 0.01
 # 64u: times M + tol, the margin that covers RANSAC's block rounding (see
 # ransac_viewpoint); times r(1 + P), the reach of rounding in a pixel
 # coordinate (see score_grid)
@@ -570,12 +572,12 @@ def best_resolution_for_viewpoint(cloud, viewpoint, resolutions=None) -> int:
     return select_resolution(score_grid(cloud, [viewpoint], resolutions), 0)
 
 
-def _inliers(pts, anchor, normal, inlier_tolerance) -> int:
-    """Points within the tolerance of the plane through ``anchor``, by the per-plane form."""
-    return int((np.abs((pts - anchor) @ normal) <= inlier_tolerance).sum())
+def _inliers(pts, anchor, normal) -> int:
+    """Points within RANSAC_TOLERANCE of the plane through ``anchor``, by the per-plane form."""
+    return int((np.abs((pts - anchor) @ normal) <= RANSAC_TOLERANCE).sum())
 
 
-def _block_counts(pts, anchors, normals, inlier_tolerance, margin) -> np.ndarray:
+def _block_counts(pts, anchors, normals, margin) -> np.ndarray:
     """`_inliers` of each plane of a block, from one matrix product (see `ransac_viewpoint`).
 
     A plane with points within ``margin`` of the tolerance, or every plane
@@ -585,18 +587,18 @@ def _block_counts(pts, anchors, normals, inlier_tolerance, margin) -> np.ndarray
     dist -= np.einsum("ij,ij->i", anchors, normals)[:, None]
     np.abs(dist, out=dist)
     # one count per row: about 3x faster than count_nonzero(axis=1) here (numpy 2.4)
-    counts = np.array([np.count_nonzero(row) for row in dist <= inlier_tolerance - margin])
-    unsure = counts != [np.count_nonzero(row) for row in dist <= inlier_tolerance + margin]
+    counts = np.array([np.count_nonzero(row) for row in dist <= RANSAC_TOLERANCE - margin])
+    unsure = counts != [np.count_nonzero(row) for row in dist <= RANSAC_TOLERANCE + margin]
     for b in np.flatnonzero(unsure | np.isinf(margin)):
-        counts[b] = _inliers(pts, anchors[b], normals[b], inlier_tolerance)
+        counts[b] = _inliers(pts, anchors[b], normals[b])
     return counts
 
 
-def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.01, seed=0) -> np.ndarray:
+def ransac_viewpoint(cloud, iterations: int = 1000, seed=0) -> np.ndarray:
     """Unit normal of the best RANSAC plane fit over the iterations.
 
     Each iteration fits a plane through three random points and counts the
-    points within the inlier tolerance of it; the normal of the first plane
+    points within RANSAC_TOLERANCE of it; the normal of the first plane
     with the largest count wins, with the sign its cross product gives. A
     plane normal carries no information about which side the scanner stood
     on, and the acquisition rate is blind to that sign too (see the module
@@ -610,7 +612,7 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
     p and anchor a, which rounds differently from the per-plane
     ``|(p - a).n|``. The rounding bound for dot products (Higham, Accuracy
     and Stability of Numerical Algorithms, 3.1) bounds the gap. Let
-    u = 2^-53, M the largest absolute coordinate and tol the tolerance; a
+    u = 2^-53, M the largest absolute coordinate and tol = RANSAC_TOLERANCE; a
     unit normal has sum |n_j| <= sqrt(3).
 
     - Per plane, ``p - a`` rounds by at most 2uM per coordinate, which moves
@@ -635,12 +637,8 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
         raise ViewretError("plane fitting needs at least 3 points")
     if iterations < 1:
         raise ViewretError("iterations must be at least 1")
-    if not np.isfinite(inlier_tolerance):
-        raise ViewretError(f"inlier tolerance must be finite, got {inlier_tolerance}")
-    if inlier_tolerance <= 0:
-        raise ViewretError("inlier tolerance must be positive")
     top = np.abs(pts).max()
-    margin = _MARGIN * (top + inlier_tolerance) if top < 2.0 ** 1020 else np.inf
+    margin = _MARGIN * (top + RANSAC_TOLERANCE) if top < 2.0 ** 1020 else np.inf
     rng = np.random.default_rng(seed)
     best_count = -1
     best_normal = None
@@ -653,7 +651,7 @@ def ransac_viewpoint(cloud, iterations: int = 1000, inlier_tolerance: float = 0.
         if not valid.any():
             continue
         normals = normals[valid] / lengths[valid, None]
-        counts = _block_counts(pts, pts[i[valid]], normals, inlier_tolerance, margin)
+        counts = _block_counts(pts, pts[i[valid]], normals, margin)
         b = int(np.argmax(counts))
         if counts[b] > best_count:
             best_count = counts[b]

@@ -25,22 +25,28 @@ package keeps uint8 windows and describes only the rows it uses. The
 window pool holds every view's cut windows before it samples, where the
 package holds each view's keypoints and cuts only the rows it keeps. The
 readers check the files that the CLI writes but never reads back, and
-`fvdb_bytes` lays out database files that the writer refuses.
+`fvdb_bytes` lays out database files that the writer refuses. Criterion
+1's viewpoint-error experiment, and the angular error and curved-scan
+dataset it measures with, run in no command; they live here beside the
+mixture posteriors, which only the tests read.
 """
 
 import struct
 
 import numpy as np
 
-from viewret.encode import DbEntry, DescriptorDb, fisher_vector, fit_gmm
+from viewret.config import PipelineConfig
+from viewret.encode import DbEntry, DescriptorDb, _posteriors, fisher_vector, fit_gmm
 from viewret.errors import ViewretError
+from viewret.evaluate import _prepare_scan, _scan_entry
 from viewret.features import (PATCH, WINDOW, _describe_block, _windows, build_pyramid,
                               cut_windows, describe, sample_keypoints)
 from viewret.geometry import (_cross, _pixel_indices, _unit_coordinates, as_points,
                               camera_frame, check_resolution)
 from viewret.render import _EDGE_EPS, depth_to_intensity
 from viewret.scansim import _EDGE_EPS as _SCAN_EDGE_EPS
-from viewret.scansim import _PARALLEL_EPS, ScanResult, _footprints, _ray_lattice
+from viewret.scansim import (_PARALLEL_EPS, ScanResult, _footprints, _ray_lattice, make_cylinder,
+                             make_sphere)
 
 
 # --- dense image measures ------------------------------------------------------
@@ -240,7 +246,65 @@ def ransac_viewpoint_oracle(cloud, iterations: int = 1000, inlier_tolerance: flo
     return best_normal
 
 
+# --- criterion 1: viewpoint error -------------------------------------------------
+
+VIEWPOINT_SCAN_FOV_DEG = 45.0
+
+
+def angular_error(v_est, v_gt) -> float:
+    """Angle in radians between two unit vectors, in [0, pi]."""
+    dot = float(np.asarray(v_est, dtype=np.float64) @ np.asarray(v_gt, dtype=np.float64))
+    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
+
+
+def make_viewpoint_scan_dataset(n_scans: int = 12, seed: int = 0, step_deg: float = 0.3) -> list:
+    """Curved-primitive scans for viewpoint-estimation experiments.
+
+    Spheres and capped cylinders alternate; both expose enough curvature for
+    the scanned side to be recoverable, which flat-dominant poses of boxes
+    or cones do not.
+    """
+    rng = np.random.default_rng(seed)
+    entries = []
+    for index in range(n_scans):
+        if index % 2 == 0:
+            mesh = make_sphere(radius=float(rng.uniform(0.8, 1.2)))
+            name = "sphere"
+        else:
+            mesh = make_cylinder(radius=float(rng.uniform(0.45, 0.6)),
+                                 height=float(rng.uniform(1.0, 1.4)))
+            name = "cylinder"
+        entries.append(_scan_entry(f"{name}-{index}", index % 2, mesh, rng,
+                                   VIEWPOINT_SCAN_FOV_DEG, step_deg))
+    return entries
+
+
+def viewpoint_error_experiment(dataset, config: PipelineConfig, seed: int = 0) -> dict:
+    """Angular errors of the proposed selector and the RANSAC baseline.
+
+    Every dataset entry must carry a ground-truth viewpoint. Returns arrays
+    of per-scan errors keyed by method name.
+    """
+    proposed = []
+    ransac = []
+    for index, entry in enumerate(dataset):
+        if entry.gt_viewpoint is None:
+            raise ViewretError(f"scan {entry.model_id} has no ground-truth viewpoint")
+        state = _prepare_scan(entry, index, config, seed)
+        proposed.append(angular_error(state.v_proposed, entry.gt_viewpoint))
+        ransac.append(angular_error(state.v_ransac, entry.gt_viewpoint))
+    return {"proposed": np.asarray(proposed), "ransac": np.asarray(ransac)}
+
+
 # --- retrieval and descriptors ---------------------------------------------------
+
+def gmm_posteriors(x, gmm) -> np.ndarray:
+    """Responsibilities of each row of ``x`` (one row when 1-D) over the mixture's components."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.atleast_2d(x)
+    post = _posteriors(rows, rows * rows, gmm)[0]
+    return post[0] if x.ndim == 1 else post
+
 
 def cosine_distance(a, b) -> float:
     """1 - cos(a, b), in [0, 2], of one pair of vectors in float64."""

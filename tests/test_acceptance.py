@@ -9,12 +9,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import gmm_posteriors, make_viewpoint_scan_dataset, viewpoint_error_experiment
 from viewret.cli import run
 from viewret.config import PipelineConfig
-from viewret.encode import GmmParams, _fisher_gradients, fit_gmm, gmm_posteriors
+from viewret.encode import GmmParams, _fisher_gradients, fit_gmm
 from viewret.evaluate import (RankedRetrieval, desk_benchmark_config, make_synthetic_dataset,
-                              make_viewpoint_scan_dataset, map_metric, ndcg_metric,
-                              run_benchmark, viewpoint_error_experiment)
+                              map_metric, ndcg_metric, run_benchmark)
 from viewret.geometry import camera_frame
 from viewret.render import render_point_cloud
 from viewret.select import multiview_ring, score_grid, select_viewpoint

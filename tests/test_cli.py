@@ -511,6 +511,53 @@ class TestCorruptInputs:
         assert captured.err == (f"viewret query: error: {gmm_path}: mixture dimension 64, "
                                 f"expected 128\n")
 
+    def test_mixture_of_another_k_names_both_files_before_any_selection(
+            self, tmp_path, capsys, monkeypatch):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+        other = tmp_path / "k4.gmm"
+        vio.write_gmm(GmmParams(np.full(4, 0.25), np.zeros((4, 128)), np.ones((4, 128))), other)
+        monkeypatch.setattr("viewret.cli.propose", _refused_before_this)
+        out = tmp_path / "ranking.txt"
+        capsys.readouterr()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(other),
+                    "--config", str(config), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"viewret query: error: {db_path} holds descriptors of K=2, "
+                                f"but {other} has K=4\n")
+        assert not out.exists()
+
+    def test_a_refused_ranking_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        cloud, gmm_path, db_path, config = desk_pipeline(tmp_path)
+
+        def refused(*args, **kwargs):
+            raise ViewretError("the ranking is refused")
+
+        monkeypatch.setattr("viewret.cli.query_db", refused)
+        out = tmp_path / "ranking.txt"
+        capsys.readouterr()
+        assert run(["query", "--input", str(cloud), "--db", str(db_path), "--gmm", str(gmm_path),
+                    "--config", str(config), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "viewret query: error: the ranking is refused\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-gmm", "build-db"])
+    def test_a_flat_model_names_the_view_that_renders_no_pixel(self, tmp_path, capsys, command):
+        # dodecahedron views 12 to 15 lie in the square's plane, so they see no face of it
+        (tmp_path / "plate.obj").write_text("v -1 -1 0\nv 1 -1 0\nv 1 1 0\nv -1 1 0\n"
+                                            "f 1 2 3\nf 1 3 4\n")
+        manifest = tmp_path / "models.txt"
+        manifest.write_text("plate 0 plate.obj\n")
+        gmm_path = tmp_path / "mixture.gmm"
+        vio.write_gmm(GmmParams(np.full(2, 0.5), np.zeros((2, 128)), np.ones((2, 128))), gmm_path)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(manifest), "--output", str(out)]
+        argv += ["--gmm", str(gmm_path)] if command == "build-db" else []
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (f"viewret {command}: error: model plate: view 12 "
+                                           f"renders no pixel\n")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_empty_mesh_is_one_error_line_that_says_mesh(self, tmp_path, capsys):
         mesh = tmp_path / "empty.obj"
@@ -684,6 +731,16 @@ class TestDumpGrid:
         monkeypatch.setattr("viewret.cli.score_grid", scored)
         assert run(["select", "--input", str(cloud_file), "--resolutions", "32,64",
                     "--method", "ransac"]) == 0
+
+    def test_a_refused_ransac_leaves_no_grid(self, tmp_path, capsys):
+        cloud = tmp_path / "two.xyz"
+        cloud.write_text("0 0 0\n1 0 0\n")
+        grid = tmp_path / "grid.csv"
+        assert run(["select", "--input", str(cloud), "--method", "ransac",
+                    "--dump-grid", str(grid)]) == 2
+        assert capsys.readouterr().err == ("viewret select: error: plane fitting needs at least "
+                                           "3 points\n")
+        assert not grid.exists()
 
     def test_grid_dump_command_is_gone(self, cloud_file, capsys):
         assert run(["grid-dump", "--input", str(cloud_file)]) == 1

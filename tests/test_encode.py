@@ -1,4 +1,3 @@
-import inspect
 import tracemalloc
 
 import numpy as np
@@ -7,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (cosine_distance, extract_features_oracle, keypoint_windows_oracle,
-                     pool_features_oracle)
+from oracles import (cosine_distance, extract_features_oracle, gmm_posteriors,
+                     keypoint_windows_oracle, pool_features_oracle)
 from viewret import encode
 from viewret.config import PipelineConfig
 from viewret.encode import (VARIANCE_FLOOR, DescriptorDb, GmmParams, _fisher_gradients,
                             _kmeans_plus_plus, _log_joint, build_db, encode_views,
-                            fisher_vector, fisher_vectors, fit_gmm, gmm_posteriors,
-                            pool_database_features, pool_features, query_db, view_windows)
+                            fisher_vector, fisher_vectors, fit_gmm, pool_database_features,
+                            pool_features, query_db, view_windows)
 from viewret.errors import ViewretError
 from viewret.evaluate import desk_benchmark_config
 from viewret.features import (DESCRIBE_BLOCK, DESCRIPTOR_SIZE, WINDOW, Keypoints, build_pyramid,
@@ -22,7 +21,7 @@ from viewret.features import (DESCRIBE_BLOCK, DESCRIPTOR_SIZE, WINDOW, Keypoints
 from viewret.geometry import dodecahedron_viewpoints, normalize_mesh
 from viewret.render import render_mesh
 from viewret.scansim import make_box, make_cone
-from viewret.select import ransac_viewpoint
+from viewret.select import RANSAC_TOLERANCE
 
 
 def random_gmm(rng, k, dim):
@@ -212,7 +211,7 @@ class TestFitGmm:
         assert config.keypoint_decay == 1.0
         assert len(config.resolutions) == 8
         assert config.ransac_iterations == 1000
-        assert inspect.signature(ransac_viewpoint).parameters["inlier_tolerance"].default == 0.01
+        assert RANSAC_TOLERANCE == 0.01
         assert config.db_resolution == 256
         assert config.seed == 42
 
@@ -598,7 +597,7 @@ class TestPoolDatabaseFeatures:
         assert got.shape == (min(cap, total_rows), 128)
         assert np.array_equal(got, want)
 
-    def test_blank_view_raises_like_before(self, models, monkeypatch):
+    def test_blank_view_is_refused_naming_its_model_and_view(self, models, monkeypatch):
         views = encode.database_views
 
         def one_blank(geometry, config):
@@ -607,11 +606,14 @@ class TestPoolDatabaseFeatures:
             return images
 
         monkeypatch.setattr(encode, "database_views", one_blank)
-        with pytest.raises(ViewretError, match="no pyramid level has any foreground") as want:
+        # the former pool named neither; skipping the view would renumber the views after it
+        with pytest.raises(ViewretError, match="^no pyramid level has any foreground pixel$"):
             pool_database_features_oracle(models, tiny_config())
-        with pytest.raises(ViewretError, match="no pyramid level has any foreground") as got:
-            pool_database_features(models, tiny_config())
-        assert str(got.value) == str(want.value)
+        gmm = random_gmm(np.random.default_rng(40), 2, DESCRIPTOR_SIZE)
+        for build in (lambda: pool_database_features(models, tiny_config()),
+                      lambda: build_db(models, gmm, tiny_config())):
+            with pytest.raises(ViewretError, match="^model box: view 7 renders no pixel$"):
+                build()
 
 
 class TestDatabaseViews:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import extract_features_oracle, keypoint_windows_oracle, loo_database_oracle
+import viewret
+from oracles import (angular_error, extract_features_oracle, keypoint_windows_oracle,
+                     loo_database_oracle, make_viewpoint_scan_dataset, viewpoint_error_experiment)
 from viewret.config import PipelineConfig
 from viewret.errors import ViewretError
-from viewret.evaluate import (CASES, RankedRetrieval, angular_error, make_synthetic_dataset,
-                              make_viewpoint_scan_dataset, map_metric, ndcg_metric, nn_metric,
-                              parse_cases, precision_recall_curve, run_benchmark,
-                              viewpoint_error_experiment)
+from viewret.evaluate import (CASES, RankedRetrieval, make_synthetic_dataset, map_metric,
+                              ndcg_metric, nn_metric, parse_cases, precision_recall_curve,
+                              run_benchmark)
 from viewret.features import DESCRIBE_BLOCK
 
 
@@ -483,3 +484,8 @@ class TestViewpointErrorExperiment:
         ds[0].gt_viewpoint = None
         with pytest.raises(ViewretError, match="has no ground-truth viewpoint"):
             viewpoint_error_experiment(ds, PipelineConfig(resolutions=(64,)), seed=8)
+
+    @pytest.mark.parametrize("name", ["angular_error", "viewpoint_error_experiment",
+                                      "gmm_posteriors"])
+    def test_the_package_does_not_export_the_test_helpers(self, name):
+        assert not hasattr(viewret, name)

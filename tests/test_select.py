@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (density, foreground_count, kth_neighbour_sq_distances, quantity,
-                     ransac_viewpoint_oracle, score_grid_per_rung_oracle,
+from oracles import (angular_error, density, foreground_count, kth_neighbour_sq_distances,
+                     quantity, ransac_viewpoint_oracle, score_grid_per_rung_oracle,
                      spacing_depth_correlation_oracle)
 from viewret import select
 from viewret.errors import ViewretError
-from viewret.evaluate import angular_error
 from viewret.geometry import MAX_RESOLUTION, dodecahedron_viewpoints, normalize_pose
 from viewret.render import render_point_cloud
 from viewret.scansim import ScannerConfig, make_sphere, simulate_scan
-from viewret.select import (BLOCK, PLANES, SPACING_NEIGHBOR, SPACING_SAMPLE, ScoreGrid,
-                            _kth_neighbour_sq_distances, _spacing_depth_correlation,
+from viewret.select import (BLOCK, PLANES, RANSAC_TOLERANCE, SPACING_NEIGHBOR, SPACING_SAMPLE,
+                            ScoreGrid, _kth_neighbour_sq_distances, _spacing_depth_correlation,
                             best_resolution_for_viewpoint, multiview_ring, normalize_quantity,
                             orient_axis, propose, ransac_viewpoint, score_grid,
                             select_resolution, select_viewpoint, viewpoint_index)
@@ -583,16 +582,16 @@ class TestRansacViewpoint:
     def test_recovers_noiseless_plane(self):
         rng = np.random.default_rng(20)
         pts = self.plane_cloud(rng)
-        axis = ransac_viewpoint(pts, iterations=200, inlier_tolerance=0.01, seed=0)
+        axis = ransac_viewpoint(pts, iterations=200, seed=0)
         assert min(np.linalg.norm(axis - [0, 0, 1]), np.linalg.norm(axis + [0, 0, 1])) <= 1e-6
-        assert np.abs(pts @ axis).max() <= 0.01
+        assert np.abs(pts @ axis).max() <= RANSAC_TOLERANCE
 
     def test_outliers_tolerated(self):
         rng = np.random.default_rng(21)
         inliers = self.plane_cloud(rng, 270)
         outliers = rng.uniform(-1, 1, size=(30, 3))
         pts = np.concatenate([inliers, outliers])
-        axis = ransac_viewpoint(pts, iterations=500, inlier_tolerance=0.01, seed=1)
+        axis = ransac_viewpoint(pts, iterations=500, seed=1)
         # least-squares normal of the known inlier set as the reference
         centered = inliers - inliers.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -618,22 +617,16 @@ class TestRansacViewpoint:
         b = ransac_viewpoint(pts, iterations=100, seed=7)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -0.01])
-    def test_rejects_tolerances_that_are_not_positive_and_finite(self, tol):
-        pts = np.random.default_rng(23).normal(size=(20, 3))
-        with pytest.raises(ValueError):
-            ransac_viewpoint(pts, iterations=10, inlier_tolerance=tol)
 
-
-def same_outcome(cloud, iterations, tol, seed):
+def same_outcome(cloud, iterations, seed):
     """Assert that the block form and the per-plane loop agree byte for byte, errors included."""
     try:
-        want = ransac_viewpoint_oracle(cloud, iterations, tol, seed=seed)
+        want = ransac_viewpoint_oracle(cloud, iterations, RANSAC_TOLERANCE, seed=seed)
     except ViewretError as exc:
         with pytest.raises(ViewretError, match=f"^{re.escape(str(exc))}$"):
-            ransac_viewpoint(cloud, iterations, tol, seed=seed)
+            ransac_viewpoint(cloud, iterations, seed=seed)
         return None
-    got = ransac_viewpoint(cloud, iterations, tol, seed=seed)
+    got = ransac_viewpoint(cloud, iterations, seed=seed)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     return got
 
@@ -667,30 +660,32 @@ class TestRansacAgainstLoop:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 3000), seed=st.integers(0, 2 ** 32 - 1),
            iterations=st.sampled_from([1, 31, PLANES, 33, 64, 100, 1000]),
-           scale_exp=st.floats(-3, 6), tol_exp=st.floats(-4, 0), plane_share=st.floats(0, 1),
+           ratio_exp=st.floats(-4, 0), shift_exp=st.floats(-3, 6), plane_share=st.floats(0, 1),
            snap=st.booleans())
-    def test_matches_the_loop(self, n, seed, iterations, scale_exp, tol_exp, plane_share, snap):
+    def test_matches_the_loop(self, n, seed, iterations, ratio_exp, shift_exp, plane_share, snap):
+        # the cloud spans tol / 10**ratio_exp (0.01 to 100), so tol over the spread runs from
+        # 1e-4 to 1; a shift of up to 1e6 carries the coordinates, and the margin, to 1e6
         rng = np.random.default_rng(seed)
-        scale = 10.0 ** scale_exp
-        tol = scale * 10.0 ** tol_exp
+        tol = RANSAC_TOLERANCE
         cloud = rng.uniform(-1, 1, size=(n, 3))
         # a share of the points on a tilted plane through the origin, the rest spread about it
         on_plane = rng.random(n) < plane_share
         normal = rng.normal(size=3)
         cloud[on_plane] -= np.outer(cloud[on_plane] @ normal, normal) / (normal @ normal)
-        cloud *= scale
+        cloud *= tol / 10.0 ** ratio_exp
+        cloud += 10.0 ** shift_exp * rng.uniform(-1, 1, size=3)
         if snap:
             # coordinates on a lattice of step tol: distances to axis-aligned planes land on tol
             cloud = np.round(cloud / tol) * tol
-        same_outcome(cloud, iterations, tol, seed)
+        same_outcome(cloud, iterations, seed)
 
     def test_parallel_planes_exactly_tol_apart(self, recounts):
-        # z = 0 and z = 0.25: planes through either sheet put the other one exactly on tol
+        # z = 0 and z = 0.01: planes through either sheet put the other one exactly on tol
         rng = np.random.default_rng(30)
         cloud = rng.uniform(-1, 1, size=(400, 3))
-        cloud[:, 2] = np.where(np.arange(400) < 300, 0.0, 0.25)
+        cloud[:, 2] = np.where(np.arange(400) < 300, 0.0, RANSAC_TOLERANCE)
         for seed in range(3):
-            normal = same_outcome(cloud, 200, 0.25, seed)
+            normal = same_outcome(cloud, 200, seed)
             assert abs(normal[2]) == 1.0
         assert recounts
 
@@ -703,13 +698,13 @@ class TestRansacAgainstLoop:
             assert whole_blocks.all(axis=1).any()
             assert not degenerate.all()
             for iterations in (PLANES, 1000):
-                same_outcome(cloud, iterations, 0.01, seed)
+                same_outcome(cloud, iterations, seed)
 
     def test_all_collinear_raises(self):
         t = np.linspace(-1, 1, 50)
         cloud = np.stack([t, 2 * t, -t], axis=1)
         for iterations in (1, PLANES, 100):
-            assert same_outcome(cloud, iterations, 0.01, seed=3) is None
+            assert same_outcome(cloud, iterations, seed=3) is None
 
     def test_infinite_margin_recounts_every_plane(self, monkeypatch, recounts):
         monkeypatch.setattr(select, "_MARGIN", np.inf)
@@ -717,7 +712,7 @@ class TestRansacAgainstLoop:
         for seed in range(4):
             cloud, _ = normalize_pose(rng.normal(size=(500, 3)) * [1.0, 0.6, 0.05])
             recounts.clear()
-            same_outcome(cloud, 100, 0.01, seed)
+            same_outcome(cloud, 100, seed)
             assert len(recounts) == 100 - degenerate_draws(cloud, 100, seed).sum()
 
     def test_coordinates_past_the_bound_recount_every_plane(self, recounts):
@@ -730,7 +725,7 @@ class TestRansacAgainstLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             for seed in range(8):
                 recounts.clear()
-                normal = same_outcome(cloud, 50, 0.01, seed)
+                normal = same_outcome(cloud, 50, seed)
                 assert np.allclose(np.abs(normal), [0.5 ** 0.5, 0.5 ** 0.5, 0.0])
                 assert len(recounts) == 50 - degenerate_draws(cloud, 50, seed).sum()
 
